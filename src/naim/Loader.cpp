@@ -94,7 +94,7 @@ namespace scmo {
 /// mutex, LRU cache, spill queue, prefetch window, repository file — scoped
 /// to the subset of routines whose id hashes here (Loader::shardOf). Shards
 /// never touch each other's slots or locks; everything cross-shard (the
-/// budget, victim compaction, symtabs) lives on the facade.
+/// budget total, symtabs) lives on the facade.
 class LoaderShard {
 public:
   LoaderShard(Loader &F, unsigned Idx)
@@ -113,26 +113,17 @@ public:
     }
     if (IoThread.joinable())
       IoThread.join();
-    // The lease's unspent reservation flows back so a facade-level
-    // enforceBudget between shard teardowns keeps exact accounts.
-    std::lock_guard<std::mutex> L(M);
-    F.Arbiter.creditGlobal(Lease, Lease.Charged);
-    F.Arbiter.drain(Lease);
   }
 
   RoutineBody &acquireImpl(RoutineId R, bool Mutable);
   void release(RoutineId R);
-  bool releaseAllShard();
-  bool enforceBudgetShard(bool Everything);
+  void releaseAllShard();
+  void enforceBudgetShard(bool Everything);
   const RoutineIlSummary *routineSummary(RoutineId R);
   void drainSpills();
   void drainPrefetches();
   void setSchedule(std::vector<RoutineId> Order);
   void clearSchedule();
-
-  // Facade pressure-relief hooks (no shard lock held by the caller).
-  bool trySettle();
-  bool compactOneVictim();
 
   uint64_t cacheBytes() const { return CachedBytes.load(Relaxed); }
   size_t cachedPoolCount() const {
@@ -204,25 +195,28 @@ private:
     return L;
   }
 
-  /// Reconciles the lease with the shard's resident bytes: surplus charge
-  /// is credited back, shortfall is charged (possibly refilling the lease
-  /// from the global balance). Returns false when the global balance cannot
-  /// cover the shortfall — the budget is exhausted and someone must evict.
-  bool settleLocked();
-
-  /// Returns true when the shard needs the facade to relieve global
-  /// pressure (only possible with multiple shards; the caller must drop M
-  /// before calling Loader::relievePressure).
-  bool enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
+  /// The last pin on R dropped: summarize its body, then park it.
+  void unpinLocked(RoutineId R);
+  /// Places the unpinned expanded pool R at the MRU end of the cache.
+  void parkLocked(RoutineId R);
+  void enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
   void evictOneLocked(std::unique_lock<std::mutex> &L);
   void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
 
   void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  void setCompactLocked(RoutineSlot &S, std::vector<uint8_t> Bytes,
+                        uint64_t Hash);
   void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
   void storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
                        uint64_t RawHash);
   void degradeSpillsLocked(RoutineId R, const Status &Cause);
-  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  void restoreSpillLocked(SpillEntry &E);
+  /// Decodes a parked (compact or offloaded) pool and installs its body.
+  /// Readahead (the prefetcher) skips a queue miss, puts compact bytes back
+  /// on failure and never recovers or poisons; an acquire walks the full
+  /// degradation ladder and returns the unrecoverable error.
+  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
+                    bool Readahead = false);
   Status fetchRecord(uint64_t Offset, uint64_t Size, std::vector<uint8_t> &Raw,
                      std::string &RetryDetail);
   Status recoverPoolLocked(RoutineId R, Status Cause);
@@ -251,13 +245,10 @@ private:
   /// tie-break is unreachable (ticks are unique) but keeps the comparator
   /// total.
   std::set<std::pair<uint64_t, RoutineId>> CacheOrder;
-  /// Sum of irBytes over CacheOrder. Atomic so the facade's victim
-  /// selection can read it without taking M; mutations stay under M.
+  /// Sum of irBytes over CacheOrder. Atomic so every shard's budget check
+  /// can sum it without taking M; mutations stay under M.
   std::atomic<uint64_t> CachedBytes{0};
   uint64_t Tick = 0;
-  /// This shard's slice of the global budget (guarded by M; see
-  /// BudgetArbiter::Lease).
-  BudgetArbiter::Lease Lease;
 
   std::atomic<bool> SpillDisabled{false};
   std::vector<LoaderEvent> Events;
@@ -357,39 +348,43 @@ RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
 }
 
 void LoaderShard::release(RoutineId R) {
-  bool NeedsRelief = false;
-  {
-    std::unique_lock<std::mutex> L = lockM();
-    RoutineInfo &RI = P.routine(R);
-    RoutineSlot &S = RI.Slot;
-    if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
-      return;
-    // Drop one pin; the pool stays resident while any worker still holds
-    // it. (Pins == 0 here means a "born pinned" body the frontend installed
-    // and nobody ever acquired: its first release unpins it.)
-    if (S.Pins > 0 && --S.Pins > 0)
-      return;
-    // Summarize while the body is still resident (a scan, not a decode): a
-    // mutable pin-cycle just ended and discarded the summary, or — when
-    // pools can park at all — this body has never been summarized and the
-    // next whole-set consumer would otherwise have to re-expand it.
-    if (S.ResummarizeOnRelease || (!S.Summary && F.irCompactionEnabled())) {
-      S.Summary = summarizeBody(*S.Body);
-      S.ResummarizeOnRelease = false;
-    }
-    // Mark unload-pending and place in the cache; actual compaction happens
-    // only if the budget demands it.
-    S.UnloadPending = true;
-    S.LruTick = ++Tick;
-    CacheOrder.insert({S.LruTick, R});
-    CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
-    NeedsRelief = enforceBudgetLocked(L, /*Everything=*/false);
-  }
-  if (NeedsRelief)
-    F.relievePressure();
+  std::unique_lock<std::mutex> L = lockM();
+  RoutineSlot &S = P.routine(R).Slot;
+  if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
+    return;
+  // Drop one pin; the pool stays resident while any worker still holds
+  // it. (Pins == 0 here means a "born pinned" body the frontend installed
+  // and nobody ever acquired: its first release unpins it.)
+  if (S.Pins > 0 && --S.Pins > 0)
+    return;
+  unpinLocked(R);
+  enforceBudgetLocked(L, /*Everything=*/false);
 }
 
-bool LoaderShard::releaseAllShard() {
+void LoaderShard::unpinLocked(RoutineId R) {
+  RoutineSlot &S = P.routine(R).Slot;
+  // Summarize while the body is still resident (a scan, not a decode): a
+  // mutable pin-cycle just ended and discarded the summary, or — when
+  // pools can park at all — this body has never been summarized and the
+  // next whole-set consumer would otherwise have to re-expand it.
+  if (S.ResummarizeOnRelease || (!S.Summary && F.irCompactionEnabled())) {
+    S.Summary = summarizeBody(*S.Body);
+    S.ResummarizeOnRelease = false;
+  }
+  parkLocked(R);
+}
+
+void LoaderShard::parkLocked(RoutineId R) {
+  // Mark unload-pending and place at the MRU end of the cache; actual
+  // compaction happens only if the budget demands it.
+  RoutineSlot &S = P.routine(R).Slot;
+  S.UnloadPending = true;
+  S.LruTick = ++Tick;
+  CacheOrder.insert({S.LruTick, R});
+  CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
+}
+
+void LoaderShard::releaseAllShard() {
   std::unique_lock<std::mutex> L(M);
   for (RoutineId R = 0; R != P.numRoutines(); ++R) {
     if (F.shardOf(R) != Idx)
@@ -400,22 +395,15 @@ bool LoaderShard::releaseAllShard() {
       // Phase boundary: forcibly forget any outstanding pins — no worker
       // may hold a body across a phase.
       S.Pins = 0;
-      if (S.ResummarizeOnRelease || (!S.Summary && F.irCompactionEnabled())) {
-        S.Summary = summarizeBody(*S.Body);
-        S.ResummarizeOnRelease = false;
-      }
-      S.UnloadPending = true;
-      S.LruTick = ++Tick;
-      CacheOrder.insert({S.LruTick, R});
-      CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
+      unpinLocked(R);
     }
   }
-  return enforceBudgetLocked(L, /*Everything=*/false);
+  enforceBudgetLocked(L, /*Everything=*/false);
 }
 
-bool LoaderShard::enforceBudgetShard(bool Everything) {
+void LoaderShard::enforceBudgetShard(bool Everything) {
   std::unique_lock<std::mutex> L(M);
-  return enforceBudgetLocked(L, Everything);
+  enforceBudgetLocked(L, Everything);
 }
 
 const RoutineIlSummary *LoaderShard::routineSummary(RoutineId R) {
@@ -440,48 +428,22 @@ const RoutineIlSummary *LoaderShard::routineSummary(RoutineId R) {
   return Raw;
 }
 
-bool LoaderShard::settleLocked() {
-  uint64_t Resident = CachedBytes.load(Relaxed);
-  if (Lease.Charged > Resident) {
-    F.Arbiter.credit(Lease, Lease.Charged - Resident);
-    return true;
-  }
-  if (Lease.Charged < Resident)
-    return F.Arbiter.charge(Lease, Resident - Lease.Charged);
-  return true;
-}
-
-bool LoaderShard::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
+void LoaderShard::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
                                       bool Everything) {
-  bool NeedsRelief = false;
   if (!F.irCompactionEnabled())
-    return false;
-  if (Everything)
-    while (!CacheOrder.empty())
-      evictOneLocked(L);
-  // Reconcile resident bytes against the global budget; while the arbiter
-  // cannot cover them, evict least-recently-used pools. Only unpinned pools
-  // live in CacheOrder, so a pool another worker holds can never be chosen.
-  // compactPool drops the mutex around the encode; the loop re-reads the
-  // cache state afterwards, so concurrent releases/evictions interleave
-  // correctly. With one shard the charge succeeds exactly while
-  // CachedBytes <= ExpandedCacheBytes — the pre-shard eviction condition.
-  for (;;) {
-    if (settleLocked())
-      break;
-    if (CacheOrder.empty())
-      break; // Nothing evictable; stay over until pools release.
-    if (F.NumShards > 1) {
-      // Global pressure with multiple shards: do not blindly self-evict —
-      // the facade picks the shard with the most resident bytes as the
-      // victim (which may well be this one).
-      NeedsRelief = true;
-      break;
-    }
+    return;
+  // One soft budget over every shard's cache: while the summed resident
+  // bytes exceed it, evict this shard's least-recently-used pool. Only
+  // unpinned pools live in CacheOrder, so a pool another worker holds can
+  // never be chosen. compactPool drops the mutex around the encode; the
+  // loop re-reads the cache state afterwards, so concurrent releases and
+  // evictions interleave correctly. The sum reads the other shards'
+  // relaxed counters without their mutexes, so no shard ever waits on
+  // another. With one shard this is the pre-shard eviction condition.
+  while (!CacheOrder.empty() &&
+         (Everything || F.cacheBytes() > Config.ExpandedCacheBytes))
     evictOneLocked(L);
-  }
   offloadOverBudgetLocked(L);
-  return NeedsRelief;
 }
 
 void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
@@ -541,29 +503,6 @@ void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
   }
 }
 
-bool LoaderShard::trySettle() {
-  std::unique_lock<std::mutex> L(M);
-  return settleLocked();
-}
-
-bool LoaderShard::compactOneVictim() {
-  std::unique_lock<std::mutex> L(M);
-  if (!F.irCompactionEnabled() || CacheOrder.empty())
-    return false;
-  evictOneLocked(L);
-  // Free the charge for the *other* shards: the surplus goes straight to
-  // the global balance, not back into this shard's lease — the whole point
-  // of victim compaction is that a different shard needs the budget now.
-  uint64_t Resident = CachedBytes.load(Relaxed);
-  if (Lease.Charged > Resident)
-    F.Arbiter.creditGlobal(Lease, Lease.Charged - Resident);
-  // The victim is compact now; push it on through the offload stage if the
-  // compact-residency budget calls for it, exactly as a self-triggered
-  // eviction would have (enforceBudgetLocked runs this unconditionally).
-  offloadOverBudgetLocked(L);
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Shard: compaction / offload / expansion / fault ladder
 //===----------------------------------------------------------------------===//
@@ -586,11 +525,16 @@ void LoaderShard::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   L.lock();
   S.InTransition = false;
   TransitionCv.notify_all();
+  setCompactLocked(S, std::move(Bytes), Hash);
+  Stats.Compactions.fetch_add(1, Relaxed);
+}
+
+void LoaderShard::setCompactLocked(RoutineSlot &S, std::vector<uint8_t> Bytes,
+                                   uint64_t Hash) {
   S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
   S.CompactBytes.assign(std::move(Bytes));
   S.CompactHash = Hash;
   S.State = PoolState::Compact;
-  Stats.Compactions.fetch_add(1, Relaxed);
 }
 
 std::vector<uint8_t>
@@ -672,10 +616,7 @@ void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
     // shard stops spilling for good, and the compact-residency budget is
     // lifted (offloadOverBudgetLocked checks SpillDisabled). A slower,
     // fatter compile — not a dead one.
-    S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-    S.CompactBytes.assign(std::move(Raw));
-    S.CompactHash = RawHash;
-    S.State = PoolState::Compact;
+    setCompactLocked(S, std::move(Raw), RawHash);
     return;
   }
   S.State = PoolState::Offloaded;
@@ -707,18 +648,20 @@ void LoaderShard::degradeSpillsLocked(RoutineId R, const Status &Cause) {
     std::shared_ptr<SpillEntry> E = std::move(SpillQ.back());
     SpillQ.pop_back();
     Stats.Offloads.fetch_sub(1, Relaxed);
-    RoutineSlot &S = P.routine(E->R).Slot;
-    if (S.SpillTicket == E->Ticket) {
-      S.SpillTicket = 0;
-      if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-        S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-        S.CompactBytes.assign(std::move(E->Raw));
-        S.CompactHash = E->RawHash;
-        S.State = PoolState::Compact;
-      }
-    }
+    restoreSpillLocked(*E);
   }
   QIdleCv.notify_all();
+}
+
+void LoaderShard::restoreSpillLocked(SpillEntry &E) {
+  // A dirtied pool may have re-spilled under a newer ticket; then this
+  // entry is dead and the slot is not ours to touch.
+  RoutineSlot &S = P.routine(E.R).Slot;
+  if (S.SpillTicket != E.Ticket)
+    return;
+  S.SpillTicket = 0;
+  if (S.State == PoolState::Offloaded && S.RepoSize == 0)
+    setCompactLocked(S, std::move(E.Raw), E.RawHash);
 }
 
 Status LoaderShard::fetchRecord(uint64_t Offset, uint64_t Size,
@@ -761,14 +704,15 @@ Status LoaderShard::fetchRecord(uint64_t Offset, uint64_t Size,
   return FS;
 }
 
-Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
+Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
+                               bool Readahead) {
   RoutineSlot &S = P.routine(R).Slot;
   assert(!S.InTransition && "expanding a transitioning pool");
   std::vector<uint8_t> Raw;
   bool FromRepo = false;
   bool FromQueue = false;
   uint64_t Off = 0, Sz = 0;
-  uint64_t QueueRawHash = 0;
+  uint64_t RawHash = 0;
   if (S.State == PoolState::Offloaded) {
     if (S.SpillTicket != 0) {
       // The record is still in the write-behind queue (or in the writer's
@@ -779,11 +723,13 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
       for (const auto &E : SpillQ) {
         if (E->Ticket == S.SpillTicket) {
           Raw = E->Raw;
-          QueueRawHash = E->RawHash;
+          RawHash = E->RawHash;
           FromQueue = true;
           break;
         }
       }
+      if (!FromQueue && Readahead)
+        return Status::error(StatusCode::Unavailable, "spill entry in flight");
       assert(FromQueue && "pending spill ticket without a queue entry");
       if (FromQueue) {
         Stats.SpillQueueHits.fetch_add(1, Relaxed);
@@ -804,17 +750,20 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   L.unlock();
   Status Err;
   std::string RetryDetail;
-  if (FromRepo)
+  if (FromRepo) {
     Err = fetchRecord(Off, Sz, Raw, RetryDetail);
-  std::unique_ptr<RoutineBody> Body;
-  uint64_t RawHash = QueueRawHash;
-  uint64_t RawSize = 0;
-  if (Err.ok()) {
-    RawSize = Raw.size();
-    if (FromRepo)
+    if (Err.ok()) {
+      Stats.Fetches.fetch_add(1, Relaxed);
       RawHash = hashBytes(Raw.data(), Raw.size());
+    }
+  }
+  std::unique_ptr<RoutineBody> Body;
+  if (Err.ok()) {
     // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form.
     Body = expandRoutine(Raw, P.tracker());
+    if (!Body)
+      Err = Status::error(StatusCode::Corruption,
+                          "corrupt compact pool for " + P.displayName(R));
   }
   L.lock();
   S.InTransition = false;
@@ -823,14 +772,16 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
     Stats.FetchRetries.fetch_add(1, Relaxed);
     Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
   }
-  if (!Err.ok())
-    return recoverPoolLocked(R, std::move(Err));
-  if (FromRepo)
-    Stats.Fetches.fetch_add(1, Relaxed);
-  if (!Body)
-    return recoverPoolLocked(
-        R, Status::error(StatusCode::Corruption,
-                         "corrupt compact pool for " + P.displayName(R)));
+  if (!Err.ok()) {
+    if (!Readahead)
+      return recoverPoolLocked(R, std::move(Err));
+    // Readahead never poisons: put compact bytes back and let the real
+    // acquire drive the full degradation ladder — that path is
+    // deterministic, this one is opportunistic.
+    if (!FromRepo && !FromQueue)
+      setCompactLocked(S, std::move(Raw), S.CompactHash);
+    return Err;
+  }
   installBodyLocked(R, std::move(Body));
   if (FromRepo) {
     // Remember the record: if the body round-trips unmutated, eviction can
@@ -838,13 +789,11 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
     S.LastRepoOffset = Off;
     S.LastRepoSize = Sz;
     S.LastRawHash = RawHash;
-    S.LastRawSize = RawSize;
-    S.CleanSinceRepo = true;
-  } else if (FromQueue) {
-    // The pending record holds exactly these bytes; the writer fills in
-    // LastRepoOffset/Size at finalize (ticket match).
-    S.CleanSinceRepo = true;
+    S.LastRawSize = Raw.size();
   }
+  // A pending queue record holds exactly these bytes too; the writer fills
+  // in LastRepoOffset/Size at finalize (ticket match).
+  S.CleanSinceRepo = FromRepo || FromQueue;
   Stats.Expansions.fetch_add(1, Relaxed);
   return Status();
 }
@@ -937,24 +886,14 @@ void LoaderShard::ioThreadMain() {
           SpillBusy = false;
         }
         RoutineSlot &S = P.routine(E->R).Slot;
-        // A dirtied pool may have re-spilled under a newer ticket while we
-        // stored; then this record is simply dead space in the repository.
-        bool Mine = S.SpillTicket == E->Ticket;
         if (!Off.ok()) {
           // The offload was counted when it was decided; it did not happen.
           Stats.Offloads.fetch_sub(1, Relaxed);
           degradeSpillsLocked(E->R, Off.status());
-          if (Mine) {
-            S.SpillTicket = 0;
-            if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-              S.CompactBytes =
-                  TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-              S.CompactBytes.assign(std::move(E->Raw));
-              S.CompactHash = E->RawHash;
-              S.State = PoolState::Compact;
-            }
-          }
-        } else if (Mine) {
+          restoreSpillLocked(*E);
+        } else if (S.SpillTicket == E->Ticket) {
+          // (A dirtied pool may have re-spilled under a newer ticket while
+          // we stored; then this record is simply dead repository space.)
           S.SpillTicket = 0;
           S.LastRepoOffset = *Off;
           S.LastRepoSize = Env.size();
@@ -993,92 +932,19 @@ void LoaderShard::prefetchOne(RoutineId R) {
   RoutineSlot &S = P.routine(R).Slot;
   // Only a parked compact/offloaded pool is worth readahead; anything
   // resident, transitioning, or racing ahead of us is left alone. Also stop
-  // filling a cache that is already at this shard's slice of the budget —
-  // prefetch must not thrash.
+  // filling a cache that is already at the budget — prefetch must not
+  // thrash.
   if (S.InTransition || S.State == PoolState::Expanded ||
       S.State == PoolState::None)
     return;
-  if (CachedBytes.load(Relaxed) >= Config.ExpandedCacheBytes / F.NumShards)
+  if (F.cacheBytes() >= Config.ExpandedCacheBytes)
     return;
-  std::vector<uint8_t> Raw;
-  bool FromRepo = false;
-  bool FromQueue = false;
-  uint64_t Off = 0, Sz = 0;
-  uint64_t QueueRawHash = 0;
-  if (S.State == PoolState::Offloaded) {
-    if (S.SpillTicket != 0) {
-      std::lock_guard<std::mutex> Q(QM);
-      for (const auto &E : SpillQ) {
-        if (E->Ticket == S.SpillTicket) {
-          Raw = E->Raw;
-          QueueRawHash = E->RawHash;
-          FromQueue = true;
-          break;
-        }
-      }
-      if (!FromQueue)
-        return;
-    } else {
-      FromRepo = true;
-      Off = S.RepoOffset;
-      Sz = S.RepoSize;
-    }
-  } else {
-    Raw = S.CompactBytes.take();
-  }
-  S.InTransition = true;
-  L.unlock();
-  Status Err;
-  std::string RetryDetail;
-  if (FromRepo)
-    Err = fetchRecord(Off, Sz, Raw, RetryDetail);
-  std::unique_ptr<RoutineBody> Body;
-  uint64_t RawHash = QueueRawHash;
-  uint64_t RawSize = Raw.size();
-  if (Err.ok()) {
-    RawSize = Raw.size();
-    if (FromRepo)
-      RawHash = hashBytes(Raw.data(), Raw.size());
-    Body = expandRoutine(Raw, P.tracker());
-  }
-  L.lock();
-  S.InTransition = false;
-  TransitionCv.notify_all();
-  if (!RetryDetail.empty()) {
-    Stats.FetchRetries.fetch_add(1, Relaxed);
-    Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
-  }
-  if (!Err.ok() || !Body) {
-    // Readahead never poisons: put the source back (for compact pools) and
-    // let the real acquire drive the full degradation ladder — that path is
-    // deterministic, this one is opportunistic.
-    if (!FromRepo && !FromQueue) {
-      S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-      S.CompactBytes.assign(std::move(Raw));
-    }
+  if (!expandPool(R, L, /*Readahead=*/true).ok())
     return;
-  }
-  installBodyLocked(R, std::move(Body));
-  if (FromRepo) {
-    S.LastRepoOffset = Off;
-    S.LastRepoSize = Sz;
-    S.LastRawHash = RawHash;
-    S.LastRawSize = RawSize;
-    S.CleanSinceRepo = true;
-    Stats.Fetches.fetch_add(1, Relaxed);
-  } else if (FromQueue) {
-    S.CleanSinceRepo = true;
-    Stats.Fetches.fetch_add(1, Relaxed);
-    Stats.SpillQueueHits.fetch_add(1, Relaxed);
-  }
   // Park the body in the cache as an unpinned, prefetched resident: the
   // acquire it anticipates is a cache hit (and a PrefetchHit).
   S.WasPrefetched = true;
-  S.UnloadPending = true;
-  S.LruTick = ++Tick;
-  CacheOrder.insert({S.LruTick, R});
-  CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
-  Stats.Expansions.fetch_add(1, Relaxed);
+  parkLocked(R);
 }
 
 void LoaderShard::drainSpills() {
@@ -1153,8 +1019,7 @@ Loader::Loader(Program &P, const NaimConfig &Config)
       // constructing the loader; a bare Loader (unit tests) treats 0 as 1,
       // the exact monolithic pre-shard behavior.
       NumShards(Config.Shards ? Config.Shards : 1),
-      Faults(Config.Injector ? Config.Injector : FaultInjector::fromEnv()),
-      Arbiter(Config.ExpandedCacheBytes, NumShards) {
+      Faults(Config.Injector ? Config.Injector : FaultInjector::fromEnv()) {
   ShardList.reserve(NumShards);
   for (unsigned I = 0; I != NumShards; ++I)
     ShardList.push_back(std::make_unique<LoaderShard>(*this, I));
@@ -1170,6 +1035,9 @@ Loader::Loader(Program &P, const NaimConfig &Config)
 
 Loader::~Loader() {
   P.setSlotGrowBarrier(nullptr);
+  // Readahead sums every shard's cache, so no prefetch may still be running
+  // while the shards are torn down one by one.
+  clearAcquisitionSchedule();
   ShardList.clear();
 }
 
@@ -1247,57 +1115,17 @@ const RoutineBody &Loader::acquireRead(RoutineId R) {
 void Loader::release(RoutineId R) { ShardList[shardOf(R)]->release(R); }
 
 void Loader::releaseAll() {
-  bool NeedsRelief = false;
   for (auto &Sh : ShardList)
-    NeedsRelief |= Sh->releaseAllShard();
-  if (NeedsRelief)
-    relievePressure();
+    Sh->releaseAllShard();
 }
 
 void Loader::enforceBudget(bool Everything) {
-  bool NeedsRelief = false;
   for (auto &Sh : ShardList)
-    NeedsRelief |= Sh->enforceBudgetShard(Everything);
-  if (NeedsRelief)
-    relievePressure();
+    Sh->enforceBudgetShard(Everything);
 }
 
 const RoutineIlSummary *Loader::routineSummary(RoutineId R) {
   return ShardList[shardOf(R)]->routineSummary(R);
-}
-
-void Loader::relievePressure() {
-  // Single-flight: concurrent over-budget shards queue up here rather than
-  // fighting over victims. Lock order: PressureM -> one shard M at a time
-  // (inside trySettle/compactOneVictim); callers hold no shard mutex.
-  std::lock_guard<std::mutex> PL(PressureM);
-  for (;;) {
-    bool AnyUncovered = false;
-    for (auto &Sh : ShardList)
-      if (!Sh->trySettle())
-        AnyUncovered = true;
-    if (!AnyUncovered)
-      return;
-    // Victim = the shard with the most resident cache bytes, lowest index
-    // on ties (stable sort over the index order): deterministic given the
-    // same resident distribution, and it frees the most budget per
-    // compaction.
-    std::vector<unsigned> Order(NumShards);
-    for (unsigned I = 0; I != NumShards; ++I)
-      Order[I] = I;
-    std::stable_sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-      return ShardList[A]->cacheBytes() > ShardList[B]->cacheBytes();
-    });
-    bool Progress = false;
-    for (unsigned I : Order)
-      if (ShardList[I]->compactOneVictim()) {
-        Progress = true;
-        break;
-      }
-    if (!Progress)
-      return; // Nothing evictable anywhere; shards stay over until pools
-              // release.
-  }
 }
 
 void Loader::maybeCompactSymtabs() {

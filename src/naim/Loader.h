@@ -57,14 +57,11 @@
 /// its own mutex, LRU clock, spill queue, prefetch window, I/O thread and
 /// Repository file, so acquire/release traffic from different workers only
 /// collides when two workers touch routines that genuinely hash together.
-/// The single memory budget is replaced by a BudgetArbiter: shards charge
-/// resident bytes against locally cached leases refilled from one global
-/// atomic balance, and global pressure triggers victim-shard compaction
-/// (largest resident cache first, lowest shard index on ties) instead of a
-/// stop-the-world sweep. Residency decisions stay deterministic per shard;
-/// since placement is schedule-independent and residency never feeds
-/// codegen, executables are byte-identical at every shards x partitions x
-/// jobs combination.
+/// The memory budget stays the paper's one soft cap: a shard evicts its own
+/// LRU pools while the shards' summed cache bytes (relaxed atomics, read
+/// without any other shard's mutex) exceed it. Since placement is
+/// schedule-independent and residency never feeds codegen, executables are
+/// byte-identical at every shards x partitions x jobs combination.
 ///
 /// Failure model: the spill path is fallible by design and the loader never
 /// aborts the process. The degradation ladder, from cheapest to last resort:
@@ -91,11 +88,10 @@
 /// Concurrency: the loader is safe to call from the parallel backend's
 /// worker threads. Each shard's mutex M guards its pool metadata and
 /// transitions; its queue mutex QM guards its spill/prefetch queues (lock
-/// order always M -> QM, and never two shard mutexes at once — cross-shard
-/// victim compaction serializes on the facade's pressure mutex and locks
-/// one shard at a time). The returned RoutineBody references are NOT
-/// guarded — the backend's fan-out gives each routine to exactly one
-/// worker, which is what makes unsynchronized body access safe.
+/// order always M -> QM, and never two shard mutexes at once). The returned
+/// RoutineBody references are NOT guarded — the backend's fan-out gives
+/// each routine to exactly one worker, which is what makes unsynchronized
+/// body access safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,7 +100,6 @@
 
 #include "ir/Program.h"
 #include "naim/Repository.h"
-#include "support/BudgetArbiter.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -138,10 +133,9 @@ enum class NaimCompress : uint8_t {
 struct NaimConfig {
   NaimMode Mode = NaimMode::Auto;
 
-  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes, enforced
-  /// globally across every shard by the BudgetArbiter. When the total
-  /// exceeds it, least-recently-used pools are compacted (victim shard
-  /// first under sharding).
+  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes, summed
+  /// over every shard. While the total exceeds it, the shard enforcing the
+  /// budget compacts its least-recently-used pools.
   uint64_t ExpandedCacheBytes = 64ull << 20;
 
   /// Cap on in-memory compact bytes; beyond it, compact pools are offloaded
@@ -278,9 +272,9 @@ public:
   const RoutineBody *acquireReadIfDefined(RoutineId R);
 
   /// Drops one pin from \p R. When the last pin drops, the pool becomes
-  /// unload-pending and joins its shard's cache; the shard then settles its
-  /// lease with the arbiter (lazily compacting / offloading LRU pools, with
-  /// cross-shard victim compaction under global pressure).
+  /// unload-pending and joins its shard's cache; while the summed cache is
+  /// over budget the shard then lazily compacts (and offloads) its own LRU
+  /// pools.
   void release(RoutineId R);
 
   /// Releases every pinned routine (phase boundaries).
@@ -359,9 +353,6 @@ public:
   /// Shard \p Shard's repository file.
   Repository &repository(unsigned Shard = 0);
 
-  /// The global budget arbiter (tests, diagnostics).
-  const BudgetArbiter &arbiter() const { return Arbiter; }
-
   /// The session's effective fault injector (Config.Injector or the one
   /// armed from SCMO_FAULT_INJECT at construction; may be null). Every
   /// durable-I/O path in the session — and every shard repository — reuses
@@ -401,25 +392,11 @@ public:
 private:
   friend class LoaderShard;
 
-  /// Cross-shard victim compaction (DESIGN.md §5k). Called by a shard that
-  /// could not cover its resident bytes from the arbiter, with NO shard
-  /// mutex held. Single-flight under PressureM; repeatedly settles every
-  /// shard and, while any remains uncovered, compacts one LRU pool of the
-  /// shard with the largest resident cache (lowest index on ties),
-  /// crediting the freed charge to the global balance. Stops when every
-  /// shard is covered or nothing evictable remains.
-  void relievePressure();
-
   Program &P;
   NaimConfig Config;
   unsigned NumShards;
   std::shared_ptr<FaultInjector> Faults;
-  BudgetArbiter Arbiter;
   std::vector<std::unique_ptr<LoaderShard>> ShardList;
-
-  /// Single-flights relievePressure. Lock order: PressureM -> one shard M
-  /// at a time; a shard requesting relief must have dropped its own mutex.
-  std::mutex PressureM;
 
   /// Symtabs are program-wide, not per-routine, so they stay facade state.
   std::mutex SymtabM;

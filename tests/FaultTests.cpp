@@ -121,6 +121,10 @@ TEST(FaultDriver, DiskFullDegradesTheSameWay) {
   CompileOptions Opts;
   Opts.Level = OptLevel::O2;
   Opts.Naim = spillEverything();
+  // Synchronous stores, so "the first store fails" means no spill ever
+  // lands. With write-behind, a store the writer already has in flight when
+  // a synchronous fallback store fails first may still succeed.
+  Opts.Naim.SpillQueueDepth = 0;
   Opts.Jobs = 1;
   BuildResult Clean = buildGP(GP, Opts);
   ASSERT_TRUE(Clean.Ok) << Clean.Error;

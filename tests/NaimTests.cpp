@@ -21,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace scmo;
 using namespace scmo::test;
 
@@ -817,7 +820,7 @@ TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharding: placement, per-shard state, budget arbitration, degradation
+// Sharding: placement, per-shard state, the shared budget, degradation
 //===----------------------------------------------------------------------===//
 
 TEST(Loader, ShardPlacementIsStableAndUsesEveryShard) {
@@ -963,14 +966,16 @@ TEST(Loader, SingleShardEnospcDegradesOnlyThatShard) {
 
 TEST(Loader, ShardedEvictionIsDeterministic) {
   // Two identical runs over a sharded loader with a budget tight enough to
-  // trigger arbiter pressure must make identical residency decisions:
-  // victim selection is largest-resident-first with a stable tie-break,
-  // never timing-dependent.
+  // force eviction must make identical residency decisions: the releasing
+  // shard evicts its own LRU pools while the summed cache is over budget,
+  // so with one thread the decisions are a pure function of the acquire /
+  // release sequence, never of timing.
   auto Run = [](std::vector<uint64_t> &PerShardCompactions) {
     LoaderFixture F(24);
     NaimConfig C;
     C.Mode = NaimMode::CompactIr;
-    C.ExpandedCacheBytes = 4096; // Far below the working set.
+    // Room for about three bodies across all four shards.
+    C.ExpandedCacheBytes = 3 * F.P.routine(F.Routines[0]).Slot.Body->irBytes();
     C.Shards = 4;
     Loader L(F.P, C);
     for (RoutineId R : F.Routines) {
@@ -988,6 +993,50 @@ TEST(Loader, ShardedEvictionIsDeterministic) {
   for (uint64_t X : A)
     Sum += X;
   EXPECT_GT(Sum, 0u); // The budget really was under pressure.
+}
+
+TEST(Loader, ConcurrentShardedTrafficKeepsTheBudget) {
+  // The race oracle for the shared budget check (run under TSan in CI):
+  // eight threads acquire and release random routines on a four-shard
+  // offloading loader whose budget holds only a few bodies, so evictions,
+  // write-behind spills and fetches interleave across shards.
+  constexpr unsigned N = 48, NumThreads = 8;
+  LoaderFixture F(N);
+  NaimConfig C;
+  C.Mode = NaimMode::Offload;
+  C.ExpandedCacheBytes = 3 * F.P.routine(F.Routines[0]).Slot.Body->irBytes();
+  C.CompactResidentBytes = 2048;
+  C.Shards = 4;
+  Loader L(F.P, C);
+  L.releaseAll();
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      Prng Rng(500 + T);
+      for (unsigned I = 0; I != 400; ++I) {
+        unsigned K = static_cast<unsigned>(Rng.nextBelow(N));
+        const RoutineBody &Body = Rng.nextBool(0.5)
+                                      ? L.acquire(F.Routines[K])
+                                      : L.acquireRead(F.Routines[K]);
+        if (retValueOf(Body) != int64_t(K))
+          ++Mismatches;
+        L.release(F.Routines[K]);
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  L.enforceBudget();
+  L.drainSpills();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_LE(L.cacheBytes(), C.ExpandedCacheBytes);
+  EXPECT_TRUE(L.firstError().ok());
+  EXPECT_GT(L.stats().Fetches, 0u); // The spill path really was exercised.
+  for (unsigned I = 0; I != N; ++I) {
+    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
+    L.release(F.Routines[I]);
+  }
 }
 
 TEST(Loader, ShardedPrefetchFollowsTheSchedule) {

@@ -7,7 +7,6 @@
 
 #include "support/Arena.h"
 #include "support/ArenaAllocator.h"
-#include "support/BudgetArbiter.h"
 #include "support/Fold.h"
 #include "support/MemoryTracker.h"
 #include "support/Prng.h"
@@ -19,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <thread>
 
 using namespace scmo;
 
@@ -571,104 +569,3 @@ TEST(MemoryTracker, OverReleaseSaturatesAndRecordsDiagnostic) {
   EXPECT_EQ(T.liveBytes(MemCategory::Llo), 10u);
 }
 #endif
-
-//===----------------------------------------------------------------------===//
-// BudgetArbiter
-//===----------------------------------------------------------------------===//
-
-TEST(BudgetArbiter, SingleClientDegeneratesToTheMonolithThreshold) {
-  // One client's quantum is the whole budget, so charge() succeeds exactly
-  // while charged + bytes <= Total — the pre-shard loader's eviction
-  // condition, which --naim-shards=1 equivalence rests on.
-  BudgetArbiter A(1000, 1);
-  EXPECT_EQ(A.quantum(), 1000u);
-  BudgetArbiter::Lease L;
-  EXPECT_TRUE(A.charge(L, 600));
-  EXPECT_TRUE(A.charge(L, 400)); // Exactly at the cap: still fine.
-  EXPECT_EQ(L.Charged, 1000u);
-  EXPECT_FALSE(A.charge(L, 1)); // One byte over: pressure, nothing changes.
-  EXPECT_EQ(L.Charged, 1000u);
-  EXPECT_EQ(L.Cached, 0u);
-  EXPECT_EQ(A.pressureEvents(), 1u);
-  EXPECT_EQ(A.available() + L.Cached + L.Charged, A.total());
-  // Freeing re-enables charging at the exact same threshold.
-  A.credit(L, 300);
-  EXPECT_TRUE(A.charge(L, 300));
-  EXPECT_FALSE(A.charge(L, 1));
-}
-
-TEST(BudgetArbiter, CreditReturnsSurplusBeyondTwoQuanta) {
-  BudgetArbiter A(1u << 20, 4);
-  ASSERT_EQ(A.quantum(), 64u * 1024); // Floored at the minimum quantum.
-  BudgetArbiter::Lease L;
-  ASSERT_TRUE(A.charge(L, 200000));
-  EXPECT_EQ(A.refills(), 1u);
-  A.credit(L, 500000); // Clamped to the 200000 actually charged.
-  EXPECT_EQ(L.Charged, 0u);
-  EXPECT_EQ(L.Cached, 2 * A.quantum()); // Surplus flowed back.
-  EXPECT_EQ(A.returns(), 1u);
-  EXPECT_EQ(A.available() + L.Cached + L.Charged, A.total());
-  A.drain(L);
-  EXPECT_EQ(L.Cached, 0u);
-  EXPECT_EQ(A.available(), A.total());
-}
-
-TEST(BudgetArbiter, PressureChargesNothing) {
-  BudgetArbiter A(100, 2);
-  BudgetArbiter::Lease L;
-  ASSERT_TRUE(A.charge(L, 60)); // Refill takes everything available.
-  uint64_t Cached = L.Cached, Charged = L.Charged;
-  EXPECT_FALSE(A.charge(L, Cached + 10)); // Shortfall exceeds the balance.
-  EXPECT_EQ(L.Cached, Cached);   // The failed charge moved nothing.
-  EXPECT_EQ(L.Charged, Charged);
-  EXPECT_EQ(A.pressureEvents(), 1u);
-  EXPECT_EQ(A.available() + L.Cached + L.Charged, A.total());
-}
-
-TEST(BudgetArbiter, AccountingExactUnderEightThreads) {
-  // Eight clients charging and crediting concurrently: the invariant
-  //   Available + sum(Cached + Charged) == Total
-  // must hold exactly once the threads join, and a full unwind must hand
-  // every byte back. Run under TSan in CI (the naim-shard job).
-  constexpr unsigned NumThreads = 8;
-  constexpr uint64_t Total = 8ull << 20;
-  BudgetArbiter A(Total, NumThreads);
-  std::vector<BudgetArbiter::Lease> Leases(NumThreads);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T) {
-    Threads.emplace_back([&, T] {
-      Prng Rng(1000 + T);
-      BudgetArbiter::Lease &L = Leases[T];
-      std::vector<uint64_t> Live;
-      for (unsigned I = 0; I != 20000; ++I) {
-        if (Live.empty() || Rng.nextBool(0.55)) {
-          uint64_t Bytes = 1 + Rng.nextBelow(8192);
-          if (A.charge(L, Bytes)) {
-            Live.push_back(Bytes);
-          } else {
-            // Pressure: behave like a shard and free everything we hold.
-            for (uint64_t B : Live)
-              A.credit(L, B);
-            Live.clear();
-          }
-        } else {
-          A.credit(L, Live.back());
-          Live.pop_back();
-        }
-      }
-      for (uint64_t B : Live)
-        A.credit(L, B);
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  uint64_t Sum = A.available();
-  for (BudgetArbiter::Lease &L : Leases) {
-    EXPECT_EQ(L.Charged, 0u); // Everything was credited back.
-    Sum += L.Cached + L.Charged;
-  }
-  EXPECT_EQ(Sum, Total);
-  for (BudgetArbiter::Lease &L : Leases)
-    A.drain(L);
-  EXPECT_EQ(A.available(), Total);
-}

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -467,6 +468,10 @@ TEST(CacheDirProtocol, GcBudgetEnforcedUnderConcurrentReader) {
     }
   });
 
+  // Start the GC only once the reader is demonstrably running: on a loaded
+  // host the whole GC can otherwise finish before the reader's first load.
+  for (int I = 0; I != 5000 && GoodReads.load() == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const uint64_t Budget = 4 * 516; // four 500+16-byte entries
   cachedir::GcResult Gc = cachedir::collectGarbage(Dir, Budget, nullptr);
   Stop.store(true);
