@@ -751,12 +751,12 @@ struct CompilerSession::BuildState {
         if (RI.IsDefined && RI.Emit && !B.moduleCached(RI.Owner))
           EmitSet.push_back(R);
       }
+      // From the loader's summaries: their site scan mirrors a body scan,
+      // and parked pools need not be expanded just to be read.
       CallGraph Graph = CallGraph::build(
-          *S.Prog, EmitSet,
-          [&S](RoutineId R) -> const RoutineBody * {
-            return S.Ldr->acquireReadIfDefined(R);
-          },
-          [&S](RoutineId R) { S.Ldr->release(R); });
+          *S.Prog, EmitSet, [&S](RoutineId R) -> const RoutineIlSummary * {
+            return S.Ldr->routineSummary(R);
+          });
       std::map<std::pair<RoutineId, RoutineId>, uint64_t> EdgeSum;
       for (size_t I = 0; I != B.Units.size(); ++I)
         if (B.UnitHit[I])

@@ -7,6 +7,9 @@
 
 #include "hlo/Wpa.h"
 
+#include "bytecode/Compact.h"
+#include "support/Debug.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -15,8 +18,12 @@
 
 using namespace scmo;
 
-std::unique_ptr<RoutineBody> scmo::copyRoutineBody(const RoutineBody &Src,
-                                                   MemoryTracker *Tracker) {
+namespace {
+
+/// Deep-copies \p Src into a fresh body charged to \p Tracker (the clone
+/// bodies LTRANS materializes from their origin's replayed version).
+std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
+                                             MemoryTracker *Tracker) {
   auto Out = std::make_unique<RoutineBody>(Tracker);
   Out->NumParams = Src.NumParams;
   Out->NextReg = Src.NextReg;
@@ -42,8 +49,6 @@ std::unique_ptr<RoutineBody> scmo::copyRoutineBody(const RoutineBody &Src,
   }
   return Out;
 }
-
-namespace {
 
 /// One simulated call site. UID is a creation-ordered token: stable across
 /// block restructuring, used as the deterministic candidate tie-break (the
@@ -235,17 +240,20 @@ struct WpaPlanner::Impl {
     return F;
   }
 
-  /// Deep-copies \p R's pristine body into the plan's snapshot table (a
-  /// clone resolves to its origin's pristine body; versions are replayed
-  /// from these at application time). Serial phase only.
+  /// Encodes \p R's pre-LTRANS body into the plan's snapshot table (a
+  /// clone resolves to its origin's body; versions are decoded and replayed
+  /// from these at application time). The identity-remap compact form is
+  /// the one the loader round-trips byte-identically. Serial phase only.
   void ensureSnapshot(RoutineId R) {
     if (const PlannedClone *PC = Plan.cloneFor(R))
       R = PC->Origin;
     if (Plan.Snapshots.count(R))
       return;
-    const RoutineBody &Src = Ctx.L.acquireRead(R);
-    Plan.Snapshots.emplace(R, copyRoutineBody(Src, Ctx.P.tracker()));
+    TrackedBuffer Snap(Ctx.P.tracker(), MemCategory::HloIr);
+    Snap.assign(compactRoutine(Ctx.L.acquireRead(R)));
     Ctx.L.release(R);
+    Ctx.Stats.add("wpa.snapshot_bytes", Snap.size());
+    Plan.Snapshots.emplace(R, std::move(Snap));
   }
 
   /// Ordinal of the site at (\p TB, \p TP) among calls to its current
@@ -798,7 +806,7 @@ void applyPlanPrefix(Program &P, RoutineBody &Body, RoutineId R,
 }
 
 /// Rebuilds routine \p R as it stood after its first \p Version directives:
-/// base body (pristine snapshot, or for a clone the origin at its creation
+/// base body (decoded snapshot, or for a clone the origin at its creation
 /// version plus the key Movs), IPCP entry constants, then the directive
 /// prefix. Purely plan-driven, so any worker rebuilds the identical body;
 /// the recursion is well-founded because a directive can only record callee
@@ -822,7 +830,9 @@ const RoutineBody &materializeVersion(Program &P, RoutineId R,
       Body->Blocks[0].Instrs.insert(Body->Blocks[0].Instrs.begin(), MovI);
     }
   } else {
-    Body = copyRoutineBody(*Plan.Snapshots.at(R), P.tracker());
+    Body = expandRoutine(Plan.Snapshots.at(R).bytes(), P.tracker());
+    if (!Body)
+      reportFatalError("WPA snapshot failed to decode");
   }
   applyPlanPrefix(P, *Body, R, Version, Plan, Cache);
   // Insert after the recursive calls above: they may not invalidate the

@@ -29,8 +29,9 @@
 /// records how many of the callee's own directives had been planned when
 /// the inline was decided; application reconstructs the callee at exactly
 /// that state by replaying its plan prefix (IPCP entry constants, then the
-/// first N directives) onto its pristine snapshot. The replay is purely
-/// plan-driven, so any partition can rebuild any callee version without
+/// first N directives) onto its snapshot, which the plan holds in the NAIM
+/// compact form (paper Section 4.2) and decodes per replay. The replay is
+/// purely plan-driven, so any partition can rebuild any callee version without
 /// looking at another partition's work — this preserves the serial
 /// optimizer's semantics (inlined copies carry the callee's redirects,
 /// entry constants and earlier inlines) while keeping LTRANS independent.
@@ -44,6 +45,7 @@
 #include "hlo/HloContext.h"
 #include "hlo/Inliner.h"
 #include "hlo/Partition.h"
+#include "support/Arena.h"
 #include "support/ArenaAllocator.h"
 
 #include <map>
@@ -106,11 +108,14 @@ struct HloPlan {
   /// Clones keyed by their (pre-declared) routine id.
   std::map<RoutineId, PlannedClone> Clones;
 
-  /// Pristine deep copies of every routine the plan inlines or clones from,
+  /// The pre-LTRANS body of every routine the plan inlines or clones from,
   /// keyed by callee id (clone callees resolve through their origin's
-  /// snapshot). Versioned callee bodies are replayed from these on demand.
-  /// Read-only during LTRANS — safe to share across workers.
-  std::map<RoutineId, std::unique_ptr<RoutineBody>> Snapshots;
+  /// snapshot), in the loader's compact encoding and charged to
+  /// MemCategory::HloIr — plan state the NAIM budget cannot evict, so it
+  /// must not count as HloCompact. Versioned callee bodies are decoded and
+  /// replayed from these on demand. Read-only during LTRANS — safe to share
+  /// across workers.
+  std::map<RoutineId, TrackedBuffer> Snapshots;
 
   /// The LTRANS carve-up. Clones are partitioned as ordinary graph nodes —
   /// their call edges pull them toward their callers, not their origins.
@@ -132,11 +137,6 @@ struct HloPlan {
     return It == Clones.end() ? nullptr : &It->second;
   }
 };
-
-/// Deep-copies \p Src into a fresh body charged to \p Tracker (the cloner's
-/// specialization copy and the planner's callee snapshots).
-std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
-                                             MemoryTracker *Tracker);
 
 /// Plans HLO over \p Set. Construct, run the phases in pipeline order, then
 /// take() the plan. Each phase mirrors its serial predecessor's heuristics

@@ -204,7 +204,7 @@ private:
   void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
 
   void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
-  void setCompactLocked(RoutineSlot &S, std::vector<uint8_t> Bytes,
+  void setCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
                         uint64_t Hash);
   void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
   void storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
@@ -249,6 +249,9 @@ private:
   /// can sum it without taking M; mutations stay under M.
   std::atomic<uint64_t> CachedBytes{0};
   uint64_t Tick = 0;
+  /// This shard's Compact pools in id order: the offload victims, so the
+  /// budget check need not rescan every routine id.
+  std::set<RoutineId> CompactIds;
 
   std::atomic<bool> SpillDisabled{false};
   std::vector<LoaderEvent> Events;
@@ -489,16 +492,14 @@ void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
     return;
   // Offload in deterministic id order; compact pools carry no LRU order
   // (their last-touch ordering died at compaction), and id order keeps the
-  // pass reproducible.
-  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+  // pass reproducible. offloadPool erases R, so step past it first.
+  for (auto It = CompactIds.begin(); It != CompactIds.end();) {
     if (SpillDisabled.load(Relaxed) ||
         P.tracker()->liveBytes(MemCategory::HloCompact) <=
             Config.CompactResidentBytes)
       break;
-    if (F.shardOf(R) != Idx)
-      continue;
-    RoutineSlot &S = P.routine(R).Slot;
-    if (S.State == PoolState::Compact && !S.InTransition)
+    RoutineId R = *It++;
+    if (!P.routine(R).Slot.InTransition)
       offloadPool(R, L);
   }
 }
@@ -525,12 +526,14 @@ void LoaderShard::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   L.lock();
   S.InTransition = false;
   TransitionCv.notify_all();
-  setCompactLocked(S, std::move(Bytes), Hash);
+  setCompactLocked(R, std::move(Bytes), Hash);
   Stats.Compactions.fetch_add(1, Relaxed);
 }
 
-void LoaderShard::setCompactLocked(RoutineSlot &S, std::vector<uint8_t> Bytes,
+void LoaderShard::setCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
                                    uint64_t Hash) {
+  RoutineSlot &S = P.routine(R).Slot;
+  CompactIds.insert(R);
   S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
   S.CompactBytes.assign(std::move(Bytes));
   S.CompactHash = Hash;
@@ -560,6 +563,7 @@ LoaderShard::buildEnvelope(const std::vector<uint8_t> &Raw) {
 void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   RoutineSlot &S = P.routine(R).Slot;
   assert(S.State == PoolState::Compact && "offloading a non-compact pool");
+  CompactIds.erase(R);
   // Content-addressed store elision: if these exact compact bytes already
   // live in the repository (the pool round-tripped without changing), reuse
   // the record instead of storing a duplicate.
@@ -616,7 +620,7 @@ void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
     // shard stops spilling for good, and the compact-residency budget is
     // lifted (offloadOverBudgetLocked checks SpillDisabled). A slower,
     // fatter compile — not a dead one.
-    setCompactLocked(S, std::move(Raw), RawHash);
+    setCompactLocked(R, std::move(Raw), RawHash);
     return;
   }
   S.State = PoolState::Offloaded;
@@ -661,7 +665,7 @@ void LoaderShard::restoreSpillLocked(SpillEntry &E) {
     return;
   S.SpillTicket = 0;
   if (S.State == PoolState::Offloaded && S.RepoSize == 0)
-    setCompactLocked(S, std::move(E.Raw), E.RawHash);
+    setCompactLocked(E.R, std::move(E.Raw), E.RawHash);
 }
 
 Status LoaderShard::fetchRecord(uint64_t Offset, uint64_t Size,
@@ -779,7 +783,7 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
     // acquire drive the full degradation ladder — that path is
     // deterministic, this one is opportunistic.
     if (!FromRepo && !FromQueue)
-      setCompactLocked(S, std::move(Raw), S.CompactHash);
+      setCompactLocked(R, std::move(Raw), S.CompactHash);
     return Err;
   }
   installBodyLocked(R, std::move(Body));
@@ -820,6 +824,7 @@ Status LoaderShard::recoverPoolLocked(RoutineId R, Status Cause) {
 void LoaderShard::installBodyLocked(RoutineId R,
                                     std::unique_ptr<RoutineBody> Body) {
   RoutineSlot &S = P.routine(R).Slot;
+  CompactIds.erase(R);
   S.Body = std::move(Body);
   S.CompactBytes.clear();
   S.State = PoolState::Expanded;
@@ -1096,12 +1101,6 @@ RoutineBody *Loader::acquireIfDefined(RoutineId R) {
   if (!P.routine(R).IsDefined)
     return nullptr;
   return &acquire(R);
-}
-
-const RoutineBody *Loader::acquireReadIfDefined(RoutineId R) {
-  if (!P.routine(R).IsDefined)
-    return nullptr;
-  return &acquireRead(R);
 }
 
 RoutineBody &Loader::acquire(RoutineId R) {

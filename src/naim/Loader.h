@@ -267,9 +267,8 @@ public:
   /// (verification, checksums, lowering) use this.
   const RoutineBody &acquireRead(RoutineId R);
 
-  /// As acquire()/acquireRead(), but return null for undefined routines.
+  /// As acquire(), but returns null for undefined routines.
   RoutineBody *acquireIfDefined(RoutineId R);
-  const RoutineBody *acquireReadIfDefined(RoutineId R);
 
   /// Drops one pin from \p R. When the last pin drops, the pool becomes
   /// unload-pending and joins its shard's cache; while the summed cache is

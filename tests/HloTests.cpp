@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "bytecode/Compact.h"
 #include "frontend/Frontend.h"
 #include "hlo/Cloner.h"
 #include "hlo/Hlo.h"
@@ -621,6 +622,62 @@ func main() { print once(1); return 0; }
   ASSERT_NE(Once, InvalidId);
   EXPECT_FALSE(F.P.routine(Once).Emit);
   EXPECT_TRUE(F.P.routine(F.P.findRoutine("main")).Emit);
+}
+
+//===----------------------------------------------------------------------===//
+// WPA snapshots
+//===----------------------------------------------------------------------===//
+
+TEST(Wpa, CompactSnapshotsRoundTripOutsideTheNaimBudget) {
+  // A tight budget with spilling on: parked pools compact and offload
+  // throughout planning. A zero compact budget spills every parked pool, so
+  // any HloCompact byte left behind by planning would be plan state the
+  // loader can never evict.
+  GeneratedProgram GP = generateProgram(mcadLikeParams(20000, 1));
+  MemoryTracker Tracker;
+  Program P(&Tracker);
+  for (const GeneratedModule &GM : GP.Modules) {
+    FrontendResult FR = compileSource(P, GM.Name, GM.Source);
+    ASSERT_TRUE(FR.Ok) << FR.Error;
+  }
+  NaimConfig C;
+  C.Mode = NaimMode::Offload;
+  C.ExpandedCacheBytes = 256 << 10;
+  C.CompactResidentBytes = 0;
+  Loader L(P, C);
+  Statistics Stats;
+  HloContext Ctx(P, L, Stats);
+  std::vector<RoutineId> Set;
+  std::map<RoutineId, std::string> Before;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    if (!P.routine(R).IsDefined)
+      continue;
+    Set.push_back(R);
+    Before[R] = printRoutine(P, R, L.acquireRead(R));
+    L.release(R);
+  }
+  selectEverything(P);
+  L.drainSpills();
+  uint64_t CompactBefore = Tracker.liveBytes(MemCategory::HloCompact);
+  HloOptions Opts;
+  Opts.Pbo = false;
+  auto Plan = std::make_unique<HloPlan>(planHlo(Ctx, Set, Opts));
+  L.drainSpills();
+  EXPECT_EQ(Tracker.liveBytes(MemCategory::HloCompact), CompactBefore);
+  ASSERT_GT(Plan->Snapshots.size(), 10u) << "too few inlines to test";
+
+  uint64_t Bytes = 0, Charged = 0;
+  for (const auto &[R, Snap] : Plan->Snapshots) {
+    std::unique_ptr<RoutineBody> Body = expandRoutine(Snap.bytes(), nullptr);
+    ASSERT_TRUE(Body) << P.displayName(R);
+    EXPECT_EQ(printRoutine(P, R, *Body), Before.at(R)) << P.displayName(R);
+    Bytes += Snap.size();
+    Charged += Snap.bytes().capacity(); // What TrackedBuffer charges.
+  }
+  EXPECT_EQ(Stats.get("wpa.snapshot_bytes"), Bytes);
+  uint64_t IrWithPlan = Tracker.liveBytes(MemCategory::HloIr);
+  Plan.reset();
+  EXPECT_EQ(IrWithPlan - Tracker.liveBytes(MemCategory::HloIr), Charged);
 }
 
 //===----------------------------------------------------------------------===//

@@ -69,8 +69,8 @@ TEST(Shape, Fig1OrderingOnAnMcadLikeApp) {
 }
 
 TEST(Shape, Fig4HloMemoryIsSubLinear) {
-  // Double the program size under fixed NAIM thresholds: HLO peak must grow
-  // by clearly less than 2x.
+  // Quadruple the program size under fixed NAIM thresholds: HLO peak must
+  // grow by less than 2x.
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
   Opts.Naim = NaimConfig::autoFor(24ull << 20);
@@ -81,7 +81,7 @@ TEST(Shape, Fig4HloMemoryIsSubLinear) {
   };
   uint64_t Small = hloPeakAt(40000);
   uint64_t Large = hloPeakAt(160000);
-  EXPECT_LT(Large, Small * 3) << "HLO memory is no longer sub-linear "
+  EXPECT_LT(Large, Small * 2) << "HLO memory is no longer sub-linear "
                               << Small << " -> " << Large;
 }
 
@@ -128,7 +128,7 @@ TEST(Shape, Fig6SelectivityKnee) {
       << "knee gain " << KneeGain << " vs full gain " << FullGain;
 }
 
-TEST(Shape, PureCmoUsesMoreHloMemoryThanSelective) {
+TEST(Shape, PureCmoHoldsMoreWpaStateThanSelective) {
   GeneratedProgram GP = generateProgram(mcadLikeParams(50000, 1));
   std::string Error;
   ProfileDb Db = trainProfile(GP, Error);
@@ -140,16 +140,17 @@ TEST(Shape, PureCmoUsesMoreHloMemoryThanSelective) {
   CompileOptions Guided = Pure;
   Guided.Pbo = true;
   Guided.SelectivityPercent = 5.0;
-  uint64_t PurePeak =
-      buildAndRunGP(GP, Pure, nullptr, false).Build.HloPeakBytes;
-  uint64_t GuidedPeak =
-      buildAndRunGP(GP, Guided, &Db, false).Build.HloPeakBytes;
+  uint64_t PureState = buildAndRunGP(GP, Pure, nullptr, false)
+                           .Build.Stats.get("wpa.snapshot_bytes");
+  uint64_t GuidedState = buildAndRunGP(GP, Guided, &Db, false)
+                             .Build.Stats.get("wpa.snapshot_bytes");
   // The Section 5 direction: with no profile to focus it, the optimizer
-  // works (and holds optimizer state for) the whole program; the selective
-  // compile's HLO footprint is smaller. Our gap is modest because all our
-  // internals scale — see EXPERIMENTS.md for the infeasibility discussion.
-  EXPECT_GT(PurePeak, GuidedPeak)
-      << "pure " << PurePeak << " vs guided " << GuidedPeak;
+  // works (and holds optimizer state for) the whole program. Both compiles'
+  // HLO peaks sit at the shared NAIM budget, so the direction shows in the
+  // plan's callee snapshots — see EXPERIMENTS.md for the infeasibility
+  // discussion.
+  EXPECT_GT(PureState, 2 * GuidedState)
+      << "pure " << PureState << " vs guided " << GuidedState;
 }
 
 TEST(Shape, WpaPlanningKeepsLoaderTrafficSingleVisit) {
