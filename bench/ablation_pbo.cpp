@@ -50,8 +50,6 @@ int main() {
        [](CompileOptions &O) { O.PboInlining = false; }},
       {"- cloning", [](CompileOptions &O) { O.EnableCloning = false; }},
       {"- ipcp", [](CompileOptions &O) { O.EnableIpcp = false; }},
-      {"+ profile spill weights",
-       [](CompileOptions &O) { O.PboRegWeights = true; }},
       {"O2+P baseline (no CMO)",
        [](CompileOptions &O) { O.Level = OptLevel::O2; }},
   };
@@ -70,7 +68,6 @@ int main() {
                 double(M.Cycles) / FullCycles);
   }
   std::printf("\nRows above 1.000x show the disabled consumer was earning\n"
-              "its keep; the spill-weights row documents why count-based\n"
-              "weights are off by default (greedy linear scan artifact).\n");
+              "its keep.\n");
   return 0;
 }

@@ -17,18 +17,6 @@ namespace scmo {
 
 namespace {
 
-/// Calls \p F for every register read by \p I (duplicates possible when one
-/// register appears as several operands; callers are idempotent per reg).
-template <typename Fn> void forEachUse(const Instr &I, Fn F) {
-  if (I.A.isReg())
-    F(I.A.asReg());
-  if (I.B.isReg())
-    F(I.B.asReg());
-  for (uint16_t A = 0; A != I.NumArgs; ++A)
-    if (I.Args[A].isReg())
-      F(I.Args[A].asReg());
-}
-
 Diagnostic makeDiag(CheckCode Code, RoutineId R, BlockId B, uint32_t InstrIdx,
                     uint32_t Line, std::string Msg) {
   Diagnostic D;
@@ -113,7 +101,7 @@ uint64_t checkDefBeforeUse(const Program &, RoutineId R,
     const std::vector<Instr *> &Instrs = Body.Blocks[B].Instrs;
     for (size_t Idx = 0; Idx != Instrs.size(); ++Idx) {
       const Instr &I = *Instrs[Idx];
-      forEachUse(I, [&](RegId Use) {
+      forEachUseReg(I, [&](RegId Use) {
         if (!MaybeUndef.test(Use))
           return;
         Facts.Diags.push_back(makeDiag(
@@ -146,7 +134,7 @@ uint64_t checkDeadStore(RoutineId R, const RoutineBody &Body, const Cfg &C,
                                BlockTransfer(U, &Scratch));
   for (size_t B = 0; B != Body.Blocks.size(); ++B) {
     for (const Instr *I : Body.Blocks[B].Instrs) {
-      forEachUse(*I, [&](RegId Use) {
+      forEachUseReg(*I, [&](RegId Use) {
         if (!T[B].Kill.test(Use))
           T[B].Gen.set(Use); // Upward-exposed: read before any block-local def.
       });
@@ -176,7 +164,7 @@ uint64_t checkDeadStore(RoutineId R, const RoutineBody &Body, const Cfg &C,
             "value stored to register " + regName(I.Dst) + " is never read"));
       if (Defines)
         Live.reset(I.Dst);
-      forEachUse(I, [&](RegId Use) { Live.set(Use); });
+      forEachUseReg(I, [&](RegId Use) { Live.set(Use); });
     }
   }
   return DF.bytes() + uint64_t(2) * ((U + 63) / 64) * 8 * Body.Blocks.size();
@@ -372,7 +360,7 @@ uint64_t extractSummary(const RoutineBody &Body, const Cfg &C,
           Sum.DirectlyUsedParams |= Bit;
         }
       } else {
-        forEachUse(I, [&](RegId Use) {
+        forEachUseReg(I, [&](RegId Use) {
           Sum.DirectlyUsedParams |= paramBit(Use, Body.NumParams);
         });
       }

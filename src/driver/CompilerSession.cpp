@@ -810,7 +810,6 @@ struct CompilerSession::BuildState {
         LOpts.RegAlloc = true;
         LOpts.Schedule = true;
         LOpts.ProfileLayout = B.UsableProfile && S.Opts.PboLayout;
-        LOpts.ProfileSpillWeights = B.UsableProfile && S.Opts.PboRegWeights;
       }
       std::vector<RoutineId> EmitIds;
       for (RoutineId R = 0; R != S.Prog->numRoutines(); ++R) {

@@ -51,7 +51,6 @@ uint64_t CompileOptions::fingerprint() const {
   M.u64(HloOpLimit);
 
   M.b(PboLayout);
-  M.b(PboRegWeights);
   M.b(PboClustering);
   M.b(PboInlining);
 

@@ -104,11 +104,6 @@ struct CompileOptions {
 
   /// PBO ablation knobs (which profile consumers are active under +P).
   bool PboLayout = true;      ///< Profile-guided block layout in LLO.
-  /// Profile-weighted spill costs in LLO. Off by default: with a greedy
-  /// linear-scan victim policy, count-augmented weights empirically lose to
-  /// pure loop-depth weights (see bench/ablation_pbo); the knob remains for
-  /// experimentation.
-  bool PboRegWeights = false;
   bool PboClustering = true;  ///< Profile-guided routine clustering at link.
   bool PboInlining = true;    ///< Profile-guided inline heuristics in HLO.
 

@@ -7,11 +7,10 @@
 
 #include "hlo/RoutinePasses.h"
 
+#include "ir/Liveness.h"
 #include "support/Fold.h"
-#include "support/RegBitSet.h"
 
 #include <algorithm>
-#include <functional>
 
 using namespace scmo;
 
@@ -66,7 +65,7 @@ bool isBinaryArith(Opcode Op) {
   }
 }
 
-void forEachUseRef(Instr &I, const std::function<void(Operand &)> &F) {
+template <typename Fn> void forEachUseRef(Instr &I, Fn F) {
   if (I.A.isReg())
     F(I.A);
   if (I.B.isReg())
@@ -76,16 +75,6 @@ void forEachUseRef(Instr &I, const std::function<void(Operand &)> &F) {
       F(I.Args[A]);
 }
 
-void forEachUseReg(const Instr &I, const std::function<void(RegId)> &F) {
-  if (I.A.isReg())
-    F(I.A.asReg());
-  if (I.B.isReg())
-    F(I.B.asReg());
-  for (unsigned A = 0; A != I.NumArgs; ++A)
-    if (I.Args[A].isReg())
-      F(I.Args[A].asReg());
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -93,7 +82,7 @@ void forEachUseReg(const Instr &I, const std::function<void(RegId)> &F) {
 //===----------------------------------------------------------------------===//
 
 bool scmo::runConstProp(Program &P, RoutineBody &Body, Statistics &Stats) {
-  bool Changed = false;
+  uint64_t Operands = 0, Folds = 0, GlobalLoads = 0;
   std::vector<uint8_t> HasConst(Body.NextReg, 0);
   std::vector<int64_t> ConstVal(Body.NextReg, 0);
 
@@ -106,8 +95,7 @@ bool scmo::runConstProp(Program &P, RoutineBody &Body, Statistics &Stats) {
         RegId V = O.asReg();
         if (HasConst[V]) {
           O = Operand::imm(ConstVal[V]);
-          Changed = true;
-          Stats.add("constprop.operands");
+          ++Operands;
         }
       });
       // Fold.
@@ -116,13 +104,11 @@ bool scmo::runConstProp(Program &P, RoutineBody &Body, Statistics &Stats) {
         I->Op = Opcode::Mov;
         I->A = Operand::imm(Result);
         I->B = Operand::none();
-        Changed = true;
-        Stats.add("constprop.folds");
+        ++Folds;
       } else if (I->Op == Opcode::Neg && I->A.isImm()) {
         I->Op = Opcode::Mov;
         I->A = Operand::imm(wrapNeg(I->A.asImm()));
-        Changed = true;
-        Stats.add("constprop.folds");
+        ++Folds;
       } else if (I->Op == Opcode::LoadG || I->Op == Opcode::LoadIdx) {
         const GlobalVar &GV = P.global(I->Sym);
         if (GV.SummaryValid && !GV.EverStored) {
@@ -133,8 +119,7 @@ bool scmo::runConstProp(Program &P, RoutineBody &Body, Statistics &Stats) {
           I->A = Operand::imm(Value);
           I->B = Operand::none();
           I->Sym = InvalidId;
-          Changed = true;
-          Stats.add("constprop.global_loads");
+          ++GlobalLoads;
         }
       }
       // Track definitions.
@@ -148,7 +133,15 @@ bool scmo::runConstProp(Program &P, RoutineBody &Body, Statistics &Stats) {
       }
     }
   }
-  return Changed;
+  // Counted locally and published once per pass: the cleanup loop runs this
+  // on every routine, and a registry lookup per rewrite would dominate.
+  if (Operands)
+    Stats.add("constprop.operands", Operands);
+  if (Folds)
+    Stats.add("constprop.folds", Folds);
+  if (GlobalLoads)
+    Stats.add("constprop.global_loads", GlobalLoads);
+  return Operands || Folds || GlobalLoads;
 }
 
 //===----------------------------------------------------------------------===//
@@ -334,92 +327,54 @@ bool scmo::runSimplifyCfg(Program &P, RoutineBody &Body, Statistics &Stats) {
 //===----------------------------------------------------------------------===//
 
 bool scmo::runDce(Program &P, RoutineBody &Body, Statistics &Stats) {
-  size_t NumBlocks = Body.Blocks.size();
-  uint32_t NumVregs = Body.NextReg;
-  // Pass-lifetime pool for the liveness working set: the 4*NumBlocks
-  // bit-vectors are built together and dropped together, so they
-  // bump-allocate here and free wholesale when the pass returns.
-  // Untracked: HLO derived scratch is accounted through the analysis
-  // driver's replayed charges, not through per-pass live counters.
-  Arena Scratch(nullptr, MemCategory::HloDerived, /*SlabSize=*/16 * 1024);
-  std::vector<RegBitSet> Use(NumBlocks, RegBitSet(NumVregs, &Scratch));
-  std::vector<RegBitSet> Def(NumBlocks, RegBitSet(NumVregs, &Scratch));
-  std::vector<RegBitSet> LiveIn(NumBlocks, RegBitSet(NumVregs, &Scratch));
-  std::vector<RegBitSet> LiveOut(NumBlocks, RegBitSet(NumVregs, &Scratch));
+  // Worker-lifetime scratch: the liveness sets and the per-block walk's
+  // live set are reused across routines, so a warm worker allocates
+  // nothing here. Untracked: HLO derived scratch is accounted through the
+  // analysis driver's replayed charges, not through per-pass live counters.
+  thread_local Liveness LV;
+  thread_local std::vector<uint64_t> Live;
+  LV.solve(Body);
 
-  for (BlockId B = 0; B != NumBlocks; ++B) {
-    for (const Instr *I : Body.Blocks[B].Instrs) {
-      forEachUseReg(*I, [&](RegId V) {
-        if (!Def[B].test(V))
-          Use[B].set(V);
-      });
-      if (I->Dst != NoReg && definesValue(I->Op))
-        Def[B].set(I->Dst);
-    }
-  }
-  // Scratch sets hoisted out of the fixpoint loop: same-universe
-  // copy-assignment reuses the buffer, so iterating allocates nothing.
-  const RegBitSet Empty(NumVregs, &Scratch);
-  RegBitSet NewOut(NumVregs, &Scratch);
-  RegBitSet NewIn(NumVregs, &Scratch);
-  bool Iterate = true;
-  while (Iterate) {
-    Iterate = false;
-    for (size_t Idx = NumBlocks; Idx-- > 0;) {
-      BlockId B = static_cast<BlockId>(Idx);
-      const Instr *Term = Body.Blocks[B].terminator();
-      NewOut = Empty;
-      if (Term) {
-        if (Term->Op == Opcode::Jmp)
-          NewOut.merge(LiveIn[Term->T1]);
-        else if (Term->Op == Opcode::Br) {
-          NewOut.merge(LiveIn[Term->T1]);
-          NewOut.merge(LiveIn[Term->T2]);
-        }
-      }
-      Iterate |= LiveOut[B].merge(NewOut);
-      NewIn = Use[B];
-      NewIn.mergeMinus(LiveOut[B], Def[B]);
-      Iterate |= LiveIn[B].merge(NewIn);
-    }
-  }
-
-  bool Changed = false;
-  for (BlockId B = 0; B != NumBlocks; ++B) {
-    BasicBlock &BB = Body.Blocks[B];
-    RegBitSet Live = LiveOut[B];
-    std::vector<Instr *> Kept;
-    Kept.reserve(BB.Instrs.size());
-    for (size_t Idx = BB.Instrs.size(); Idx-- > 0;) {
-      Instr *I = BB.Instrs[Idx];
+  uint64_t Nops = 0, DeadInstrs = 0, DeadResults = 0;
+  for (BlockId B = 0; B != Body.Blocks.size(); ++B) {
+    std::vector<Instr *> &Instrs = Body.Blocks[B].Instrs;
+    Live.assign(LV.liveOut(B), LV.liveOut(B) + LV.words());
+    auto isLive = [&](RegId V) { return (Live[V >> 6] >> (V & 63)) & 1; };
+    // Walk backwards, compacting kept instructions toward the block end:
+    // the write cursor never passes the read cursor, so the filter needs
+    // no second vector.
+    size_t Keep = Instrs.size();
+    for (size_t Idx = Instrs.size(); Idx-- > 0;) {
+      Instr *I = Instrs[Idx];
       if (I->Op == Opcode::Nop) {
-        Changed = true;
-        Stats.add("dce.nops");
+        ++Nops;
         continue;
       }
-      bool DefinesDead = I->Dst != NoReg && definesValue(I->Op) &&
-                         !Live.test(I->Dst);
+      bool DefinesDead =
+          I->Dst != NoReg && definesValue(I->Op) && !isLive(I->Dst);
       if (DefinesDead && !hasSideEffects(I->Op)) {
-        Changed = true;
-        Stats.add("dce.instrs");
+        ++DeadInstrs;
         continue;
       }
       if (DefinesDead && I->Op == Opcode::Call) {
         // Keep the call, drop the unused result.
         I->Dst = NoReg;
-        Changed = true;
-        Stats.add("dce.call_results");
+        ++DeadResults;
       }
       if (I->Dst != NoReg && definesValue(I->Op))
-        Live.reset(I->Dst);
-      forEachUseReg(*I, [&](RegId V) { Live.set(V); });
-      Kept.push_back(I);
+        Live[I->Dst >> 6] &= ~(1ull << (I->Dst & 63));
+      forEachUseReg(*I, [&](RegId V) { Live[V >> 6] |= 1ull << (V & 63); });
+      Instrs[--Keep] = I;
     }
-    std::reverse(Kept.begin(), Kept.end());
-    if (Kept.size() != BB.Instrs.size())
-      BB.Instrs = std::move(Kept);
+    Instrs.erase(Instrs.begin(), Instrs.begin() + Keep);
   }
-  return Changed;
+  if (Nops)
+    Stats.add("dce.nops", Nops);
+  if (DeadInstrs)
+    Stats.add("dce.instrs", DeadInstrs);
+  if (DeadResults)
+    Stats.add("dce.call_results", DeadResults);
+  return Nops || DeadInstrs || DeadResults;
 }
 
 // runCleanupPipeline / runBasicCleanup live in PassManager.cpp: both are

@@ -183,6 +183,18 @@ struct Instr {
   bool isTerm() const { return isTerminator(Op); }
 };
 
+/// Calls \p F for every register \p I reads: A, B, then the call arguments
+/// (duplicates possible when one register appears as several operands).
+template <typename Fn> void forEachUseReg(const Instr &I, Fn F) {
+  if (I.A.isReg())
+    F(I.A.asReg());
+  if (I.B.isReg())
+    F(I.B.asReg());
+  for (unsigned A = 0; A != I.NumArgs; ++A)
+    if (I.Args[A].isReg())
+      F(I.Args[A].asReg());
+}
+
 } // namespace scmo
 
 #endif // SCMO_IR_INSTR_H

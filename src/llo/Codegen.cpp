@@ -7,12 +7,10 @@
 
 #include "llo/Codegen.h"
 
+#include "ir/Liveness.h"
 #include "support/Debug.h"
-#include "support/RegBitSet.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <map>
 
 using namespace scmo;
@@ -110,22 +108,13 @@ struct Interval {
   bool used() const { return Start <= End; }
 };
 
-void forEachUse(const Instr &I, const std::function<void(RegId)> &F) {
-  if (I.A.isReg())
-    F(I.A.asReg());
-  if (I.B.isReg())
-    F(I.B.asReg());
-  for (unsigned A = 0; A != I.NumArgs; ++A)
-    if (I.Args[A].isReg())
-      F(I.Args[A].asReg());
-}
-
 /// Computes the loop nesting depth of every block: DFS finds back edges;
 /// each back edge (Latch -> Header) defines a natural loop whose body is
 /// everything that reaches the latch without passing the header. Loop depth
-/// is the classic static stand-in for execution frequency — the paper's LLO
-/// used exactly this kind of estimate until PBO "improved the cost model
-/// for register allocation" with real counts.
+/// is the classic static stand-in for execution frequency. The paper's LLO
+/// let PBO "improve the cost model for register allocation" with real
+/// counts; here count-augmented weights lost to loop depth under the greedy
+/// linear-scan victim policy, so spill weights stay structural.
 std::vector<uint32_t> computeLoopDepths(const RoutineBody &Body) {
   size_t NumBlocks = Body.Blocks.size();
   std::vector<uint32_t> Depth(NumBlocks, 0);
@@ -334,53 +323,12 @@ private:
     // Per-block upward-exposed uses / defs / live-in / live-out. This is the
     // transient LLO footprint that scales with (blocks x vregs) — the
     // superlinear growth Figure 4 attributes to LLO under heavy inlining.
-    // The working set pools in a solve-lifetime arena and frees wholesale
-    // when the function returns; accounting stays with the explicit charge()
-    // below (the arena is untracked so the bytes are not double-counted).
-    Arena Scratch(nullptr, MemCategory::Llo, /*SlabSize=*/16 * 1024);
-    std::vector<RegBitSet> Use(NumBlocks, RegBitSet(NumVregs, &Scratch));
-    std::vector<RegBitSet> Def(NumBlocks, RegBitSet(NumVregs, &Scratch));
-    std::vector<RegBitSet> LiveIn(NumBlocks, RegBitSet(NumVregs, &Scratch));
-    std::vector<RegBitSet> LiveOut(NumBlocks, RegBitSet(NumVregs, &Scratch));
-    charge(4 * NumBlocks * RegBitSet(NumVregs).bytes());
-
-    for (BlockId B = 0; B != NumBlocks; ++B) {
-      for (const Instr *I : Body.Blocks[B].Instrs) {
-        forEachUse(*I, [&](RegId V) {
-          if (!Def[B].test(V))
-            Use[B].set(V);
-        });
-        if (I->Dst != NoReg && definesValue(I->Op))
-          Def[B].set(I->Dst);
-      }
-    }
-    // Iterate to fixpoint (reverse order converges fast on reducible CFGs).
-    // Scratch sets hoisted out of the loop: same-universe copy-assignment
-    // reuses the buffer, so iterating allocates nothing.
-    const RegBitSet Empty(NumVregs, &Scratch);
-    RegBitSet NewOut(NumVregs, &Scratch);
-    RegBitSet NewIn(NumVregs, &Scratch);
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (size_t Idx = NumBlocks; Idx-- > 0;) {
-        BlockId B = static_cast<BlockId>(Idx);
-        const Instr *Term = Body.Blocks[B].terminator();
-        NewOut = Empty;
-        if (Term) {
-          if (Term->Op == Opcode::Jmp)
-            NewOut.merge(LiveIn[Term->T1]);
-          else if (Term->Op == Opcode::Br) {
-            NewOut.merge(LiveIn[Term->T1]);
-            NewOut.merge(LiveIn[Term->T2]);
-          }
-        }
-        Changed |= LiveOut[B].merge(NewOut);
-        NewIn = Use[B];
-        NewIn.mergeMinus(LiveOut[B], Def[B]);
-        Changed |= LiveIn[B].merge(NewIn);
-      }
-    }
+    // The solver's buffers live as long as the worker thread and are reused
+    // across routines. They are untracked; the explicit charge() of the four
+    // sets' size is the accounting, so nothing double-counts.
+    thread_local Liveness LV;
+    LV.solve(Body);
+    charge(4 * NumBlocks * uint64_t(LV.words()) * 8);
 
     // Linear positions in layout order.
     std::vector<uint32_t> CallPositions;
@@ -395,11 +343,8 @@ private:
       Ivs[V].Start = std::min(Ivs[V].Start, P2);
       Ivs[V].End = std::max(Ivs[V].End, P2);
     };
-    bool UseWeights = Opts.ProfileSpillWeights && Body.HasProfile;
-    // Loop depth is the structural frequency estimate; with profile data the
-    // weight combines both (structure keeps loop-carried values in registers
-    // even when a flat count model would rank short-lived inner temps above
-    // them; counts break ties between same-depth code by real hotness).
+    // Loop depth is the structural frequency estimate (see
+    // computeLoopDepths for why profile counts stay out of it).
     std::vector<uint32_t> LoopDepth = computeLoopDepths(Body);
     // Positions are assigned in NATURAL block order, not layout order: an
     // interval assignment is valid for any emission order (locations are
@@ -413,34 +358,29 @@ private:
     // whose interval straddles a call position is genuinely live across it.
     for (BlockId B = 0; B != NumBlocks; ++B) {
       double DepthW = 1.0 + 3.0 * std::min<uint32_t>(LoopDepth[B], 8);
-      double FreqW =
-          UseWeights
-              ? DepthW * (1.0 + std::log2(1.0 + double(Body.Blocks[B].Freq)))
-              : DepthW;
-      LiveIn[B].forEach([&](RegId V) { extend(V, Pos); });
+      LV.forEachLiveIn(B, [&](RegId V) { extend(V, Pos); });
       Pos += 2; // Block entry has its own position: a value live into a
                 // block whose first instruction is a call must count as
                 // crossing that call.
       for (const Instr *I : Body.Blocks[B].Instrs) {
-        forEachUse(*I, [&](RegId V) {
+        forEachUseReg(*I, [&](RegId V) {
           extend(V, Pos);
-          Ivs[V].Weight += FreqW;
+          Ivs[V].Weight += DepthW;
         });
         if (I->Dst != NoReg && definesValue(I->Op)) {
           extend(I->Dst, Pos + 1);
-          Ivs[I->Dst].Weight += FreqW;
+          Ivs[I->Dst].Weight += DepthW;
         }
         if (I->Op == Opcode::Call) {
           CallPositions.push_back(Pos);
           // The call's cost estimate uses the same scale as interval
-          // weights, so wrap decisions compare like with like whether the
-          // estimate comes from loop depth or from profile counts.
-          CallWeights.push_back(FreqW);
+          // weights, so wrap decisions compare like with like.
+          CallWeights.push_back(DepthW);
           CallInstrs.push_back(I);
         }
         Pos += 2;
       }
-      LiveOut[B].forEach([&](RegId V) { extend(V, Pos); });
+      LV.forEachLiveOut(B, [&](RegId V) { extend(V, Pos); });
       Pos += 2;
     }
     // Parameters are defined at function entry, before the first
@@ -544,15 +484,22 @@ private:
         // lands on the (cold) call path instead of every (hot) use. This is
         // what keeps hot loop values in registers when a never-executed
         // call site sits in the loop body.
+        // The spanned calls are the positions in (Start, End): a
+        // contiguous run of the ascending CallPositions, summed in order.
+        const size_t FirstCall =
+            std::upper_bound(CallPositions.begin(), CallPositions.end(),
+                             Iv->Start) -
+            CallPositions.begin();
+        auto spanned = [&](size_t C) {
+          return C != CallPositions.size() && CallPositions[C] < Iv->End;
+        };
         double CrossedFreq = 0;
-        for (size_t C = 0; C != CallPositions.size(); ++C)
-          if (CallPositions[C] > Iv->Start && CallPositions[C] < Iv->End)
-            CrossedFreq += CallWeights[C];
+        for (size_t C = FirstCall; spanned(C); ++C)
+          CrossedFreq += CallWeights[C];
         auto wrapInto = [&](uint8_t Reg) {
           uint32_t WrapSlot = NumSlots++;
-          for (size_t C = 0; C != CallPositions.size(); ++C)
-            if (CallPositions[C] > Iv->Start && CallPositions[C] < Iv->End)
-              CallWraps[CallInstrs[C]].emplace_back(Reg, WrapSlot);
+          for (size_t C = FirstCall; spanned(C); ++C)
+            CallWraps[CallInstrs[C]].emplace_back(Reg, WrapSlot);
           assignReg(Iv, Reg);
         };
         double WrapCost = 4.0 * (CrossedFreq + 1.0);
@@ -647,10 +594,9 @@ private:
         assignReg(Iv, CalleeSaveRegs[FreeIdx]);
         continue;
       }
-      // Pressure: spill the cheapest of (active + current). Profile weights
-      // implement the paper's "improving the cost model for register
-      // allocation" use of PBO. Only non-cross-call actives can donate a
-      // register the newcomer may legally use.
+      // Pressure: spill the cheapest of (active + current) by loop-depth
+      // weight. Only non-cross-call actives can donate a register the
+      // newcomer may legally use.
       size_t VictimIdx = ActiveList.size();
       double VictimWeight = Iv->Weight;
       for (size_t Idx = 0; Idx != ActiveList.size(); ++Idx) {
@@ -788,6 +734,9 @@ private:
     size_t NumBlocks = Body.Blocks.size();
     BlockMachineStart.assign(NumBlocks, 0);
     std::vector<std::pair<uint32_t, BlockId>> Fixups;
+    // Emission averages about one machine instruction per IL instruction
+    // (spill code and dropped jumps roughly cancel), plus the prologue.
+    Out.Code.reserve(Body.instrCount() + Body.NumParams + NumCalleeSave);
 
     for (size_t LIdx = 0; LIdx != Layout.size(); ++LIdx) {
       BlockId B = Layout[LIdx];
@@ -1108,7 +1057,6 @@ private:
   /// stall). Regions are delimited by block starts and control instructions.
   void scheduleAll() {
     size_t RegionBegin = 0;
-    std::vector<uint32_t> Region;
     for (size_t Idx = 0; Idx <= Out.Code.size(); ++Idx) {
       bool Boundary =
           Idx == Out.Code.size() || isControl(Out.Code[Idx].Op) ||
@@ -1122,13 +1070,26 @@ private:
     }
   }
 
+  /// The scheduler's per-region working set. It lives as long as the
+  /// worker thread, so regions after the largest one allocate nothing.
+  struct ScheduleScratch {
+    std::vector<MInstr> Orig;
+    /// Dependence DAG in CSR form: the successors of I, ascending, are
+    /// Succs[SuccBegin[I], SuccBegin[I + 1]).
+    std::vector<uint32_t> SuccBegin;
+    std::vector<uint32_t> Succs;
+    std::vector<uint32_t> InDeg;
+    /// Ready instructions, kept sorted by original index.
+    std::vector<uint32_t> Ready;
+  };
+
   void scheduleRegion(size_t Begin, size_t End) {
+    thread_local ScheduleScratch S;
     size_t N = End - Begin;
-    std::vector<MInstr> Orig(Out.Code.begin() + Begin, Out.Code.begin() + End);
+    S.Orig.assign(Out.Code.begin() + Begin, Out.Code.begin() + End);
+    const std::vector<MInstr> &Orig = S.Orig;
     // Dependence DAG. Quadratic in region size — the concrete source of
     // LLO's superlinear memory noted in Figure 4's caption.
-    std::vector<std::vector<uint32_t>> Succs(N);
-    std::vector<uint32_t> InDeg(N, 0);
     charge(N * N / 8 + N * 16);
 
     auto readsReg = [](const MInstr &I, uint8_t Reg) {
@@ -1160,25 +1121,31 @@ private:
         return true;
       return false;
     };
-    for (size_t J = 0; J != N; ++J)
-      for (size_t I2 = 0; I2 != J; ++I2)
+    S.SuccBegin.resize(N + 1);
+    S.Succs.clear();
+    S.InDeg.assign(N, 0);
+    for (size_t I2 = 0; I2 != N; ++I2) {
+      S.SuccBegin[I2] = static_cast<uint32_t>(S.Succs.size());
+      for (size_t J = I2 + 1; J != N; ++J)
         if (conflicts(Orig[I2], Orig[J])) {
-          Succs[I2].push_back(static_cast<uint32_t>(J));
-          ++InDeg[J];
+          S.Succs.push_back(static_cast<uint32_t>(J));
+          ++S.InDeg[J];
         }
+    }
+    S.SuccBegin[N] = static_cast<uint32_t>(S.Succs.size());
 
     // Greedy list schedule: avoid issuing a consumer right after its load.
-    std::vector<uint32_t> Ready;
+    // Picks are written straight back over the region; Orig keeps the
+    // original order.
+    std::vector<uint32_t> &Ready = S.Ready;
+    Ready.clear();
     for (uint32_t I2 = 0; I2 != N; ++I2)
-      if (InDeg[I2] == 0)
+      if (S.InDeg[I2] == 0)
         Ready.push_back(I2);
-    std::vector<MInstr> Scheduled;
-    Scheduled.reserve(N);
     int LastLoadRd = -1;
     uint64_t Moves = 0;
-    std::vector<uint32_t> Placed;
+    size_t Placed = 0;
     while (!Ready.empty()) {
-      std::sort(Ready.begin(), Ready.end());
       size_t PickIdx = 0;
       bool Found = false;
       // First choice: an instruction that does not consume the just-issued
@@ -1201,18 +1168,20 @@ private:
         PickIdx = 0; // Everything stalls; take the earliest.
       uint32_t Chosen = Ready[PickIdx];
       Ready.erase(Ready.begin() + PickIdx);
-      if (Chosen != Placed.size())
+      if (Chosen != Placed)
         ++Moves;
-      Placed.push_back(Chosen);
       const MInstr &C = Orig[Chosen];
       LastLoadRd = isLoad(C.Op) ? C.Rd : -1;
-      Scheduled.push_back(C);
-      for (uint32_t S : Succs[Chosen])
-        if (--InDeg[S] == 0)
-          Ready.push_back(S);
+      Out.Code[Begin + Placed++] = C;
+      for (uint32_t E = S.SuccBegin[Chosen]; E != S.SuccBegin[Chosen + 1];
+           ++E) {
+        uint32_t Succ = S.Succs[E];
+        if (--S.InDeg[Succ] == 0)
+          Ready.insert(std::upper_bound(Ready.begin(), Ready.end(), Succ),
+                       Succ);
+      }
     }
-    assert(Scheduled.size() == N && "scheduler dropped instructions");
-    std::copy(Scheduled.begin(), Scheduled.end(), Out.Code.begin() + Begin);
+    assert(Placed == N && "scheduler dropped instructions");
     if (Stats)
       Stats->ScheduleMoves += Moves;
   }

@@ -13,7 +13,7 @@
 /// bodies and produces MachineRoutines:
 ///
 ///  - profile-guided basic block layout (hot successor falls through);
-///  - linear-scan register allocation with profile-weighted spill costs
+///  - linear-scan register allocation with loop-depth-weighted spill costs
 ///    (values live across calls go to the stack: all registers are
 ///    caller-save);
 ///  - list scheduling within blocks to hide the machine's load-use stall.
@@ -37,7 +37,6 @@ struct LloOptions {
   bool RegAlloc = true;      ///< Linear scan (false: spill everything, O1).
   bool Schedule = true;      ///< Load-use stall scheduling.
   bool ProfileLayout = true; ///< Use block counts for layout when available.
-  bool ProfileSpillWeights = true; ///< Weight spill costs by block counts.
 };
 
 /// Statistics LLO reports per compilation. Under the parallel backend each

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense bitset over virtual register ids, shared by the dataflow passes
-/// (DCE liveness in HLO, live intervals in LLO). Dataflow bitsets are
+/// A dense bitset over virtual register ids, used by the analysis engine's
+/// dataflow framework and its passes (DCE and LLO share the flat-buffer
+/// solver in ir/Liveness instead). Dataflow bitsets are
 /// classic *derived* data in the paper's taxonomy: recomputed from scratch
 /// by each phase, never persisted.
 ///

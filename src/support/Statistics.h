@@ -17,30 +17,46 @@
 #define SCMO_SUPPORT_STATISTICS_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace scmo {
 
 /// Insertion-stable map of counter name -> value, owned by a session.
+/// Lookups are heterogeneous (std::less<>), so counting under a string
+/// literal builds no std::string once the counter exists.
 class Statistics {
 public:
+  using CounterMap = std::map<std::string, uint64_t, std::less<>>;
+
   /// Adds \p Delta to counter \p Name (creating it at zero).
-  void add(const std::string &Name, uint64_t Delta = 1) {
-    Counters[Name] += Delta;
+  void add(std::string_view Name, uint64_t Delta = 1) {
+    auto It = Counters.find(Name);
+    if (It == Counters.end())
+      Counters.emplace(Name, Delta);
+    else
+      It->second += Delta;
   }
 
   /// Sets counter \p Name to \p Value.
-  void set(const std::string &Name, uint64_t Value) { Counters[Name] = Value; }
+  void set(std::string_view Name, uint64_t Value) {
+    auto It = Counters.find(Name);
+    if (It == Counters.end())
+      Counters.emplace(Name, Value);
+    else
+      It->second = Value;
+  }
 
   /// Current value of \p Name (0 if never touched).
-  uint64_t get(const std::string &Name) const {
+  uint64_t get(std::string_view Name) const {
     auto It = Counters.find(Name);
     return It == Counters.end() ? 0 : It->second;
   }
 
   /// All counters, sorted by name (std::map keeps them deterministic).
-  const std::map<std::string, uint64_t> &all() const { return Counters; }
+  const CounterMap &all() const { return Counters; }
 
   /// Adds every counter of \p Other into this registry. Addition commutes,
   /// but callers folding per-worker registries should still merge in a
@@ -48,13 +64,13 @@ public:
   /// future non-commutative accounting stays reproducible.
   void merge(const Statistics &Other) {
     for (const auto &KV : Other.Counters)
-      Counters[KV.first] += KV.second;
+      add(KV.first, KV.second);
   }
 
   void clear() { Counters.clear(); }
 
 private:
-  std::map<std::string, uint64_t> Counters;
+  CounterMap Counters;
 };
 
 } // namespace scmo

@@ -305,6 +305,145 @@ func main() {
   EXPECT_EQ(F.interpret(), Before);
 }
 
+namespace {
+
+/// Hand-built IL for exact DCE counts: a body whose blocks are filled by the
+/// test, over \p NumRegs registers.
+struct IlBuilder {
+  Program P;
+  RoutineBody Body;
+  Statistics Stats;
+
+  IlBuilder(unsigned NumBlocks, uint32_t NumRegs) {
+    Body.NextReg = NumRegs;
+    for (unsigned B = 0; B != NumBlocks; ++B)
+      Body.newBlock();
+  }
+
+  Instr *add(BlockId B, Opcode Op, RegId Dst = NoReg,
+             Operand A = Operand::none(), Operand Bo = Operand::none()) {
+    Instr *I = Body.newInstr(Op);
+    I->Dst = Dst;
+    I->A = A;
+    I->B = Bo;
+    Body.Blocks[B].Instrs.push_back(I);
+    return I;
+  }
+  void jmp(BlockId B, BlockId T) { add(B, Opcode::Jmp)->T1 = T; }
+  void ret(BlockId B) { add(B, Opcode::Ret, NoReg, Operand::imm(0)); }
+
+  std::vector<Opcode> ops(BlockId B) const {
+    std::vector<Opcode> Out;
+    for (const Instr *I : Body.Blocks[B].Instrs)
+      Out.push_back(I->Op);
+    return Out;
+  }
+  bool hasCounter(const char *Name) const {
+    return Stats.all().count(Name) != 0;
+  }
+};
+
+Operand reg(RegId R) { return Operand::reg(R); }
+Operand imm(int64_t V) { return Operand::imm(V); }
+
+} // namespace
+
+TEST(Dce, DeadChainAcrossBlocksNeedsASecondRun) {
+  // b0: v0 = 1; v1 = v0 + 2; jmp b1
+  // b1: v2 = v1 * 3; jmp b2
+  // b2: ret 0
+  // Liveness is solved before anything is removed, so v1 is still live out
+  // of b0 on the first run. The second run finds b0's whole chain dead in
+  // one backward walk.
+  IlBuilder F(3, 3);
+  F.add(0, Opcode::Mov, 0, imm(1));
+  F.add(0, Opcode::Add, 1, reg(0), imm(2));
+  F.jmp(0, 1);
+  F.add(1, Opcode::Mul, 2, reg(1), imm(3));
+  F.jmp(1, 2);
+  F.ret(2);
+  EXPECT_TRUE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 1u);
+  EXPECT_EQ(F.ops(1), std::vector<Opcode>{Opcode::Jmp});
+  EXPECT_EQ(F.ops(0), (std::vector<Opcode>{Opcode::Mov, Opcode::Add,
+                                           Opcode::Jmp}));
+  EXPECT_TRUE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 3u);
+  EXPECT_EQ(F.ops(0), std::vector<Opcode>{Opcode::Jmp});
+  EXPECT_FALSE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 3u);
+  EXPECT_FALSE(F.hasCounter("dce.nops"));
+  EXPECT_FALSE(F.hasCounter("dce.call_results"));
+}
+
+TEST(Dce, LoopCarriedValueKeptDeadLoopTempRemoved) {
+  // b0: v0 = 0; v1 = 0; jmp b1
+  // b1: v2 = v1 < 4; br v2, b2, b3
+  // b2: v0 = v0 + 2; v3 = v1 * 7; v1 = v1 + 1; jmp b1
+  // b3: print v0; ret 0
+  IlBuilder F(4, 4);
+  F.add(0, Opcode::Mov, 0, imm(0));
+  F.add(0, Opcode::Mov, 1, imm(0));
+  F.jmp(0, 1);
+  F.add(1, Opcode::CmpLt, 2, reg(1), imm(4));
+  Instr *Br = F.add(1, Opcode::Br, NoReg, reg(2));
+  Br->T1 = 2;
+  Br->T2 = 3;
+  F.add(2, Opcode::Add, 0, reg(0), imm(2));
+  F.add(2, Opcode::Mul, 3, reg(1), imm(7));
+  F.add(2, Opcode::Add, 1, reg(1), imm(1));
+  F.jmp(2, 1);
+  F.add(3, Opcode::Print, NoReg, reg(0));
+  F.ret(3);
+  EXPECT_TRUE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 1u);
+  EXPECT_EQ(F.ops(2),
+            (std::vector<Opcode>{Opcode::Add, Opcode::Add, Opcode::Jmp}));
+  EXPECT_EQ(F.ops(0),
+            (std::vector<Opcode>{Opcode::Mov, Opcode::Mov, Opcode::Jmp}));
+  EXPECT_FALSE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 1u);
+}
+
+TEST(Dce, CallWithDeadResultKeepsTheCall) {
+  // b0: v0 = call 0(); v1 = v0 + 1; ret 0
+  IlBuilder F(1, 2);
+  Instr *Call = F.add(0, Opcode::Call, 0);
+  Call->Sym = 0;
+  F.add(0, Opcode::Add, 1, reg(0), imm(1));
+  F.ret(0);
+  EXPECT_TRUE(runDce(F.P, F.Body, F.Stats));
+  // The add dies first (walk is backwards), which leaves the call result
+  // dead in the same walk.
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 1u);
+  EXPECT_EQ(F.Stats.get("dce.call_results"), 1u);
+  EXPECT_EQ(F.ops(0), (std::vector<Opcode>{Opcode::Call, Opcode::Ret}));
+  EXPECT_EQ(Call->Dst, NoReg);
+  EXPECT_FALSE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.call_results"), 1u);
+  EXPECT_FALSE(F.hasCounter("dce.nops"));
+}
+
+TEST(Dce, RemovesNopsAndKeepsOrder) {
+  // b0: nop; v0 = 4; v0 = 5; nop; print v0; nop; ret 0
+  // The first def of v0 is overwritten before any use.
+  IlBuilder F(1, 1);
+  F.add(0, Opcode::Nop);
+  F.add(0, Opcode::Mov, 0, imm(4));
+  F.add(0, Opcode::Mov, 0, imm(5));
+  F.add(0, Opcode::Nop);
+  F.add(0, Opcode::Print, NoReg, reg(0));
+  F.add(0, Opcode::Nop);
+  F.ret(0);
+  EXPECT_TRUE(runDce(F.P, F.Body, F.Stats));
+  EXPECT_EQ(F.Stats.get("dce.nops"), 3u);
+  EXPECT_EQ(F.Stats.get("dce.instrs"), 1u);
+  EXPECT_EQ(F.ops(0),
+            (std::vector<Opcode>{Opcode::Mov, Opcode::Print, Opcode::Ret}));
+  EXPECT_EQ(F.Body.Blocks[0].Instrs[0]->A.asImm(), 5);
+  EXPECT_FALSE(F.hasCounter("dce.call_results"));
+}
+
 //===----------------------------------------------------------------------===//
 // Inliner
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,12 @@
 
 #include "ir/CallGraph.h"
 #include "ir/Checksum.h"
+#include "ir/Liveness.h"
 #include "ir/Printer.h"
 #include "ir/Program.h"
 #include "ir/Verifier.h"
+#include "support/Prng.h"
+#include "support/RegBitSet.h"
 
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -413,4 +416,237 @@ TEST(CallGraph, AcyclicChainIsNotRecursive) {
   EXPECT_TRUE(G.recursiveRoutines().empty());
   for (RoutineId R : Ids)
     EXPECT_FALSE(G.isRecursive(R));
+}
+
+//===----------------------------------------------------------------------===//
+// Liveness
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The reference: round-robin sweeps in descending block order over
+/// per-block RegBitSets until nothing changes.
+struct RefLiveness {
+  std::vector<RegBitSet> In, Out;
+
+  explicit RefLiveness(const RoutineBody &Body) {
+    size_t N = Body.Blocks.size();
+    uint32_t U = Body.NextReg;
+    std::vector<RegBitSet> Use(N, RegBitSet(U)), Def(N, RegBitSet(U));
+    In.assign(N, RegBitSet(U));
+    Out.assign(N, RegBitSet(U));
+    for (size_t B = 0; B != N; ++B)
+      for (const Instr *I : Body.Blocks[B].Instrs) {
+        forEachUseReg(*I, [&](RegId V) {
+          if (!Def[B].test(V))
+            Use[B].set(V);
+        });
+        if (I->Dst != NoReg && definesValue(I->Op))
+          Def[B].set(I->Dst);
+      }
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (size_t B = N; B-- > 0;) {
+        if (const Instr *Term = Body.Blocks[B].terminator()) {
+          if (Term->Op == Opcode::Jmp || Term->Op == Opcode::Br)
+            Changed |= Out[B].merge(In[Term->T1]);
+          if (Term->Op == Opcode::Br)
+            Changed |= Out[B].merge(In[Term->T2]);
+        }
+        RegBitSet NewIn = Use[B];
+        NewIn.mergeMinus(Out[B], Def[B]);
+        Changed |= In[B].merge(NewIn);
+      }
+    }
+  }
+};
+
+std::vector<RegId> members(const RegBitSet &S) {
+  std::vector<RegId> Out;
+  S.forEach([&](RegId V) { Out.push_back(V); });
+  return Out;
+}
+
+/// A random routine: straight-line code over \p NumVregs registers, random
+/// Jmp/Br/Ret terminators (self-loops included), a planted irreducible
+/// two-entry loop, one block without a terminator and one block nothing
+/// branches to.
+std::unique_ptr<RoutineBody> randomCfg(Prng &Rng, uint32_t NumVregs) {
+  auto Body = std::make_unique<RoutineBody>();
+  Body->NextReg = NumVregs;
+  uint32_t NumBlocks = static_cast<uint32_t>(Rng.nextRange(4, 24));
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    Body->newBlock();
+  auto operand = [&]() {
+    if (NumVregs == 0 || Rng.nextBelow(4) == 0)
+      return Operand::imm(static_cast<int64_t>(Rng.nextBelow(100)));
+    return Operand::reg(static_cast<RegId>(Rng.nextBelow(NumVregs)));
+  };
+  auto dst = [&]() {
+    return NumVregs ? static_cast<RegId>(Rng.nextBelow(NumVregs)) : NoReg;
+  };
+  auto append = [&](BlockId B, Instr *I) {
+    Body->Blocks[B].Instrs.push_back(I);
+  };
+  // Targets never include the last block, which stays unreachable.
+  auto target = [&]() {
+    return static_cast<BlockId>(Rng.nextBelow(NumBlocks - 1));
+  };
+  for (BlockId B = 0; B != NumBlocks; ++B) {
+    unsigned Len = static_cast<unsigned>(Rng.nextBelow(7));
+    for (unsigned K = 0; K != Len; ++K) {
+      Instr *I = nullptr;
+      switch (Rng.nextBelow(5)) {
+      case 0:
+        I = Body->newInstr(Opcode::Mov);
+        I->A = operand();
+        I->Dst = dst();
+        break;
+      case 1:
+        I = Body->newInstr(Opcode::Add);
+        I->A = operand();
+        I->B = operand();
+        I->Dst = dst();
+        break;
+      case 2: {
+        I = Body->newInstr(Opcode::Call);
+        I->Sym = 0;
+        I->NumArgs = static_cast<uint16_t>(Rng.nextBelow(4));
+        I->Args = Body->newArgArray(I->NumArgs);
+        for (unsigned A = 0; A != I->NumArgs; ++A)
+          I->Args[A] = operand();
+        I->Dst = Rng.nextBelow(2) ? dst() : NoReg;
+        break;
+      }
+      case 3:
+        I = Body->newInstr(Opcode::Print);
+        I->A = operand();
+        break;
+      default:
+        I = Body->newInstr(Opcode::StoreIdx);
+        I->Sym = 0;
+        I->A = operand();
+        I->B = operand();
+        break;
+      }
+      append(B, I);
+    }
+  }
+  // Terminators. Block 1 is the planted no-terminator block; blocks 2..4
+  // form the irreducible loop entered from block 0 at either 3 or 4.
+  for (BlockId B = 0; B != NumBlocks; ++B) {
+    if (B == 1)
+      continue;
+    Instr *T = nullptr;
+    if (B == 0 && NumBlocks > 5) {
+      T = Body->newInstr(Opcode::Br);
+      T->A = operand();
+      T->T1 = 3;
+      T->T2 = 4;
+    } else if (B == 3 && NumBlocks > 5) {
+      T = Body->newInstr(Opcode::Jmp);
+      T->T1 = 4;
+    } else if (B == 4 && NumBlocks > 5) {
+      T = Body->newInstr(Opcode::Br);
+      T->A = operand();
+      T->T1 = 3;
+      T->T2 = target();
+    } else {
+      switch (Rng.nextBelow(4)) {
+      case 0:
+        T = Body->newInstr(Opcode::Jmp);
+        T->T1 = Rng.nextBelow(3) == 0 ? B : target();
+        break;
+      case 1:
+      case 2:
+        T = Body->newInstr(Opcode::Br);
+        T->A = operand();
+        T->T1 = Rng.nextBelow(3) == 0 ? B : target();
+        T->T2 = target();
+        break;
+      default:
+        T = Body->newInstr(Opcode::Ret);
+        T->A = operand();
+        break;
+      }
+    }
+    append(B, T);
+  }
+  return Body;
+}
+
+} // namespace
+
+TEST(Liveness, MatchesRoundRobinReferenceOnRandomCfgs) {
+  const uint32_t Universes[] = {0, 1, 63, 64, 65, 1000};
+  // One solver across every CFG: buffers left over from a larger routine
+  // must not leak into a smaller one.
+  Liveness LV;
+  unsigned Checked = 0;
+  for (uint64_t Seed = 1; Seed <= 600; ++Seed) {
+    Prng Rng(Seed);
+    uint32_t NumVregs = Universes[Seed % 6];
+    auto Body = randomCfg(Rng, NumVregs);
+    LV.solve(*Body);
+    RefLiveness Ref(*Body);
+    ASSERT_EQ(LV.words(), (NumVregs + 63) / 64);
+    for (BlockId B = 0; B != Body->Blocks.size(); ++B) {
+      std::vector<RegId> In, Out;
+      LV.forEachLiveIn(B, [&](RegId V) { In.push_back(V); });
+      LV.forEachLiveOut(B, [&](RegId V) { Out.push_back(V); });
+      ASSERT_EQ(In, members(Ref.In[B])) << "seed " << Seed << " block " << B;
+      ASSERT_EQ(Out, members(Ref.Out[B]))
+          << "seed " << Seed << " block " << B;
+    }
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 600u);
+}
+
+TEST(Liveness, LoopCarriedValueIsLiveAroundTheBackEdge) {
+  // b0: v0 = 0; jmp b1
+  // b1: br v0, b1, b2     (self-loop keeps v0 live around it)
+  // b2: v1 = v0 + 1; ret v1
+  RoutineBody Body;
+  Body.NextReg = 2;
+  for (int B = 0; B != 3; ++B)
+    Body.newBlock();
+  Instr *Init = Body.newInstr(Opcode::Mov);
+  Init->Dst = 0;
+  Init->A = Operand::imm(0);
+  Instr *J = Body.newInstr(Opcode::Jmp);
+  J->T1 = 1;
+  Body.Blocks[0].Instrs = {Init, J};
+  Instr *Br = Body.newInstr(Opcode::Br);
+  Br->A = Operand::reg(0);
+  Br->T1 = 1;
+  Br->T2 = 2;
+  Body.Blocks[1].Instrs = {Br};
+  Instr *Add = Body.newInstr(Opcode::Add);
+  Add->Dst = 1;
+  Add->A = Operand::reg(0);
+  Add->B = Operand::imm(1);
+  Instr *Ret = Body.newInstr(Opcode::Ret);
+  Ret->A = Operand::reg(1);
+  Body.Blocks[2].Instrs = {Add, Ret};
+
+  Liveness LV;
+  LV.solve(Body);
+  auto in = [&](BlockId B) {
+    std::vector<RegId> Out;
+    LV.forEachLiveIn(B, [&](RegId V) { Out.push_back(V); });
+    return Out;
+  };
+  auto out = [&](BlockId B) {
+    std::vector<RegId> Out;
+    LV.forEachLiveOut(B, [&](RegId V) { Out.push_back(V); });
+    return Out;
+  };
+  EXPECT_EQ(in(0), std::vector<RegId>{});
+  EXPECT_EQ(out(0), std::vector<RegId>{0});
+  EXPECT_EQ(in(1), std::vector<RegId>{0});
+  EXPECT_EQ(out(1), std::vector<RegId>{0});
+  EXPECT_EQ(in(2), std::vector<RegId>{0});
+  EXPECT_EQ(out(2), std::vector<RegId>{});
 }

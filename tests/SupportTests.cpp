@@ -285,6 +285,24 @@ TEST(Statistics, AccumulatesAndSorts) {
   EXPECT_EQ(S.all().begin()->first, "a.count");
 }
 
+TEST(Statistics, ViewKeysNameTheSameCounters) {
+  Statistics S;
+  std::string Owned = "dce.instrs";
+  std::string_view Prefix = std::string_view("dce.nops.extra").substr(0, 8);
+  S.add(Owned, 4);
+  S.add("dce.instrs");
+  S.set(Prefix, 7);
+  S.add("dce.nops", 0);
+  EXPECT_EQ(S.get(std::string_view("dce.instrs")), 5u);
+  EXPECT_EQ(S.get("dce.nops"), 7u);
+  EXPECT_EQ(S.all().size(), 2u);
+  Statistics T;
+  T.merge(S);
+  T.merge(S);
+  EXPECT_EQ(T.get("dce.instrs"), 10u);
+  EXPECT_EQ(T.get("dce.nops"), 14u);
+}
+
 TEST(RegBitSet, SetTestResetMerge) {
   RegBitSet A(200), B(200);
   A.set(0);
