@@ -39,7 +39,7 @@ bool decodeOperand(ByteReader &Reader, Operand &O) {
     O = Operand::none();
     return true;
   case TagReg:
-    O = Operand::reg(static_cast<RegId>(Reader.readVarUInt()));
+    O = Operand::reg(Reader.readVarU32());
     return true;
   case TagImm:
     O = Operand::imm(Reader.readVarInt());
@@ -162,18 +162,25 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
                                                  size_t Size,
                                                  MemoryTracker *Tracker,
                                                  const SymRemap &Remap) {
+  // Decoding is strict: every field must be in range for its type and the
+  // encoding must end exactly at \p Size, so a body that decodes re-encodes
+  // to the same bytes. Counts are bounded by the bytes left to hold them
+  // before anything is sized from them.
   ByteReader Reader(Data, Size);
   if (Reader.readVarUInt() != FormatVersion)
     return nullptr;
   auto Body = std::make_unique<RoutineBody>(Tracker);
-  Body->NumParams = static_cast<uint32_t>(Reader.readVarUInt());
-  Body->NextReg = static_cast<uint32_t>(Reader.readVarUInt());
-  Body->SourceLines = static_cast<uint32_t>(Reader.readVarUInt());
+  Body->NumParams = Reader.readVarU32();
+  Body->NextReg = Reader.readVarU32();
+  Body->SourceLines = Reader.readVarU32();
   uint8_t HasProfile = 0;
   Reader.readBytes(&HasProfile, 1);
   Body->HasProfile = HasProfile != 0;
   uint64_t NumBlocks = Reader.readVarUInt();
-  if (Reader.hadError())
+  // A block costs at least its instruction count, plus two frequencies
+  // under a profile.
+  if (Reader.hadError() || HasProfile > 1 ||
+      NumBlocks > Reader.remaining() / (HasProfile ? 3 : 1))
     return nullptr;
   Body->Blocks.resize(NumBlocks);
   for (uint64_t B = 0; B != NumBlocks; ++B) {
@@ -182,8 +189,9 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
       BB.Freq = Reader.readVarUInt();
       BB.TakenFreq = Reader.readVarUInt();
     }
+    // An instruction costs at least its opcode and line delta.
     uint64_t NumInstrs = Reader.readVarUInt();
-    if (Reader.hadError() || NumInstrs > Size)
+    if (Reader.hadError() || NumInstrs > Reader.remaining() / 2)
       return nullptr;
     BB.Instrs.reserve(NumInstrs);
     uint32_t PrevLine = 0;
@@ -195,25 +203,25 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
       Instr *I = Body->newInstr(Op);
       OpShape S = shapeOf(Op);
       if (S.HasDst) {
-        uint64_t D = Reader.readVarUInt();
-        I->Dst = D == 0 ? NoReg : static_cast<RegId>(D - 1);
+        uint32_t D = Reader.readVarU32();
+        I->Dst = D == 0 ? NoReg : D - 1;
       }
       if (S.HasA && !decodeOperand(Reader, I->A))
         return nullptr;
       if (S.HasB && !decodeOperand(Reader, I->B))
         return nullptr;
       if (S.HasSym) {
-        uint32_t Sym = static_cast<uint32_t>(Reader.readVarUInt());
+        uint32_t Sym = Reader.readVarU32();
         I->Sym = Op == Opcode::Call ? Remap.mapRoutine(Sym)
                                     : Remap.mapGlobal(Sym);
       }
       if (S.HasT1)
-        I->T1 = static_cast<BlockId>(Reader.readVarUInt());
+        I->T1 = Reader.readVarU32();
       if (S.HasT2)
-        I->T2 = static_cast<BlockId>(Reader.readVarUInt());
+        I->T2 = Reader.readVarU32();
       if (S.HasArgs) {
         uint64_t N = Reader.readVarUInt();
-        if (Reader.hadError() || N > 0xffff)
+        if (Reader.hadError() || N > 0xffff || N > Reader.remaining())
           return nullptr;
         I->NumArgs = static_cast<uint16_t>(N);
         I->Args = Body->newArgArray(I->NumArgs);
@@ -222,16 +230,18 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
             return nullptr;
       }
       if (Op == Opcode::Probe || Op == Opcode::Br || Op == Opcode::Call) {
-        uint64_t Pr = Reader.readVarUInt();
-        I->ProbeId = Pr == 0 ? InvalidId : static_cast<uint32_t>(Pr - 1);
+        uint32_t Pr = Reader.readVarU32();
+        I->ProbeId = Pr == 0 ? InvalidId : Pr - 1;
       }
       int64_t Delta = Reader.readVarInt();
+      if (Delta < -int64_t(PrevLine) || Delta > int64_t(UINT32_MAX - PrevLine))
+        return nullptr;
       I->Line = static_cast<uint32_t>(int64_t(PrevLine) + Delta);
       PrevLine = I->Line;
       BB.Instrs.push_back(I);
     }
   }
-  if (Reader.hadError())
+  if (Reader.hadError() || !Reader.atEnd())
     return nullptr;
   return Body;
 }

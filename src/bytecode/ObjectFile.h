@@ -13,11 +13,26 @@
 /// object files — rather than a compilation database — is the paper's answer
 /// to build-tool compatibility (Section 6.1): `make` sees ordinary objects.
 ///
-/// An object file contains the module's symbol tables (globals and routine
-/// references by *name*, so objects are position-independent across link
-/// sessions), its debug records, and each defined routine's body in the
-/// compact relocatable encoding with symbol references remapped to
-/// object-local ids.
+/// An object file records the module's symbol operations in the order its
+/// frontend performed them (ModuleInfo::Touches: declarations, first
+/// references, definitions — all by *name*, so objects are
+/// position-independent across link sessions), its debug records, and each
+/// defined routine's body in the compact relocatable encoding with symbol
+/// references remapped to object-local symbol indices. Reading an object
+/// replays those operations through the same Program calls the frontend
+/// made, so a module read from its object gets the RoutineIds, GlobalIds
+/// and interned names the frontend would have given it in the same program
+/// — the executable cannot tell the two apart.
+///
+/// Reading is two-phase. parseObject() decodes and validates everything
+/// against a *const* Program — structure, body encodings, and every context
+/// check the frontend would have made (an unknown variable, a call whose
+/// arity or linkage no longer matches, a redefinition) — and predicts each
+/// symbol's id. Only then does commitObject() install the module, which
+/// cannot fail. A bad object therefore leaves the program untouched. The
+/// prediction mirrors Program's lookup rules; commitObject compares every id
+/// it gets against it and aborts on a mismatch rather than bind bodies to
+/// the wrong symbols.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +48,13 @@
 
 namespace scmo {
 
+/// Version of the object layout (and of the symbol-replay contract). Part
+/// of every source-keyed cache key, so an old entry reads as a miss. Bump
+/// it whenever the frontend's lowering or the object layout changes; the
+/// golden in ObjectFile.FrontendObjectsArePinnedToTheFormatVersion
+/// (tests/BytecodeTests.cpp) fails until the two are updated together.
+constexpr uint32_t ObjectFormatVersion = 2;
+
 /// Where each piece of an object image landed in a Program, recorded while
 /// reading it. This is the driver's recovery map: when a spilled pool comes
 /// back from the repository corrupt, the routine's body can be re-expanded
@@ -40,9 +62,9 @@ namespace scmo {
 /// files are the persistent truth), as long as the in-memory IL has not been
 /// mutated since the objects were written.
 struct ObjectIndex {
-  /// Program ids in object-local symbol order (the SymRemap targets).
-  std::vector<GlobalId> Globals;
-  std::vector<RoutineId> Routines;
+  /// Program id of each object symbol entry (a RoutineId or GlobalId;
+  /// InvalidId for definition entries) — the SymRemap targets.
+  std::vector<uint32_t> Symbols;
   /// Routines whose bodies this object defines, in body-section order.
   std::vector<RoutineId> DefinedHere;
   /// Byte range of each body's compact encoding within the object image,
@@ -54,14 +76,48 @@ struct ObjectIndex {
   std::vector<BodyRange> Bodies;
 };
 
-/// Serializes module \p M of \p P (all bodies must be expanded) into an IL
-/// object image.
+/// An object decoded, validated and resolved against one Program state,
+/// ready to install. Valid only until that program next changes.
+struct ObjectImage {
+  struct Symbol {
+    SymbolTouch::Kind K = SymbolTouch::Kind::DeclRoutine;
+    std::string Name;      ///< Declarations and references.
+    bool IsStatic = false; ///< Decl: linkage; Ref: the binding's linkage.
+    uint32_t Arg = 0;      ///< As SymbolTouch::Arg; Define: the decl index.
+    int64_t Init = 0;      ///< DeclGlobal only.
+    uint32_t Id = InvalidId; ///< Predicted program id (Define: the routine).
+  };
+  std::string ModuleName;
+  uint32_t SourceLines = 0;
+  std::vector<Symbol> Symbols;
+  std::vector<std::string> Records;
+  /// Decoded bodies, one per Define entry in order, symbols already bound
+  /// to the predicted ids.
+  std::vector<std::unique_ptr<RoutineBody>> Bodies;
+  std::vector<ObjectIndex::BodyRange> BodyRanges;
+  /// The program shape the prediction was made against.
+  size_t BaseModules = 0, BaseRoutines = 0, BaseGlobals = 0;
+};
+
+/// Serializes module \p M of \p P into an IL object image. \p M must come
+/// from compileSource or an object read (it replays ModuleInfo::Touches),
+/// and all of its bodies must be expanded and unmodified since then.
 std::vector<uint8_t> writeObject(Program &P, ModuleId M);
 
-/// Reads an IL object image into \p P as a new module, merging external
-/// symbols by name. Returns the new module id, or InvalidId with \p Error
-/// set on malformed input. When \p Index is non-null it is filled with the
-/// recovery map for the image.
+/// Phase one of reading: decodes \p Size bytes at \p Data into \p Img and
+/// checks them against \p P without modifying it. Returns false with
+/// \p Error set if the object is malformed or would not link here.
+bool parseObject(const Program &P, const uint8_t *Data, size_t Size,
+                 ObjectImage &Img, std::string &Error);
+
+/// Phase two: installs a parsed image as a new module of \p P (which must be
+/// unchanged since parseObject) and returns its id. Fills \p Index when
+/// non-null (body offsets are relative to the parsed bytes).
+ModuleId commitObject(Program &P, ObjectImage &&Img,
+                      ObjectIndex *Index = nullptr);
+
+/// parseObject + commitObject. Returns the new module id, or InvalidId with
+/// \p Error set and \p P unchanged.
 ModuleId readObject(Program &P, const std::vector<uint8_t> &Bytes,
                     std::string &Error, ObjectIndex *Index = nullptr);
 

@@ -280,19 +280,23 @@ std::string ArtifactCache::pathFor(const CacheUnit &U, uint64_t Key) const {
          ".art";
 }
 
-ArtifactCache::UnitKey
+std::string ArtifactCache::sourcePathFor(uint64_t Key) const {
+  return Dir + "/src-" + cachefmt::hexKey(Key) + ".art";
+}
+
+ArtifactCache::EntryKey
 ArtifactCache::keys(const Program &P, const CacheUnit &U,
                     const std::vector<uint64_t> &ContentHashes,
                     uint64_t OptFingerprint, uint64_t ProfileEpoch) const {
   std::vector<uint8_t> Material =
       keyMaterial(P, U, ContentHashes, OptFingerprint, ProfileEpoch);
-  UnitKey K;
+  EntryKey K;
   K.Key = hashBytes(Material.data(), Material.size(), /*Seed=*/0);
   K.Check = hashBytes(Material.data(), Material.size(), /*Seed=*/1);
   return K;
 }
 
-bool ArtifactCache::load(Program &P, const CacheUnit &U, const UnitKey &K,
+bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
                          CachedUnit &Out) {
   std::string Path = pathFor(U, K.Key);
 
@@ -477,7 +481,7 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const UnitKey &K,
 }
 
 void ArtifactCache::store(const Program &P, const CacheUnit &U,
-                          const UnitKey &K,
+                          const EntryKey &K,
                           const std::vector<MachineRoutine> &Machines,
                           RoutineId CloneBase,
                           const std::vector<CallEdgeWeight> &Edges) {
@@ -569,43 +573,143 @@ void ArtifactCache::store(const Program &P, const CacheUnit &U,
   File.Bytes.insert(File.Bytes.end(), Payload.Bytes.begin(),
                     Payload.Bytes.end());
 
+  storeEntry(pathFor(U, K.Key), K.Key, File.Bytes, Injector.get(), "cache.");
+}
+
+void ArtifactCache::storeEntry(const std::string &Path, uint64_t Key,
+                               const std::vector<uint8_t> &File,
+                               FaultInjector *FI, std::string_view Prefix) {
+  auto Count = [&](std::string_view What) {
+    Stats.add(std::string(Prefix).append(What));
+  };
   if (!Writable) {
     // Read-only shared cache: load-only operation, the driver surfaces one
     // scmo-cache-degraded warning. Never an error — the cache accelerates.
-    Stats.add("cache.store_skips");
+    Count("store_skips");
     return;
   }
 
-  std::string Path = pathFor(U, K.Key);
   bool Overwrite = std::find(InvalidOnDisk.begin(), InvalidOnDisk.end(),
-                             K.Key) != InvalidOnDisk.end();
+                             Key) != InvalidOnDisk.end();
   using SO = cachedir::StoreOutcome;
   SO Out;
   if (Locking) {
-    Out = cachedir::storeEntry(Path, File.Bytes, Injector.get(),
-                               /*CorruptSkip=*/FrameBytes,
+    Out = cachedir::storeEntry(Path, File, FI, /*CorruptSkip=*/FrameBytes,
                                /*LockWaitMs=*/2000, Overwrite);
   } else {
     // Bench-only unlocked mode: same fault site, same atomic rename, no
     // advisory lock — the delta against Locking is the lock tax.
-    Out = writeFileWithFaults(Path, File.Bytes, Injector.get(),
-                              FaultInjector::Site::CacheStore,
+    Out = writeFileWithFaults(Path, File, FI, FaultInjector::Site::CacheStore,
                               /*CorruptSkip=*/FrameBytes)
               ? SO::Stored
               : SO::Failed;
   }
   switch (Out) {
   case SO::Stored:
-    Stats.add("cache.stores");
+    Count("stores");
     break;
   case SO::AlreadyPresent: // A racing builder installed identical bytes.
-    Stats.add("cache.store_present");
+    Count("store_present");
     break;
   case SO::Contended: // Lock held past the bounded wait; holder stores it.
-    Stats.add("cache.store_contended");
+    Count("store_contended");
     break;
   case SO::Failed:
-    Stats.add("cache.store_failures");
+    Count("store_failures");
     break;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Source-keyed IL objects
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Source-entry payload layout version: version, check, hash count, hashes,
+/// object. (ObjectFormatVersion, part of the key, covers the object.)
+constexpr uint32_t SourceEntryVersion = 1;
+
+} // namespace
+
+ArtifactCache::EntryKey ArtifactCache::sourceKey(std::string_view ModuleName,
+                                                 std::string_view Source) {
+  Sink S;
+  S.u32(ObjectFormatVersion);
+  S.str(std::string(ModuleName));
+  S.Bytes.insert(S.Bytes.end(), Source.begin(), Source.end());
+  EntryKey K;
+  K.Key = hashBytes(S.Bytes.data(), S.Bytes.size(), /*Seed=*/0);
+  K.Check = hashBytes(S.Bytes.data(), S.Bytes.size(), /*Seed=*/1);
+  return K;
+}
+
+std::vector<uint8_t> scmo::encodeSourceEntry(
+    const ArtifactCache::EntryKey &K, const std::vector<uint8_t> &Object,
+    const std::vector<uint64_t> &Hashes) {
+  Sink Payload;
+  Payload.u32(SourceEntryVersion);
+  Payload.u64(K.Check);
+  Payload.u32(static_cast<uint32_t>(Hashes.size()));
+  for (uint64_t H : Hashes)
+    Payload.u64(H);
+  Payload.Bytes.insert(Payload.Bytes.end(), Object.begin(), Object.end());
+  Sink File;
+  cachefmt::frameArtifact(File, Payload.Bytes);
+  File.Bytes.insert(File.Bytes.end(), Payload.Bytes.begin(),
+                    Payload.Bytes.end());
+  return std::move(File.Bytes);
+}
+
+ModuleId scmo::readSourceEntry(Program &P, const std::vector<uint8_t> &Entry,
+                               const ArtifactCache::EntryKey &K,
+                               std::vector<uint64_t> &Hashes) {
+  // Everything is checked before the program is touched: the frame and
+  // check hash here, the object's structure and its links into the current
+  // program in parseObject.
+  if (!cachefmt::checkArtifactFrame(Entry))
+    return InvalidId;
+  Reader R(Entry, FrameBytes);
+  if (R.u32() != SourceEntryVersion || R.u64() != K.Check)
+    return InvalidId;
+  uint32_t NumHashes = R.u32();
+  if (R.Bad || NumHashes > size_t(R.End - R.P) / 8)
+    return InvalidId;
+  Hashes.resize(NumHashes);
+  for (uint64_t &H : Hashes)
+    H = R.u64();
+  size_t ObjectOffset = Entry.size() - size_t(R.End - R.P);
+  ObjectImage Img;
+  std::string Error;
+  if (R.Bad ||
+      !parseObject(P, Entry.data() + ObjectOffset, Entry.size() - ObjectOffset,
+                   Img, Error) ||
+      Img.Bodies.size() != Hashes.size())
+    return InvalidId;
+  return commitObject(P, std::move(Img));
+}
+
+ModuleId ArtifactCache::loadSource(Program &P, const EntryKey &K,
+                                   std::vector<uint64_t> &Hashes) {
+  std::vector<uint8_t> Bytes;
+  if (!cachedir::loadEntry(sourcePathFor(K.Key), Bytes, Injector.get())) {
+    Stats.add("cache.source_misses");
+    return InvalidId;
+  }
+  ModuleId M = readSourceEntry(P, Bytes, K, Hashes);
+  if (M == InvalidId) {
+    Stats.add("cache.source_misses");
+    InvalidOnDisk.push_back(K.Key);
+    return InvalidId;
+  }
+  Stats.add("cache.source_hits");
+  return M;
+}
+
+void ArtifactCache::storeSource(const EntryKey &K,
+                                const std::vector<uint8_t> &Object,
+                                const std::vector<uint64_t> &Hashes) {
+  // No injector: cache-store faults address the unit artifacts (header).
+  storeEntry(sourcePathFor(K.Key), K.Key, encodeSourceEntry(K, Object, Hashes),
+             /*FI=*/nullptr, "cache.source_");
 }

@@ -67,6 +67,10 @@ CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
   Tracker->setHeapCap(this->Opts.HeapCapBytes);
   Prog = std::make_unique<Program>(Tracker.get());
   Ldr = std::make_unique<Loader>(*Prog, this->Opts.Naim);
+  if (this->Opts.Incremental && !this->Opts.CacheDir.empty())
+    Cache = std::make_unique<ArtifactCache>(this->Opts.CacheDir,
+                                            Ldr->faultInjector(), Stats,
+                                            this->Opts.CacheLocking);
 }
 
 CompilerSession::~CompilerSession() = default;
@@ -78,24 +82,62 @@ bool CompilerSession::addSource(const std::string &ModuleName,
   // allocation lands in one profile row.
   StageScope Scope(Tracker.get(), "frontend");
   Timer T;
-  FrontendResult FR = compileSource(*Prog, ModuleName, Source);
+  // Incremental builds first look for the module's IL object under its
+  // source key; a hit replays it instead of running the frontend.
+  ArtifactCache::EntryKey Key;
+  std::vector<uint64_t> Hashes;
+  ModuleId M = InvalidId;
+  if (Cache) {
+    Key = ArtifactCache::sourceKey(ModuleName, Source);
+    M = Cache->loadSource(*Prog, Key, Hashes);
+  }
+  if (M == InvalidId) {
+    FrontendResult FR = compileSource(*Prog, ModuleName, Source);
+    if (!FR.Ok) {
+      FrontendSeconds += T.seconds();
+      if (FirstError.empty())
+        FirstError = FR.Error;
+      return false;
+    }
+    M = FR.Module;
+    if (Cache) {
+      // Encode before any body is released to the loader or annotated by
+      // correlation: the entry must hold the frontend's IL.
+      for (const SymbolTouch &Touch : Prog->module(M).Touches)
+        if (Touch.K == SymbolTouch::Kind::Define)
+          Hashes.push_back(contentHash(*Prog, Prog->body(Touch.Id)));
+      Cache->storeSource(Key, writeObject(*Prog, M), Hashes);
+    }
+  }
   FrontendSeconds += T.seconds();
-  if (!FR.Ok) {
-    if (FirstError.empty())
-      FirstError = FR.Error;
-    return false;
+  if (Cache) {
+    KnownContentHash.resize(Prog->numRoutines(), 0);
+    HasContentHash.resize(Prog->numRoutines(), 0);
+    size_t Next = 0;
+    for (const SymbolTouch &Touch : Prog->module(M).Touches)
+      if (Touch.K == SymbolTouch::Kind::Define) {
+        KnownContentHash[Touch.Id] = Hashes[Next++];
+        HasContentHash[Touch.Id] = 1;
+      }
   }
   // Hand the freshly lowered bodies to the loader so NAIM thresholds apply
   // while the program is still being read in — this is what keeps memory
   // sub-linear during multi-hundred-module compiles (Figure 4).
-  for (RoutineId R : Prog->module(FR.Module).Routines)
-    if (Prog->routine(R).IsDefined && Prog->routine(R).Owner == FR.Module) {
+  for (RoutineId R : Prog->module(M).Routines)
+    if (Prog->routine(R).IsDefined && Prog->routine(R).Owner == M) {
       Prog->routine(R).Checksum = computeChecksum(*Prog->routine(R).Slot.Body);
       Ldr->release(R);
     }
   Ldr->maybeCompactSymtabs();
   if (Tracker)
     Tracker->takeHloSample();
+  return true;
+}
+
+bool CompilerSession::storedContentHash(RoutineId R, uint64_t &Hash) const {
+  if (R >= HasContentHash.size() || !HasContentHash[R])
+    return false;
+  Hash = KnownContentHash[R];
   return true;
 }
 
@@ -231,10 +273,12 @@ void CompilerSession::rebuildFromObjects(BuildResult &Result) {
   // program, the way the production pipeline hands IL objects from the
   // frontends to the linker (paper Section 3).
   //
-  // Emission failure is a degradation, not a build failure: the round-trip
-  // is byte-neutral by construction, so the in-memory program compiles to
-  // the identical executable — the build only loses the object-file
-  // corruption-recovery rung (rung 3 of the PR-3 ladder). One structured
+  // Each object replays its module's frontend symbol operations in their
+  // original order, so the re-read program has the same ids, names and
+  // module lists as this one and compiles to the identical executable
+  // (Driver.ObjectFileFlowMatchesDirectFlow checks the bytes). Emission
+  // failure is therefore a degradation, not a build failure: the build only
+  // loses the object-file corruption-recovery rung. One structured
   // scmo-object-degraded warning records the loss.
   FaultInjector *FI = Ldr->faultInjector().get();
   std::vector<std::string> Written;
@@ -358,9 +402,9 @@ struct CompilerSession::BuildState {
   // The incremental-cache plan (cache-plan stage; absent when caching is
   // off). Units[0] is the CMO set when one exists; the rest are one unit
   // per default-set module.
-  std::unique_ptr<ArtifactCache> Cache;
+  ArtifactCache *Cache = nullptr; ///< The session's cache, when planned.
   std::vector<CacheUnit> Units;
-  std::vector<ArtifactCache::UnitKey> Keys;
+  std::vector<ArtifactCache::EntryKey> Keys;
   std::vector<CachedUnit> Loaded;   ///< Parallel to Units; empty on miss.
   std::vector<char> UnitHit;        ///< Parallel to Units.
   std::vector<bool> ModuleCached;   ///< Per ModuleId: covered by a hit.
@@ -537,9 +581,7 @@ struct CompilerSession::BuildState {
         Skipped = true;
         return true;
       }
-      B.Cache = std::make_unique<ArtifactCache>(
-          S.Opts.CacheDir, S.Ldr->faultInjector(), S.Stats,
-          S.Opts.CacheLocking);
+      B.Cache = S.Cache.get();
       if (!B.Cache->writable()) {
         // Load-only (shared read-only cache) or fully degraded (dir not
         // even creatable): either way the build continues and says so once.
@@ -560,11 +602,16 @@ struct CompilerSession::BuildState {
         Epoch = hashBytes(reinterpret_cast<const uint8_t *>(Ser.data()),
                           Ser.size());
       }
-      // Content hashes of every defined routine, fanned out like checksums.
+      // Content hashes of every defined routine: stored with the module's
+      // source entry when it has one (nothing has rewritten a body since
+      // addSource — instrumented builds skip this stage, correlation only
+      // adds counts, which the hash ignores), else fanned out like
+      // checksums.
       std::vector<uint64_t> ContentHashes(S.Prog->numRoutines(), 0);
       std::vector<RoutineId> Ids;
       for (RoutineId R = 0; R != S.Prog->numRoutines(); ++R)
-        if (S.Prog->routine(R).IsDefined)
+        if (S.Prog->routine(R).IsDefined &&
+            !S.storedContentHash(R, ContentHashes[R]))
           Ids.push_back(R);
       {
         ScheduleGuard Sched(*S.Ldr, Ids);

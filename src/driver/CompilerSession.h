@@ -52,6 +52,7 @@
 
 namespace scmo {
 
+class ArtifactCache;
 class ThreadPool;
 
 /// Outcome of one build().
@@ -132,6 +133,10 @@ public:
   const CompileOptions &options() const { return Opts; }
   const std::string &firstError() const { return FirstError; }
 
+  /// The content hash stored with (or computed for) \p R's module source
+  /// entry when addSource went through the source cache; false otherwise.
+  bool storedContentHash(RoutineId R, uint64_t &Hash) const;
+
 private:
   void rebuildFromObjects(BuildResult &Result);
   /// Recomputes structural checksums of every defined routine, fanned out
@@ -169,6 +174,14 @@ private:
   bool HasProfile = false;
   std::string FirstError;
   double FrontendSeconds = 0;
+
+  /// The incremental cache directory (`Incremental` + `CacheDir` only):
+  /// source-keyed module objects in addSource, unit artifacts in build().
+  std::unique_ptr<ArtifactCache> Cache;
+  /// Per RoutineId: the contentHash of each routine added through the
+  /// source cache, valid while its body is unmodified since addSource.
+  std::vector<uint64_t> KnownContentHash;
+  std::vector<char> HasContentHash;
 
   /// Object-file recovery sources, populated by rebuildFromObjects and
   /// valid until the first IL mutation (invalidateRecovery). RecoveryBody

@@ -100,6 +100,7 @@ private:
         // A pre-existing extern declaration (implicit, from a call in an
         // earlier module) may have guessed the arity; the definition wins.
         P.routine(R).NumParams = NumParams;
+        touch(SymbolTouch::Kind::DeclRoutine, R, NumParams);
         if (!skipBlock())
           return false;
         continue;
@@ -133,7 +134,8 @@ private:
         }
         if (!expect(TokKind::Semi, "';'"))
           return false;
-        P.addGlobal(M, Name, Size, Init, IsStatic);
+        GlobalId G = P.addGlobal(M, Name, Size, Init, IsStatic);
+        touch(SymbolTouch::Kind::DeclGlobal, G, Size, Init);
         continue;
       }
       return error("expected 'func', 'static' or 'global' at top level");
@@ -237,6 +239,7 @@ private:
       LineMap << " " << L - StartLine << ":" << (L * 7 % 9973);
     P.module(M).Symtab.addRecord(LineMap.str());
     P.defineRoutine(R, M, std::move(Body));
+    touch(SymbolTouch::Kind::Define, R);
     return true;
   }
 
@@ -591,6 +594,9 @@ private:
       Callee = P.declareRoutine(M, Name, static_cast<uint32_t>(Args.size()),
                                 /*IsStatic=*/false);
     }
+    if (firstTouch(RoutineTouched, Callee))
+      touch(SymbolTouch::Kind::RefRoutine, Callee,
+            static_cast<uint32_t>(Args.size()));
     const RoutineInfo &RI = P.routine(Callee);
     if (RI.NumParams != Args.size())
       return error("call to '" + std::string(Name) + "' passes " +
@@ -689,10 +695,30 @@ private:
 
   GlobalId resolveGlobal(std::string_view Name) {
     // Module statics shadow externs of the same name.
-    for (GlobalId G : P.module(M).Globals)
-      if (P.Strings.text(P.global(G).Name) == Name)
-        return G;
-    return P.findGlobal(Name);
+    GlobalId G = P.findGlobalInModule(M, Name);
+    if (G != InvalidId && firstTouch(GlobalTouched, G))
+      touch(SymbolTouch::Kind::RefGlobal, G);
+    return G;
+  }
+
+  //===--------------------------------------------------------------------===
+  // Symbol trace (ModuleInfo::Touches, replayed by IL object readers)
+  //===--------------------------------------------------------------------===
+
+  void touch(SymbolTouch::Kind K, uint32_t Id, uint32_t Arg = 0,
+             int64_t Init = 0) {
+    P.module(M).Touches.push_back({K, Id, Arg, Init});
+  }
+
+  /// True the first time \p Id is referenced from this module's bodies:
+  /// only first touches can change the program, later ones resolve alike.
+  static bool firstTouch(std::vector<bool> &Seen, uint32_t Id) {
+    if (Id >= Seen.size())
+      Seen.resize(size_t(Id) + 1, false);
+    if (Seen[Id])
+      return false;
+    Seen[Id] = true;
+    return true;
   }
 
   Program &P;
@@ -704,6 +730,7 @@ private:
   std::unique_ptr<RoutineBody> Body;
   std::map<std::string, RegId> Locals;
   BlockId CurBlock = 0;
+  std::vector<bool> RoutineTouched, GlobalTouched;
 };
 
 } // namespace

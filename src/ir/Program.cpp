@@ -241,6 +241,17 @@ RoutineId Program::findRoutineInModule(ModuleId M,
   return It == ExternRoutines.end() ? InvalidId : It->second;
 }
 
+GlobalId Program::findGlobalInModule(ModuleId M, std::string_view Name) const {
+  StrId Id = Strings.lookup(Name);
+  if (Id == InvalidStr)
+    return InvalidId;
+  for (GlobalId G : Modules[M].Globals)
+    if (Globals[G].Name == Id)
+      return G;
+  auto It = ExternGlobals.find(Id);
+  return It == ExternGlobals.end() ? InvalidId : It->second;
+}
+
 std::string Program::displayName(RoutineId R) const {
   const RoutineInfo &RI = Routines[R];
   if (!RI.IsStatic)

@@ -235,11 +235,37 @@ private:
   uint64_t Charged = 0;
 };
 
+/// One program symbol-table operation a module's frontend performed, in the
+/// order it performed it. Replaying a module's touches through the same
+/// Program calls in the same order reproduces the frontend's RoutineIds,
+/// GlobalIds, interned names and module lists exactly — which is what lets
+/// an IL object stand in for its source without perturbing the executable.
+struct SymbolTouch {
+  enum class Kind : uint8_t {
+    DeclRoutine, ///< `func` header: declareRoutine + arity override.
+    DeclGlobal,  ///< `global`/`static` variable: addGlobal.
+    RefRoutine,  ///< First call of a name: lookup, else implicit extern.
+    RefGlobal,   ///< First use of a variable name: lookup only.
+    Define,      ///< A body installed for an earlier DeclRoutine.
+  };
+  Kind K = Kind::DeclRoutine;
+  uint32_t Id = InvalidId; ///< The RoutineId or GlobalId touched.
+  /// DeclRoutine: parameter count. DeclGlobal: size. RefRoutine: the call's
+  /// argument count. Otherwise 0.
+  uint32_t Arg = 0;
+  int64_t Init = 0; ///< DeclGlobal: the initializer.
+};
+
 /// Program symbol table entry for a module.
 struct ModuleInfo {
   StrId Name = 0;
   std::vector<RoutineId> Routines;
   std::vector<GlobalId> Globals;
+  /// The frontend's symbol operations for this module, first touch per
+  /// symbol; filled by compileSource and by reading an IL object. Object
+  /// files record this sequence (see bytecode/ObjectFile.h), so a module
+  /// built by hand through the Program API has none and cannot be written.
+  std::vector<SymbolTouch> Touches;
   uint32_t SourceLines = 0;
   ModuleSymtab Symtab;
   /// Coarse-grained selectivity decision: true if this module is in the CMO
@@ -286,6 +312,11 @@ public:
   /// Looks up the routine named \p Name in module \p M (statics included),
   /// falling back to the program-wide table; InvalidId if absent.
   RoutineId findRoutineInModule(ModuleId M, std::string_view Name) const;
+
+  /// Looks up the variable named \p Name as seen from module \p M: the
+  /// globals \p M created (statics included) shadow the program-wide
+  /// externs; InvalidId if absent.
+  GlobalId findGlobalInModule(ModuleId M, std::string_view Name) const;
 
   const RoutineInfo &routine(RoutineId R) const { return Routines[R]; }
   RoutineInfo &routine(RoutineId R) { return Routines[R]; }

@@ -50,23 +50,36 @@ public:
       : ByteReader(Bytes.data(), Bytes.size()) {}
 
   /// Decodes an unsigned varint; returns 0 and sets the error flag on
-  /// malformed input.
+  /// malformed input. Only the canonical (shortest) encoding is accepted:
+  /// an overlong varint or one wider than 64 bits is malformed, so every
+  /// decoded value re-encodes to exactly the bytes it came from.
   uint64_t readVarUInt() {
+    if (Cur != End && !(*Cur & 0x80))
+      return *Cur++; // One byte: the common case for ids and counts.
     uint64_t Value = 0;
-    unsigned Shift = 0;
-    while (Cur != End) {
+    for (unsigned Shift = 0; Cur != End; Shift += 7) {
       uint8_t Byte = *Cur++;
-      if (Shift >= 64) {
-        Error = true;
-        return 0;
-      }
+      if (Shift == 63 && Byte > 1)
+        break; // Bits past 64.
       Value |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-      if (!(Byte & 0x80))
+      if (!(Byte & 0x80)) {
+        if (Byte == 0 && Shift != 0)
+          break; // Overlong: a trailing all-zero group.
         return Value;
-      Shift += 7;
+      }
     }
     Error = true;
     return 0;
+  }
+
+  /// Decodes an unsigned varint that must fit 32 bits (ids, counts).
+  uint32_t readVarU32() {
+    uint64_t Value = readVarUInt();
+    if (Value > UINT32_MAX) {
+      Error = true;
+      return 0;
+    }
+    return static_cast<uint32_t>(Value);
   }
 
   /// Decodes a zig-zag encoded signed varint.
@@ -84,6 +97,16 @@ public:
     }
     for (size_t I = 0; I != N; ++I)
       Dest[I] = Cur[I];
+    Cur += N;
+    return true;
+  }
+
+  /// Advances past \p N bytes; false (and the error flag) if fewer remain.
+  bool skip(size_t N) {
+    if (static_cast<size_t>(End - Cur) < N) {
+      Error = true;
+      return false;
+    }
     Cur += N;
     return true;
   }

@@ -9,14 +9,19 @@
 /// Compact relocatable encoding and IL object files. The central property:
 /// compact -> expand is the identity on everything the optimizer can
 /// observe, for *any* valid body (randomized bodies included) — the paper's
-/// determinism requirement hinges on it.
+/// determinism requirement hinges on it. The decoders read bytes from disk,
+/// so a seeded mutation fuzzer checks that every corrupted input either
+/// fails with the program untouched or decodes to exactly what it encodes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "bytecode/Compact.h"
 #include "bytecode/ObjectFile.h"
+#include "cache/ArtifactCache.h"
 #include "frontend/Frontend.h"
+#include "support/Hash.h"
+#include "support/VarInt.h"
 
 #include <gtest/gtest.h>
 
@@ -237,4 +242,397 @@ TEST(ObjectFile, FileIoRoundTrip) {
   EXPECT_EQ(Read, Bytes);
   std::remove(Path.c_str());
   EXPECT_FALSE(readFile(Path, Read));
+}
+
+TEST(ObjectFile, ReadBackReproducesTheFrontendsIds) {
+  // An object replays its module's symbol operations in the frontend's
+  // order, so reading every module's object into a fresh program must
+  // rebuild the symbol tables id for id — the property that lets a cached
+  // object stand in for its source without changing the executable. The
+  // generated modules exercise calls ahead of a callee's definition, calls
+  // in nested blocks laid out after the loop exit, and globals referenced
+  // before they are declared elsewhere.
+  WorkloadParams Params;
+  Params.Seed = 41;
+  Params.NumModules = 6;
+  Params.ColdRoutinesPerModule = 6;
+  Params.WarmRoutines = 8;
+  GeneratedProgram GP = generateProgram(Params);
+  Program P1;
+  for (const GeneratedModule &GM : GP.Modules)
+    ASSERT_TRUE(compileSource(P1, GM.Name, GM.Source).Ok) << GM.Name;
+  std::vector<std::vector<uint8_t>> Objects;
+  for (ModuleId M = 0; M != P1.numModules(); ++M)
+    Objects.push_back(writeObject(P1, M));
+
+  Program P2;
+  std::string Err;
+  for (const std::vector<uint8_t> &Obj : Objects)
+    ASSERT_NE(readObject(P2, Obj, Err), InvalidId) << Err;
+  ASSERT_EQ(P2.Strings.size(), P1.Strings.size());
+  for (StrId S = 0; S != P1.Strings.size(); ++S)
+    EXPECT_EQ(P2.Strings.text(S), P1.Strings.text(S));
+  ASSERT_EQ(P2.numRoutines(), P1.numRoutines());
+  for (RoutineId R = 0; R != P1.numRoutines(); ++R) {
+    const RoutineInfo &A = P1.routine(R), &B = P2.routine(R);
+    EXPECT_EQ(A.Name, B.Name) << R;
+    EXPECT_EQ(A.Owner, B.Owner) << R;
+    EXPECT_EQ(A.NumParams, B.NumParams) << R;
+    EXPECT_EQ(A.IsStatic, B.IsStatic) << R;
+    ASSERT_EQ(A.IsDefined, B.IsDefined) << R;
+    std::string Why;
+    if (A.IsDefined) {
+      EXPECT_TRUE(bodiesEqual(P1.body(R), P2.body(R), &Why)) << R << Why;
+    }
+  }
+  ASSERT_EQ(P2.numGlobals(), P1.numGlobals());
+  for (GlobalId G = 0; G != P1.numGlobals(); ++G) {
+    EXPECT_EQ(P1.global(G).Name, P2.global(G).Name) << G;
+    EXPECT_EQ(P1.global(G).Owner, P2.global(G).Owner) << G;
+    EXPECT_EQ(P1.global(G).Size, P2.global(G).Size) << G;
+    EXPECT_EQ(P1.global(G).Init, P2.global(G).Init) << G;
+  }
+  for (ModuleId M = 0; M != P1.numModules(); ++M) {
+    EXPECT_EQ(P1.module(M).Routines, P2.module(M).Routines) << M;
+    EXPECT_EQ(P1.module(M).Globals, P2.module(M).Globals) << M;
+    // And the re-read module writes the same object back.
+    EXPECT_EQ(writeObject(P2, M), Objects[M]) << M;
+  }
+}
+
+TEST(ObjectFile, FrontendObjectsArePinnedToTheFormatVersion) {
+  // Source-keyed cache entries (ArtifactCache::loadSource) are invalidated
+  // by the source bytes and ObjectFormatVersion only, so a frontend change
+  // that alters the IL it lowers would otherwise replay stale objects from
+  // an existing cache directory. This golden hashes the objects of a fixed
+  // generated program. If a change to the frontend or the object layout
+  // moves it, bump ObjectFormatVersion and update both values here. (A
+  // change to the workload generator alone moves it too; that one needs no
+  // bump.)
+  static_assert(ObjectFormatVersion == 2,
+                "update the golden below together with the version");
+  constexpr uint64_t Golden = 0xd6431cec323d4a49ull;
+  WorkloadParams Params;
+  Params.Seed = 43;
+  Params.NumModules = 6;
+  Params.ColdRoutinesPerModule = 4;
+  Params.WarmRoutines = 6;
+  GeneratedProgram GP = generateProgram(Params);
+  Program P;
+  std::vector<uint8_t> All;
+  for (const GeneratedModule &GM : GP.Modules) {
+    FrontendResult FR = compileSource(P, GM.Name, GM.Source);
+    ASSERT_TRUE(FR.Ok) << FR.Error;
+    std::vector<uint8_t> Obj = writeObject(P, FR.Module);
+    All.insert(All.end(), Obj.begin(), Obj.end());
+  }
+  EXPECT_EQ(hashBytes(All.data(), All.size()), Golden)
+      << std::hex << hashBytes(All.data(), All.size());
+}
+
+TEST(ObjectFile, FailedReadLeavesTheProgramUntouched) {
+  // The context check happens before anything is declared: "app" calls
+  // add2 with three arguments in a program where lib's add2 takes two.
+  Program P1;
+  ASSERT_TRUE(compileSource(P1, "app", "func main() { return add2(1, 2, 3); }")
+                  .Ok);
+  std::vector<uint8_t> Obj = writeObject(P1, 0);
+  Program P2;
+  ASSERT_TRUE(compileSource(P2, "lib", LibSrc).Ok);
+  size_t Modules = P2.numModules(), Routines = P2.numRoutines(),
+         Strings = P2.Strings.size();
+  std::string Err;
+  EXPECT_EQ(readObject(P2, Obj, Err), InvalidId);
+  EXPECT_NE(Err.find("add2"), std::string::npos) << Err;
+  EXPECT_EQ(P2.numModules(), Modules);
+  EXPECT_EQ(P2.numRoutines(), Routines);
+  EXPECT_EQ(P2.Strings.size(), Strings);
+}
+
+TEST(ObjectFile, CommitAgainstAChangedProgramIsFatal) {
+  // parseObject's ids are predictions for one program state; committing
+  // them after the program moved on would bind bodies to the wrong symbols,
+  // so commitObject refuses at run time (not only in assert builds).
+  Program P1;
+  FrontendResult FR = compileSource(P1, "lib", LibSrc);
+  ASSERT_TRUE(FR.Ok) << FR.Error;
+  std::vector<uint8_t> Obj = writeObject(P1, FR.Module);
+  EXPECT_DEATH(
+      {
+        Program P2;
+        ObjectImage Img;
+        std::string Err;
+        if (!parseObject(P2, Obj.data(), Obj.size(), Img, Err))
+          std::abort();
+        compileSource(P2, "other", "func g() { return 1; }");
+        commitObject(P2, std::move(Img));
+      },
+      "changed since parseObject");
+}
+
+TEST(Compact, HugeCountsAreErrorsNotAllocations) {
+  // A block count of 2^40 in a 12-byte body: bounded by the bytes left,
+  // rejected before anything is sized from it.
+  std::vector<uint8_t> Bytes = {1, 0, 0, 0, 0};
+  encodeVarUInt(Bytes, uint64_t(1) << 40);
+  EXPECT_EQ(expandRoutine(Bytes, nullptr), nullptr);
+  // Same for an instruction count.
+  Bytes = {1, 0, 0, 0, 0, 1};
+  encodeVarUInt(Bytes, uint64_t(1) << 40);
+  EXPECT_EQ(expandRoutine(Bytes, nullptr), nullptr);
+  // And for an object's symbol, record and body counts.
+  Program P;
+  FrontendResult FR = compileSource(P, "m", "");
+  ASSERT_TRUE(FR.Ok) << FR.Error;
+  std::vector<uint8_t> Obj = writeObject(P, FR.Module);
+  std::string Err;
+  for (size_t Cut = 1; Cut <= Obj.size(); ++Cut) {
+    std::vector<uint8_t> Big(Obj.begin(), Obj.begin() + Cut);
+    encodeVarUInt(Big, uint64_t(1) << 40);
+    Program Q;
+    EXPECT_EQ(readObject(Q, Big, Err), InvalidId) << Cut;
+    EXPECT_EQ(Q.numModules(), 0u);
+  }
+}
+
+TEST(Compact, NonCanonicalVarintsAreRejected) {
+  std::vector<uint8_t> Overlong = {0x81, 0x00}; // 1, spelled in two bytes.
+  ByteReader R1(Overlong);
+  R1.readVarUInt();
+  EXPECT_TRUE(R1.hadError());
+  std::vector<uint8_t> Wide(9, 0xff);
+  Wide.push_back(0x02); // Bit 64.
+  ByteReader R2(Wide);
+  R2.readVarUInt();
+  EXPECT_TRUE(R2.hadError());
+  std::vector<uint8_t> Max(9, 0xff);
+  Max.push_back(0x01);
+  ByteReader R3(Max);
+  EXPECT_EQ(R3.readVarUInt(), ~uint64_t(0));
+  EXPECT_FALSE(R3.hadError());
+}
+
+//===----------------------------------------------------------------------===//
+// Mutation fuzzing of the on-disk decoders the warm build reads
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything a failed decode must leave alone, hashed.
+uint64_t programFingerprint(const Program &P) {
+  std::vector<uint8_t> B;
+  auto Put = [&B](uint64_t V) { encodeVarUInt(B, V); };
+  Put(P.numModules());
+  Put(P.numRoutines());
+  Put(P.numGlobals());
+  Put(P.Strings.size());
+  for (ModuleId M = 0; M != P.numModules(); ++M) {
+    const ModuleInfo &MI = P.module(M);
+    Put(MI.Name);
+    Put(MI.SourceLines);
+    Put(MI.Touches.size());
+    Put(MI.Symtab.state() == PoolState::Expanded ? MI.Symtab.records().size()
+                                                 : MI.Symtab.compactSize());
+    for (RoutineId R : MI.Routines)
+      Put(R);
+    for (GlobalId G : MI.Globals)
+      Put(G);
+  }
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    const RoutineInfo &RI = P.routine(R);
+    Put(RI.Name);
+    Put(RI.Owner);
+    Put(RI.NumParams);
+    Put(RI.IsStatic);
+    Put(RI.IsDefined);
+    Put(RI.SourceLines);
+  }
+  for (GlobalId G = 0; G != P.numGlobals(); ++G) {
+    const GlobalVar &GV = P.global(G);
+    Put(GV.Name);
+    Put(GV.Owner);
+    Put(GV.Size);
+    Put(uint64_t(GV.Init));
+    Put(GV.IsStatic);
+  }
+  return hashBytes(B.data(), B.size());
+}
+
+/// One structure-blind mutation of \p A: bit flips, a truncation, an
+/// overlong varint, an inflated length, or a splice with \p B.
+std::vector<uint8_t> mutate(Prng &Rng, const std::vector<uint8_t> &A,
+                            const std::vector<uint8_t> &B) {
+  std::vector<uint8_t> M = A;
+  size_t Pos = Rng.nextBelow(M.size());
+  switch (Rng.nextBelow(5)) {
+  case 0:
+    for (uint64_t K = 0, N = 1 + Rng.nextBelow(4); K != N; ++K)
+      M[Rng.nextBelow(M.size())] ^= uint8_t(1u << Rng.nextBelow(8));
+    break;
+  case 1:
+    M.resize(Pos);
+    break;
+  case 2:
+    // Re-spell the varint ending at Pos (if one does) with a needless
+    // trailing zero group.
+    for (; Pos != M.size() && M[Pos] >= 0x80; ++Pos) {
+    }
+    if (Pos != M.size()) {
+      M[Pos] |= 0x80;
+      M.insert(M.begin() + Pos + 1, 0x00);
+    }
+    break;
+  case 3: {
+    const uint8_t Big[] = {0xff, 0xff, 0xff, 0xff, 0x0f};
+    M[Pos] = Big[0];
+    M.insert(M.begin() + Pos + 1, Big + 1, Big + 5);
+    break;
+  }
+  case 4: {
+    size_t Cut = Rng.nextBelow(B.size() + 1);
+    M.resize(Pos);
+    M.insert(M.end(), B.begin() + Cut, B.end());
+    break;
+  }
+  }
+  return M;
+}
+
+/// A small generated program, the context for reading module \p Target:
+/// every earlier module compiled, as the driver reads modules in order.
+struct FuzzCorpus {
+  GeneratedProgram GP;
+  size_t Target = 2;
+  std::vector<uint8_t> Object, Other;
+  std::vector<uint64_t> Hashes;
+
+  FuzzCorpus() {
+    WorkloadParams Params;
+    Params.Seed = 77;
+    Params.NumModules = 4;
+    Params.ColdRoutinesPerModule = 3;
+    Params.HotRoutines = 4;
+    GP = generateProgram(Params);
+    Program Full;
+    for (const GeneratedModule &GM : GP.Modules)
+      EXPECT_TRUE(compileSource(Full, GM.Name, GM.Source).Ok);
+    Object = writeObject(Full, ModuleId(Target));
+    Other = writeObject(Full, ModuleId(Target + 1));
+    for (const SymbolTouch &T : Full.module(ModuleId(Target)).Touches)
+      if (T.K == SymbolTouch::Kind::Define)
+        Hashes.push_back(contentHash(Full, Full.body(T.Id)));
+  }
+
+  std::unique_ptr<Program> context() const {
+    auto P = std::make_unique<Program>();
+    for (size_t I = 0; I != Target; ++I)
+      EXPECT_TRUE(
+          compileSource(*P, GP.Modules[I].Name, GP.Modules[I].Source).Ok);
+    return P;
+  }
+
+  const std::string &name() const { return GP.Modules[Target].Name; }
+  const std::string &source() const { return GP.Modules[Target].Source; }
+};
+
+} // namespace
+
+TEST(DecoderFuzz, CompactBodyMutantsFailOrReencodeExactly) {
+  Prng Rng(0x5eed1);
+  unsigned Decoded = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    Prng BodyRng(Seed);
+    std::vector<uint8_t> A = compactRoutine(
+        *randomBody(BodyRng, 8, 5, /*WithProfile=*/Seed % 2 == 0));
+    std::vector<uint8_t> B =
+        compactRoutine(*randomBody(BodyRng, 8, 5, Seed % 2 != 0));
+    for (int I = 0; I != 2500; ++I) {
+      std::vector<uint8_t> M = mutate(Rng, A, B);
+      auto Body = expandRoutine(M, nullptr);
+      if (!Body)
+        continue;
+      ++Decoded;
+      ASSERT_EQ(compactRoutine(*Body), M) << "seed " << Seed << " mutant "
+                                          << I;
+    }
+  }
+  EXPECT_GT(Decoded, 0u); // Some flips land in immediates and survive.
+}
+
+TEST(DecoderFuzz, ObjectMutantsFailCleanlyOrReencodeExactly) {
+  FuzzCorpus C;
+  {
+    // The unmutated object reads in its context and writes back as is.
+    auto P = C.context();
+    std::string Err;
+    ModuleId M = readObject(*P, C.Object, Err);
+    ASSERT_NE(M, InvalidId) << Err;
+    ASSERT_EQ(writeObject(*P, M), C.Object);
+  }
+  Prng Rng(0x5eed2);
+  auto P = C.context();
+  uint64_t Before = programFingerprint(*P);
+  unsigned Decoded = 0;
+  for (int I = 0; I != 20000; ++I) {
+    std::vector<uint8_t> Mutant = mutate(Rng, C.Object, C.Other);
+    std::string Err;
+    ModuleId M = readObject(*P, Mutant, Err);
+    if (M == InvalidId) {
+      EXPECT_FALSE(Err.empty()) << "mutant " << I;
+      ASSERT_EQ(programFingerprint(*P), Before) << "mutant " << I << ": "
+                                                << Err;
+      continue;
+    }
+    ++Decoded;
+    ASSERT_EQ(writeObject(*P, M), Mutant) << "mutant " << I;
+    P = C.context(); // The mutant is installed; start over.
+  }
+  EXPECT_GT(Decoded, 0u);
+}
+
+TEST(DecoderFuzz, SourceEntryMutantsMissCleanlyOrReencodeExactly) {
+  FuzzCorpus C;
+  ArtifactCache::EntryKey K = ArtifactCache::sourceKey(C.name(), C.source());
+  std::vector<uint8_t> Entry = encodeSourceEntry(K, C.Object, C.Hashes);
+  std::vector<uint8_t> OtherEntry = encodeSourceEntry(
+      ArtifactCache::sourceKey(C.GP.Modules[C.Target + 1].Name,
+                               C.GP.Modules[C.Target + 1].Source),
+      C.Other, {});
+  {
+    auto P = C.context();
+    std::vector<uint64_t> Hashes;
+    ModuleId M = readSourceEntry(*P, Entry, K, Hashes);
+    ASSERT_NE(M, InvalidId);
+    EXPECT_EQ(Hashes, C.Hashes);
+    EXPECT_EQ(encodeSourceEntry(K, writeObject(*P, M), Hashes), Entry);
+  }
+  Prng Rng(0x5eed3);
+  auto P = C.context();
+  uint64_t Before = programFingerprint(*P);
+  for (int I = 0; I != 4000; ++I) {
+    // Half the mutants hit the file as stored; the other half mutate the
+    // object or drop a hash and are framed afresh, so they get past the
+    // checksum into the parse and hash-count checks.
+    std::vector<uint8_t> Mutant;
+    if (I % 2 == 0) {
+      Mutant = mutate(Rng, Entry, OtherEntry);
+    } else {
+      std::vector<uint64_t> Fewer = C.Hashes;
+      if (Rng.nextBelow(4) == 0 && !Fewer.empty())
+        Fewer.pop_back();
+      Mutant = encodeSourceEntry(
+          K, Fewer.size() == C.Hashes.size() ? mutate(Rng, C.Object, C.Other)
+                                             : C.Object,
+          Fewer);
+    }
+    std::vector<uint64_t> Hashes;
+    ModuleId M = readSourceEntry(*P, Mutant, K, Hashes);
+    if (M == InvalidId) {
+      ASSERT_EQ(programFingerprint(*P), Before) << "mutant " << I;
+      continue;
+    }
+    ASSERT_EQ(encodeSourceEntry(K, writeObject(*P, M), Hashes), Mutant)
+        << "mutant " << I;
+    P = C.context();
+  }
 }

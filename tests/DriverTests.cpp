@@ -105,10 +105,9 @@ TEST(Driver, MemoryBudgetNeverChangesGeneratedCode) {
 }
 
 TEST(Driver, ObjectFileFlowMatchesDirectFlow) {
-  // Symbol ids may be assigned in a different order after the object-file
-  // round trip (declaration order differs), so require behavioural equality
-  // rather than bit identity — and bit-identity of the via-objects flow with
-  // itself.
+  // Objects replay each module's frontend symbol operations in order, so
+  // the program re-read from them has the direct flow's ids and compiles to
+  // the same executable, byte for byte.
   GeneratedProgram GP = testProgram(9);
   CompileOptions Direct;
   Direct.Level = OptLevel::O4;
@@ -123,6 +122,7 @@ TEST(Driver, ObjectFileFlowMatchesDirectFlow) {
   ASSERT_TRUE(R1.Ok && R2.Ok);
   EXPECT_EQ(R1.OutputChecksum, R2.OutputChecksum);
   EXPECT_EQ(R1.ExitValue, R2.ExitValue);
+  EXPECT_TRUE(exesIdentical(B1.Exe, B2.Exe));
   EXPECT_TRUE(exesIdentical(B2.Exe, B3.Exe));
 }
 

@@ -13,14 +13,19 @@
 /// if it is default-set); a profile-database change invalidates every
 /// profile-dependent unit; an option change invalidates everything; a
 /// corrupt cache entry degrades to recompilation, never to wrong code.
+/// Source-keyed module objects extend the contract to the frontend: an
+/// unchanged module is replayed from its IL object, never re-parsed, with
+/// the same bytes out.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "cache/ArtifactCache.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 using namespace scmo;
@@ -403,4 +408,184 @@ TEST(Incremental, HloPlanningNeverInvalidatesTheSharedCallGraph) {
   EXPECT_GT(Build.Stats.get("inline.sites"), 0u);
   // LTRANS rewrote bodies, so the last shared graph (if any) is stale.
   EXPECT_FALSE(Session.program().callGraphValid());
+}
+
+//===----------------------------------------------------------------------===//
+// Source-keyed module objects (the frontend's half of the edit loop)
+//===----------------------------------------------------------------------===//
+
+TEST(Incremental, EditedModuleAmongReplayedObjectsMatchesAColdBuild) {
+  // Every module but the edited one is replayed from its cached IL object
+  // instead of being parsed. The edit shifts the ids of every later module,
+  // so the replay must redo name resolution against the current program —
+  // and still reproduce a from-scratch build of the edited sources exactly.
+  GeneratedProgram GP = testProgram(40);
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Pbo = true;
+  Opts.SelectivityPercent = 50; // A CMO unit plus default-set units.
+  GeneratedProgram Edited = editModule(GP, 1);
+  IncBuild Fresh = buildWithCache(Edited, "", Opts, &Db);
+  ASSERT_TRUE(Fresh.Build.Ok) << Fresh.Build.Error;
+  uint64_t Modules = GP.Modules.size();
+  for (unsigned Jobs : {1u, 4u}) {
+    CompileOptions JOpts = Opts;
+    JOpts.Jobs = Jobs;
+    std::string Dir = freshCacheDir();
+    IncBuild Cold = buildWithCache(GP, Dir, JOpts, &Db);
+    ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
+    EXPECT_EQ(stat(Cold.Build, "cache.source_misses"), Modules);
+    EXPECT_EQ(stat(Cold.Build, "cache.source_stores"), Modules);
+    EXPECT_EQ(stat(Cold.Build, "cache.source_hits"), 0u);
+
+    IncBuild Warm = buildWithCache(Edited, Dir, JOpts, &Db);
+    ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
+    EXPECT_EQ(stat(Warm.Build, "cache.source_hits"), Modules - 1);
+    EXPECT_EQ(stat(Warm.Build, "cache.source_misses"), 1u);
+    EXPECT_EQ(stat(Warm.Build, "cache.source_stores"), 1u);
+    EXPECT_TRUE(exesIdentical(Fresh.Build.Exe, Warm.Build.Exe))
+        << "jobs=" << Jobs;
+  }
+}
+
+TEST(Incremental, UnlockedCacheStoresAndReplaysSourceEntries) {
+  // CacheLocking=false (the lock-tax measurement knob) applies to source
+  // entries as to unit artifacts; the entries must still round-trip.
+  GeneratedProgram GP = testProgram(43);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.CacheLocking = false;
+  IncBuild Plain = buildWithCache(GP, "", Opts);
+  ASSERT_TRUE(Plain.Build.Ok) << Plain.Build.Error;
+  std::string Dir = freshCacheDir();
+  IncBuild Cold = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
+  EXPECT_EQ(stat(Cold.Build, "cache.source_stores"), GP.Modules.size());
+  IncBuild Warm = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
+  EXPECT_EQ(stat(Warm.Build, "cache.source_hits"), GP.Modules.size());
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Warm.Build.Exe));
+}
+
+TEST(Incremental, EntryThatNoLongerLinksIsAMissAndTheFrontendReports) {
+  // app's source is unchanged, but lib's edit changed the arity app calls.
+  // Replaying app's object would have to bind the call anyway; instead the
+  // entry is a miss, app is parsed, and the build fails exactly as a cold
+  // build of the same sources does.
+  std::vector<std::pair<std::string, std::string>> Before = {
+      {"lib", "func f(a) { return a + 1; }\n"},
+      {"app", "func main() { return f(41); }\n"}};
+  auto After = Before;
+  After[0].second = "func f(a, b) { return a + b; }\n";
+  auto Build = [](const std::vector<std::pair<std::string, std::string>> &Srcs,
+                  const std::string &Dir) {
+    CompileOptions Opts;
+    Opts.Level = OptLevel::O2;
+    if (!Dir.empty()) {
+      Opts.Incremental = true;
+      Opts.CacheDir = Dir;
+    }
+    CompilerSession Session(Opts);
+    for (const auto &[Name, Src] : Srcs)
+      Session.addSource(Name, Src);
+    return Session.build();
+  };
+  std::string Dir = freshCacheDir();
+  BuildResult Cold = Build(Before, Dir);
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  BuildResult Plain = Build(After, "");
+  ASSERT_FALSE(Plain.Ok);
+  BuildResult Warm = Build(After, Dir);
+  ASSERT_FALSE(Warm.Ok);
+  EXPECT_EQ(Warm.Error, Plain.Error);
+  // Back to the original sources: both entries replay again.
+  BuildResult Back = Build(Before, Dir);
+  ASSERT_TRUE(Back.Ok) << Back.Error;
+  EXPECT_EQ(Back.Stats.get("cache.source_hits"), 2u);
+  EXPECT_TRUE(exesIdentical(Cold.Exe, Back.Exe));
+}
+
+TEST(Incremental, CorruptSourceEntryFallsBackToParsing) {
+  GeneratedProgram GP = testProgram(41);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O2;
+  Opts.Jobs = 1;
+  IncBuild Plain = buildWithCache(GP, "", Opts);
+  ASSERT_TRUE(Plain.Build.Ok) << Plain.Build.Error;
+  uint64_t Modules = GP.Modules.size();
+  std::string Dir = freshCacheDir();
+  IncBuild Cold = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
+
+  // Transient corruption of the first entry read (fault site cache-load,
+  // which source entries are read through before any unit artifact): the
+  // frame checksum rejects it, the module is parsed, the bytes are equal.
+  CompileOptions Flip = Opts;
+  Flip.FaultInject = "cache-load:flip-nth=1";
+  IncBuild Warm = buildWithCache(GP, Dir, Flip);
+  ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
+  EXPECT_EQ(stat(Warm.Build, "cache.source_misses"), 1u);
+  EXPECT_EQ(stat(Warm.Build, "cache.source_hits"), Modules - 1);
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Warm.Build.Exe));
+
+  // Persistent corruption: one payload byte of every entry flipped on
+  // disk. Each is a plain miss that parses its module and overwrites the
+  // entry, so the following build replays everything again.
+  unsigned Damaged = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    std::string Name = E.path().filename().string();
+    if (Name.rfind("src-", 0) != 0)
+      continue;
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(readFile(E.path().string(), Bytes));
+    Bytes[Bytes.size() / 2] ^= 0x10;
+    ASSERT_TRUE(writeFile(E.path().string(), Bytes));
+    ++Damaged;
+  }
+  ASSERT_EQ(Damaged, Modules);
+  IncBuild Broken = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Broken.Build.Ok) << Broken.Build.Error;
+  EXPECT_EQ(stat(Broken.Build, "cache.source_misses"), Modules);
+  EXPECT_EQ(stat(Broken.Build, "cache.source_stores"), Modules);
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Broken.Build.Exe));
+  IncBuild Healed = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Healed.Build.Ok) << Healed.Build.Error;
+  EXPECT_EQ(stat(Healed.Build, "cache.source_hits"), Modules);
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Healed.Build.Exe));
+}
+
+TEST(Incremental, StoredContentHashesMatchRecomputedOnes) {
+  // The cache plan trusts the hashes a source entry carries instead of
+  // re-hashing the IL; they must be exactly what contentHash computes —
+  // when the module was just parsed (cold) and when it was replayed (warm).
+  GeneratedProgram GP = testProgram(42);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Incremental = true;
+  Opts.CacheDir = freshCacheDir();
+  for (const char *Pass : {"cold", "warm"}) {
+    CompilerSession Session(Opts);
+    ASSERT_TRUE(Session.addGenerated(GP)) << Session.firstError();
+    Program &P = Session.program();
+    Loader &L = Session.loader();
+    unsigned Checked = 0;
+    for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+      if (!P.routine(R).IsDefined)
+        continue;
+      uint64_t Stored = 0;
+      ASSERT_TRUE(Session.storedContentHash(R, Stored)) << Pass << " " << R;
+      EXPECT_EQ(Stored, contentHash(P, L.acquireRead(R))) << Pass << " " << R;
+      L.release(R);
+      ++Checked;
+    }
+    EXPECT_GT(Checked, 0u);
+    BuildResult Build = Session.build();
+    ASSERT_TRUE(Build.Ok) << Build.Error;
+    if (std::string(Pass) == "warm") {
+      EXPECT_EQ(Build.Stats.get("cache.source_hits"), GP.Modules.size());
+    }
+  }
 }

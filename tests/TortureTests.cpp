@@ -528,6 +528,9 @@ TEST(CacheDegraded, UncreatableCacheDirBuildsUncached) {
   EXPECT_TRUE(exesIdentical(Uncached.Exe, Degraded.Exe));
   EXPECT_GT(Degraded.Stats.get("cache.store_skips"), 0u);
   EXPECT_EQ(Degraded.Stats.get("cache.stores"), 0u);
+  // Source entries go through the same store path: skipped and counted.
+  EXPECT_EQ(Degraded.Stats.get("cache.source_store_skips"), GP.Modules.size());
+  EXPECT_EQ(Degraded.Stats.get("cache.source_stores"), 0u);
 }
 
 TEST(CacheDegraded, SummaryCacheSkipsStoresOnUnusableDir) {
