@@ -13,6 +13,7 @@
 #include "support/Hash.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <map>
 #include <sys/stat.h>
@@ -28,7 +29,8 @@ namespace {
 /// fails the version check and reads as a miss. (The frame envelope and
 /// codecs live in cache/CacheFormat.h, shared with the analysis summary
 /// cache; this version covers only the machine-code payload layout.)
-constexpr uint32_t FormatVersion = 1;
+/// Version 2: code sections hold the dense MachineCode encoding.
+constexpr uint32_t FormatVersion = 2;
 
 //===----------------------------------------------------------------------===//
 // Symbol reference tables
@@ -135,20 +137,6 @@ SymKind symKind(MOp Op) {
   default:
     return SymKind::None;
   }
-}
-
-void putOperand(Sink &S, const MOperand &O) {
-  S.u8(O.IsImm ? 1 : 0);
-  S.u8(O.Reg);
-  S.i64(O.Imm);
-}
-
-MOperand getOperand(Reader &R) {
-  MOperand O;
-  O.IsImm = R.u8() != 0;
-  O.Reg = R.u8();
-  O.Imm = R.i64();
-  return O;
 }
 
 } // namespace
@@ -298,44 +286,57 @@ ArtifactCache::keys(const Program &P, const CacheUnit &U,
 
 bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
                          CachedUnit &Out) {
-  std::string Path = pathFor(U, K.Key);
-
   // Any miss after the entry was successfully read off disk means the bytes
   // under this key are not usable: remember the key so this build's store
   // overwrites the entry (self-heal) instead of skipping it as present.
-  bool HadFile = false;
-  auto Miss = [&] {
-    Stats.add("cache.misses");
-    if (HadFile)
-      InvalidOnDisk.push_back(K.Key);
-    return false;
-  };
-
+  //
   // Fault hooks on the read path (site cache-load): an injected I/O failure
   // is a miss; an injected EINTR is transparent (the read loop retries the
   // syscall); an injected in-memory flip is caught by the frame checksum
-  // below and degrades to a miss. A successful load refreshes the entry's
+  // and degrades to a miss. A successful load refreshes the entry's
   // eviction epoch (its mtime) — lock-free, like the read itself.
   std::vector<uint8_t> Bytes;
-  if (!cachedir::loadEntry(Path, Bytes, Injector.get()))
-    return Miss();
-  HadFile = true;
+  if (!cachedir::loadEntry(pathFor(U, K.Key), Bytes, Injector.get())) {
+    Stats.add("cache.misses");
+    return false;
+  }
+  if (!readUnitEntry(P, Bytes, K, Out)) {
+    Stats.add("cache.misses");
+    InvalidOnDisk.push_back(K.Key);
+    return false;
+  }
+  Stats.add("cache.hits");
+  return true;
+}
 
+void ArtifactCache::store(const Program &P, const CacheUnit &U,
+                          const EntryKey &K,
+                          const std::vector<MachineRoutine> &Machines,
+                          RoutineId CloneBase,
+                          const std::vector<CallEdgeWeight> &Edges) {
+  storeEntry(pathFor(U, K.Key), K.Key,
+             encodeUnitEntry(P, K, Machines, CloneBase, Edges),
+             Injector.get(), "cache.");
+}
+
+bool scmo::readUnitEntry(Program &P, const std::vector<uint8_t> &Bytes,
+                         const ArtifactCache::EntryKey &K, CachedUnit &Out) {
   // Frame validation.
   if (!cachefmt::checkArtifactFrame(Bytes))
-    return Miss();
-  size_t PayloadSize = Bytes.size() - FrameBytes;
-
+    return false;
   Reader R(Bytes, FrameBytes);
   if (R.u32() != FormatVersion)
-    return Miss();
+    return false;
   if (R.u64() != K.Check) // Key collision or stale content: not ours.
-    return Miss();
+    return false;
 
-  // Reference tables.
-  std::vector<RoutineRef> RRefs(R.u32());
-  if (RRefs.size() > PayloadSize)
-    return Miss();
+  // Reference tables. Every count is checked against the bytes left before
+  // anything is sized by it (each record takes at least one byte).
+  auto count = [&R] {
+    uint32_t N = R.u32();
+    return N <= size_t(R.End - R.P) ? N : (R.Bad = true, 0u);
+  };
+  std::vector<RoutineRef> RRefs(count());
   for (RoutineRef &Ref : RRefs) {
     Ref.Kind = R.u8();
     if (Ref.Kind == 0) {
@@ -346,24 +347,20 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
       Ref.CloneIdx = R.u32();
     }
   }
-  std::vector<GlobalRef> GRefs(R.u32());
-  if (GRefs.size() > PayloadSize)
-    return Miss();
+  std::vector<GlobalRef> GRefs(count());
   for (GlobalRef &Ref : GRefs) {
     Ref.Name = R.str();
     Ref.IsStatic = R.u8() != 0;
     Ref.Owner = R.str();
   }
-  std::vector<CloneDecl> Clones(R.u32());
-  if (Clones.size() > PayloadSize)
-    return Miss();
+  std::vector<CloneDecl> Clones(count());
   for (CloneDecl &C : Clones) {
     C.Owner = R.str();
     C.Name = R.str();
     C.NumParams = R.u32();
   }
   if (R.Bad)
-    return Miss();
+    return false;
 
   // Phase 1 — resolve everything read-only. Named references resolve
   // against the current program; clone references resolve to the ids the
@@ -375,12 +372,12 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
   for (size_t I = 0; I != RRefs.size(); ++I) {
     if (RRefs[I].Kind == 1) {
       if (RRefs[I].CloneIdx >= Clones.size())
-        return Miss();
+        return false;
       RMap[I] = CloneStart + RRefs[I].CloneIdx;
     } else {
       RMap[I] = resolveRoutine(P, RRefs[I]);
       if (RMap[I] == InvalidId)
-        return Miss();
+        return false;
     }
   }
   std::vector<GlobalId> GMap(GRefs.size(), InvalidId);
@@ -388,70 +385,65 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
   for (size_t I = 0; I != GRefs.size(); ++I) {
     GMap[I] = resolveGlobal(P, GRefs[I]);
     if (GMap[I] == InvalidId)
-      return Miss();
+      return false;
   }
   for (size_t I = 0; I != Clones.size(); ++I) {
     CloneOwner[I] = findModule(P, Clones[I].Owner);
     if (CloneOwner[I] == InvalidId)
-      return Miss();
+      return false;
   }
 
-  // Machine code.
-  uint32_t NumMachines = R.u32();
-  if (NumMachines > PayloadSize)
-    return Miss();
+  // Machine code: one validating walk per routine maps every reference
+  // index back to a current id and re-encodes the instruction in place.
+  uint32_t NumMachines = count();
+  if (R.Bad)
+    return false;
   std::vector<MachineRoutine> Machines;
   Machines.reserve(NumMachines);
   for (uint32_t MI = 0; MI != NumMachines; ++MI) {
     MachineRoutine MR;
     uint32_t Ref = R.u32();
     if (Ref >= RMap.size())
-      return Miss();
+      return false;
     MR.Routine = RMap[Ref];
     MR.Name = R.str();
     MR.SpillSlots = R.u32();
     MR.EntryFreq = R.u64();
     MR.SourceLines = R.u32();
-    uint32_t NumInstr = R.u32();
-    if (NumInstr > PayloadSize)
-      return Miss();
-    MR.Code.reserve(NumInstr);
-    for (uint32_t II = 0; II != NumInstr; ++II) {
-      MInstr I;
-      I.Op = static_cast<MOp>(R.u8());
-      if (static_cast<unsigned>(I.Op) >= NumMOps)
-        return Miss();
-      I.Rd = R.u8();
-      I.A = getOperand(R);
-      I.B = getOperand(R);
-      uint32_t Sym = R.u32();
+    MR.NumInstrs = R.u32();
+    uint32_t CodeLen = R.u32();
+    if (!R.need(CodeLen))
+      return false;
+    MCodeReader Code(R.P, CodeLen, MR.NumInstrs, MR.SpillSlots);
+    R.P += CodeLen;
+    MR.Code.reserve(CodeLen);
+    MInstr I;
+    while (Code.next(I)) {
       switch (symKind(I.Op)) {
       case SymKind::Routine:
-        if (Sym >= RMap.size())
-          return Miss();
-        I.Sym = RMap[Sym];
+        if (I.Sym >= RMap.size())
+          return false;
+        I.Sym = RMap[I.Sym];
         break;
       case SymKind::Global:
-        if (Sym >= GMap.size())
-          return Miss();
-        I.Sym = GMap[Sym];
+        if (I.Sym >= GMap.size())
+          return false;
+        I.Sym = GMap[I.Sym];
         break;
       case SymKind::None:
-        I.Sym = Sym;
         break;
       }
-      I.Target = R.u32();
-      I.Probe = R.u32();
-      I.Slot = R.u32();
-      MR.Code.push_back(I);
+      encodeMInstr(MR.Code, I);
     }
+    if (!Code.ok())
+      return false;
     Machines.push_back(std::move(MR));
   }
 
   // Edge-weight contributions.
-  uint32_t NumEdges = R.u32();
-  if (NumEdges > PayloadSize)
-    return Miss();
+  uint32_t NumEdges = count();
+  if (R.Bad)
+    return false;
   std::vector<CallEdgeWeight> Edges;
   Edges.reserve(NumEdges);
   for (uint32_t EI = 0; EI != NumEdges; ++EI) {
@@ -459,11 +451,11 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
     uint32_t To = R.u32();
     uint64_t W = R.u64();
     if (From >= RMap.size() || To >= RMap.size())
-      return Miss();
+      return false;
     Edges.push_back({RMap[From], RMap[To], W});
   }
-  if (R.Bad)
-    return Miss();
+  if (R.Bad || R.P != R.End)
+    return false;
 
   // Phase 2 — commit. Replay the cloner's declarations in creation order:
   // the frontend left the routine table exactly as it was when the cold
@@ -476,16 +468,17 @@ bool ArtifactCache::load(Program &P, const CacheUnit &U, const EntryKey &K,
   Out.Machines = std::move(Machines);
   Out.Edges = std::move(Edges);
   Out.ClonesReplayed = static_cast<uint32_t>(Clones.size());
-  Stats.add("cache.hits");
   return true;
 }
 
-void ArtifactCache::store(const Program &P, const CacheUnit &U,
-                          const EntryKey &K,
-                          const std::vector<MachineRoutine> &Machines,
-                          RoutineId CloneBase,
-                          const std::vector<CallEdgeWeight> &Edges) {
+std::vector<uint8_t>
+scmo::encodeUnitEntry(const Program &P, const ArtifactCache::EntryKey &K,
+                      const std::vector<MachineRoutine> &Machines,
+                      RoutineId CloneBase,
+                      const std::vector<CallEdgeWeight> &Edges) {
   // Build the reference tables by walking everything that names a symbol.
+  // Code is re-encoded with every routine and global operand rewritten to
+  // its reference index.
   RefBuilder Refs(P, CloneBase);
   Sink Body;
   Body.u32(static_cast<uint32_t>(Machines.size()));
@@ -495,27 +488,28 @@ void ArtifactCache::store(const Program &P, const CacheUnit &U,
     Body.u32(MR.SpillSlots);
     Body.u64(MR.EntryFreq);
     Body.u32(MR.SourceLines);
-    Body.u32(static_cast<uint32_t>(MR.Code.size()));
-    for (const MInstr &I : MR.Code) {
-      Body.u8(static_cast<uint8_t>(I.Op));
-      Body.u8(I.Rd);
-      putOperand(Body, I.A);
-      putOperand(Body, I.B);
+    Body.u32(MR.NumInstrs);
+    size_t LenAt = Body.Bytes.size();
+    Body.u32(0); // Code length, patched below.
+    MCodeReader Code(MR);
+    MInstr I;
+    while (Code.next(I)) {
       switch (symKind(I.Op)) {
       case SymKind::Routine:
-        Body.u32(Refs.routineRef(I.Sym));
+        I.Sym = Refs.routineRef(I.Sym);
         break;
       case SymKind::Global:
-        Body.u32(Refs.globalRef(I.Sym));
+        I.Sym = Refs.globalRef(I.Sym);
         break;
       case SymKind::None:
-        Body.u32(I.Sym);
         break;
       }
-      Body.u32(I.Target);
-      Body.u32(I.Probe);
-      Body.u32(I.Slot);
+      encodeMInstr(Body.Bytes, I);
     }
+    assert(Code.ok() && "LLO produced malformed code");
+    uint32_t Len = static_cast<uint32_t>(Body.Bytes.size() - LenAt - 4);
+    for (int B = 0; B != 4; ++B)
+      Body.Bytes[LenAt + B] = static_cast<uint8_t>(Len >> (B * 8));
   }
   Body.u32(static_cast<uint32_t>(Edges.size()));
   for (const CallEdgeWeight &E : Edges) {
@@ -572,8 +566,7 @@ void ArtifactCache::store(const Program &P, const CacheUnit &U,
   cachefmt::frameArtifact(File, Payload.Bytes);
   File.Bytes.insert(File.Bytes.end(), Payload.Bytes.begin(),
                     Payload.Bytes.end());
-
-  storeEntry(pathFor(U, K.Key), K.Key, File.Bytes, Injector.get(), "cache.");
+  return std::move(File.Bytes);
 }
 
 void ArtifactCache::storeEntry(const std::string &Path, uint64_t Key,

@@ -17,9 +17,11 @@
 ///    cleanup and lowering read nothing outside the module.
 ///
 /// An artifact stores the unit's pre-link machine code: exactly what a cold
-/// build's HLO+LLO would produce for those modules, with every cross-unit
-/// symbol reference (call targets, global loads/stores) recorded by *name*
-/// so a cached unit relinks correctly after other modules' ids shifted. The
+/// build's HLO+LLO would produce for those modules, in the dense encoding
+/// LLO hands the linker (llo/MachineCode.h), with every cross-unit symbol
+/// reference (call targets, global loads/stores) recorded by *name* — the
+/// code's Sym fields index by-name reference tables — so a cached unit
+/// relinks correctly after other modules' ids shifted. The
 /// CMO unit artifact additionally records the cloner's declarations in
 /// creation order — replaying them gives warm clones the same RoutineIds a
 /// cold build assigns, which keeps the link order and therefore the final
@@ -205,6 +207,23 @@ private:
   /// always-safe: same key => same intended bytes).
   std::vector<uint64_t> InvalidOnDisk;
 };
+
+/// The framed unit-artifact bytes ArtifactCache::store writes: \p Machines'
+/// code in the dense MachineCode encoding, every routine and global operand
+/// rewritten to an index into the artifact's by-name reference tables.
+std::vector<uint8_t> encodeUnitEntry(const Program &P,
+                                     const ArtifactCache::EntryKey &K,
+                                     const std::vector<MachineRoutine> &Machines,
+                                     RoutineId CloneBase,
+                                     const std::vector<CallEdgeWeight> &Edges);
+
+/// The in-memory half of ArtifactCache::load: validates \p Entry's frame,
+/// version, check hash, reference tables and code (one validating walk per
+/// routine, which maps reference indices back to current ids), and only
+/// then replays the clone declarations into \p P and fills \p Out. Returns
+/// false with \p P unchanged if anything is off.
+bool readUnitEntry(Program &P, const std::vector<uint8_t> &Entry,
+                   const ArtifactCache::EntryKey &K, CachedUnit &Out);
 
 /// The framed source-entry bytes for an object and its per-definition
 /// content hashes.

@@ -889,9 +889,10 @@ struct CompilerSession::BuildState {
         }
         Lowered[I] = lowerRoutine(*S.Prog, R, Body, RoutineOpts, &TaskStats[I]);
         S.Ldr->release(R);
-        // The generated machine code accumulates until link time: the
-        // linear component of "overall compiler" memory in Figure 4.
-        uint64_t Bytes = Lowered[I].Code.size() * sizeof(MInstr);
+        // The generated machine code accumulates until link time, in its
+        // dense encoding: the linear component of "overall compiler"
+        // memory in Figure 4.
+        uint64_t Bytes = Lowered[I].Code.size();
         LoweredBytes.fetch_add(Bytes, std::memory_order_relaxed);
         S.Tracker->allocate(MemCategory::Other, Bytes);
         S.Tracker->takeHloSample();
@@ -910,7 +911,7 @@ struct CompilerSession::BuildState {
         if (!B.UnitHit[I])
           continue;
         for (MachineRoutine &MR : B.Loaded[I].Machines) {
-          uint64_t Bytes = MR.Code.size() * sizeof(MInstr);
+          uint64_t Bytes = MR.Code.size();
           B.MachineBytes += Bytes;
           S.Tracker->allocate(MemCategory::Other, Bytes);
           S.Stats.add("cache.skip.llo");

@@ -9,12 +9,18 @@
 
 #include "frontend/Lexer.h"
 
+#include <charconv>
 #include <map>
-#include <sstream>
 
 using namespace scmo;
 
 namespace {
+
+/// Appends the decimal spelling of \p V to \p Out.
+void appendUInt(std::string &Out, uint64_t V) {
+  char Buf[20];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
 
 /// Recursive-descent parser and IL lowerer for one module.
 class Parser {
@@ -63,10 +69,11 @@ private:
 
   bool error(const std::string &Msg) {
     if (Err.empty()) {
-      std::ostringstream OS;
-      OS << P.Strings.text(P.module(M).Name) << ":" << cur().Line << ": "
-         << Msg;
-      Err = OS.str();
+      Err = P.Strings.text(P.module(M).Name);
+      Err += ':';
+      appendUInt(Err, cur().Line);
+      Err += ": ";
+      Err += Msg;
     }
     return false;
   }
@@ -221,23 +228,37 @@ private:
       return error("redefinition of function '" + std::string(Name) + "'");
     // Record debug information in the module symbol table (bulk symbol data
     // that the ST-compaction threshold later moves out of the way).
-    std::ostringstream Dbg;
-    Dbg << "func " << Name << " lines " << StartLine << "-" << EndLine
-        << " params";
-    for (std::string_view PName : ParamNames)
-      Dbg << " " << PName;
-    Dbg << " locals";
-    for (const auto &[LName, LReg] : Locals)
-      Dbg << " " << LName << "=%" << LReg;
-    P.module(M).Symtab.addRecord(Dbg.str());
+    std::string Dbg = "func ";
+    Dbg += Name;
+    Dbg += " lines ";
+    appendUInt(Dbg, StartLine);
+    Dbg += '-';
+    appendUInt(Dbg, EndLine);
+    Dbg += " params";
+    for (std::string_view PName : ParamNames) {
+      Dbg += ' ';
+      Dbg += PName;
+    }
+    Dbg += " locals";
+    for (const auto &[LName, LReg] : Locals) {
+      Dbg += ' ';
+      Dbg += LName;
+      Dbg += "=%";
+      appendUInt(Dbg, LReg);
+    }
+    P.module(M).Symtab.addRecord(std::move(Dbg));
     // Line table: one entry per source line, the bulk symbol data that makes
     // the paper's symbol-table compaction threshold worth a stage of its
     // own (debug line maps dominated 1990s symbol tables).
-    std::ostringstream LineMap;
-    LineMap << "linemap " << Name;
-    for (uint32_t L = StartLine; L <= EndLine; ++L)
-      LineMap << " " << L - StartLine << ":" << (L * 7 % 9973);
-    P.module(M).Symtab.addRecord(LineMap.str());
+    std::string LineMap = "linemap ";
+    LineMap += Name;
+    for (uint32_t L = StartLine; L <= EndLine; ++L) {
+      LineMap += ' ';
+      appendUInt(LineMap, L - StartLine);
+      LineMap += ':';
+      appendUInt(LineMap, L * 7 % 9973);
+    }
+    P.module(M).Symtab.addRecord(std::move(LineMap));
     P.defineRoutine(R, M, std::move(Body));
     touch(SymbolTouch::Kind::Define, R);
     return true;

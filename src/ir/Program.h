@@ -97,7 +97,10 @@ struct RoutineSlot {
   TrackedBuffer CompactBytes;          ///< Valid when State == Compact.
   uint64_t RepoOffset = 0;             ///< Valid when State == Offloaded.
   uint64_t RepoSize = 0;
-  uint64_t LruTick = 0;                ///< Last-touch tick for the loader LRU.
+  /// Links in the owning loader shard's LRU list of parked pools (valid
+  /// while UnloadPending; InvalidId at either end).
+  RoutineId LruPrev = InvalidId;
+  RoutineId LruNext = InvalidId;
   /// Outstanding acquire() count. Under the parallel backend several phases'
   /// workers may not share pools, but balanced acquire/release pairs from
   /// one worker must not be undone by a stray release elsewhere: a pool only

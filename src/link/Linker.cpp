@@ -10,28 +10,33 @@
 #include "support/Hash.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 
 using namespace scmo;
 
 namespace {
 
+constexpr uint32_t None = InvalidId;
+
 /// Greedy Pettis-Hansen-style chain merging: process call edges by
 /// descending weight; whenever both endpoints sit at the boundary of
 /// different chains, splice the chains so caller and callee become adjacent.
 /// Hot chains are emitted first.
+///
+/// Chains are index lists: Head/Tail per chain, Next per routine, and a Rev
+/// flag meaning the chain's order runs Tail to Head. Reversing a chain flips
+/// the flag; a splice walks only the absorbed chain, relinking it in the
+/// direction its new owner runs.
 std::vector<uint32_t>
 clusterOrder(const std::vector<MachineRoutine> &Machines,
-             const std::map<RoutineId, uint32_t> &IndexOf,
+             const std::vector<uint32_t> &IndexOf,
              const std::vector<CallEdgeWeight> &Edges) {
-  size_t N = Machines.size();
-  std::vector<std::deque<uint32_t>> Chains(N);
-  std::vector<uint32_t> ChainOf(N);
-  for (uint32_t Idx = 0; Idx != N; ++Idx) {
-    Chains[Idx].push_back(Idx);
-    ChainOf[Idx] = Idx;
-  }
+  uint32_t N = static_cast<uint32_t>(Machines.size());
+  std::vector<uint32_t> Head(N), Tail(N), Next(N, None), ChainOf(N);
+  std::vector<uint8_t> Rev(N, 0);
+  for (uint32_t Idx = 0; Idx != N; ++Idx)
+    Head[Idx] = Tail[Idx] = ChainOf[Idx] = Idx;
+  auto front = [&](uint32_t C) { return Rev[C] ? Tail[C] : Head[C]; };
+  auto back = [&](uint32_t C) { return Rev[C] ? Head[C] : Tail[C]; };
 
   std::vector<CallEdgeWeight> Sorted = Edges;
   std::stable_sort(Sorted.begin(), Sorted.end(),
@@ -44,34 +49,52 @@ clusterOrder(const std::vector<MachineRoutine> &Machines,
                    });
 
   for (const CallEdgeWeight &E : Sorted) {
-    auto FromIt = IndexOf.find(E.From);
-    auto ToIt = IndexOf.find(E.To);
-    if (FromIt == IndexOf.end() || ToIt == IndexOf.end())
+    if (E.From >= IndexOf.size() || E.To >= IndexOf.size())
       continue;
-    uint32_t A = FromIt->second, B = ToIt->second;
+    uint32_t A = IndexOf[E.From], B = IndexOf[E.To];
+    if (A == None || B == None)
+      continue;
     uint32_t CA = ChainOf[A], CB = ChainOf[B];
     if (CA == CB)
       continue;
-    std::deque<uint32_t> &ChA = Chains[CA];
-    std::deque<uint32_t> &ChB = Chains[CB];
     // Orient so the caller ends chain A and the callee begins chain B.
-    if (ChA.back() != A) {
-      if (ChA.front() == A)
-        std::reverse(ChA.begin(), ChA.end());
+    if (back(CA) != A) {
+      if (front(CA) == A)
+        Rev[CA] ^= 1;
       else
         continue; // A is interior; cannot make the pair adjacent.
     }
-    if (ChB.front() != B) {
-      if (ChB.back() == B)
-        std::reverse(ChB.begin(), ChB.end());
+    if (front(CB) != B) {
+      if (back(CB) == B)
+        Rev[CB] ^= 1;
       else
         continue;
     }
-    for (uint32_t Member : ChB) {
-      ChA.push_back(Member);
-      ChainOf[Member] = CA;
+    // Chain A's links run in its stored direction, so B's members join
+    // them in that direction: relink B when the two directions differ.
+    uint32_t H = Head[CB], T = Tail[CB];
+    if (Rev[CA] != Rev[CB]) {
+      uint32_t Prev = None;
+      for (uint32_t Cur = H; Cur != None;) {
+        uint32_t Nxt = Next[Cur];
+        Next[Cur] = Prev;
+        ChainOf[Cur] = CA;
+        Prev = Cur;
+        Cur = Nxt;
+      }
+      std::swap(H, T);
+    } else {
+      for (uint32_t Cur = H; Cur != None; Cur = Next[Cur])
+        ChainOf[Cur] = CA;
     }
-    ChB.clear();
+    if (Rev[CA]) {
+      Next[T] = Head[CA];
+      Head[CA] = H;
+    } else {
+      Next[Tail[CA]] = H;
+      Tail[CA] = T;
+    }
+    Head[CB] = Tail[CB] = None;
   }
 
   // Order chains by their hottest member's entry count, hottest first.
@@ -81,10 +104,10 @@ clusterOrder(const std::vector<MachineRoutine> &Machines,
   };
   std::vector<ChainRank> Ranks;
   for (uint32_t C = 0; C != N; ++C) {
-    if (Chains[C].empty())
+    if (Head[C] == None)
       continue;
     uint64_t Hot = 0;
-    for (uint32_t Member : Chains[C])
+    for (uint32_t Member = Head[C]; Member != None; Member = Next[Member])
       Hot = std::max(Hot, Machines[Member].EntryFreq);
     Ranks.push_back({Hot, C});
   }
@@ -96,10 +119,20 @@ clusterOrder(const std::vector<MachineRoutine> &Machines,
                    });
   std::vector<uint32_t> Order;
   Order.reserve(N);
-  for (const ChainRank &CR : Ranks)
-    for (uint32_t Member : Chains[CR.Chain])
+  for (const ChainRank &CR : Ranks) {
+    size_t Begin = Order.size();
+    for (uint32_t Member = Head[CR.Chain]; Member != None;
+         Member = Next[Member])
       Order.push_back(Member);
+    if (Rev[CR.Chain])
+      std::reverse(Order.begin() + Begin, Order.end());
+  }
   return Order;
+}
+
+std::string routineName(const Program &P, uint32_t Sym) {
+  return Sym < P.numRoutines() ? P.displayName(Sym)
+                               : "#" + std::to_string(Sym);
 }
 
 } // namespace
@@ -109,6 +142,10 @@ Executable scmo::linkProgram(const Program &P,
                              const LinkOptions &Opts, std::string &Error) {
   Executable Exe;
   Error.clear();
+  auto fail = [&](std::string Message) {
+    Error = std::move(Message);
+    return Executable();
+  };
 
   // Global data layout, in stable GlobalId order.
   Exe.GlobalOffset.resize(P.numGlobals(), 0);
@@ -125,9 +162,18 @@ Executable scmo::linkProgram(const Program &P,
   }
 
   // Routine placement order.
-  std::map<RoutineId, uint32_t> MachineIndexOf;
-  for (uint32_t Idx = 0; Idx != Machines.size(); ++Idx)
-    MachineIndexOf[Machines[Idx].Routine] = Idx;
+  std::vector<uint32_t> MachineIndexOf(P.numRoutines(), None);
+  for (uint32_t Idx = 0; Idx != Machines.size(); ++Idx) {
+    const MachineRoutine &MR = Machines[Idx];
+    if (MR.Routine >= MachineIndexOf.size())
+      return fail("machine code for unknown routine #" +
+                  std::to_string(MR.Routine));
+    // Every instruction takes at least MinInstrBytes, which bounds the
+    // image reserved below by the bytes actually handed in.
+    if (MR.NumInstrs > MR.Code.size() / MinInstrBytes)
+      return fail("malformed machine code in '" + MR.Name + "'");
+    MachineIndexOf[MR.Routine] = Idx;
+  }
   std::vector<uint32_t> Order;
   if (Opts.ClusterByProfile) {
     Order = clusterOrder(Machines, MachineIndexOf, Opts.EdgeWeights);
@@ -138,58 +184,65 @@ Executable scmo::linkProgram(const Program &P,
   }
 
   // First pass: assign code addresses in placement order.
-  std::map<RoutineId, uint32_t> ExeIndexOf;
-  uint32_t Addr = 0;
+  std::vector<uint32_t> ExeIndexOf(P.numRoutines(), None);
+  uint64_t Addr = 0;
   Exe.Routines.reserve(Machines.size());
   for (uint32_t MIdx : Order) {
     const MachineRoutine &MR = Machines[MIdx];
     ExeRoutine ER;
     ER.Routine = MR.Routine;
     ER.Name = MR.Name;
-    ER.CodeStart = Addr;
-    ER.CodeLen = static_cast<uint32_t>(MR.Code.size());
+    ER.CodeStart = static_cast<uint32_t>(Addr);
+    ER.CodeLen = MR.NumInstrs;
     ER.SpillSlots = MR.SpillSlots;
     ExeIndexOf[MR.Routine] = static_cast<uint32_t>(Exe.Routines.size());
     Exe.Routines.push_back(std::move(ER));
-    Addr += static_cast<uint32_t>(MR.Code.size());
+    Addr += MR.NumInstrs;
   }
+  if (Addr >= None)
+    return fail("code image exceeds the machine's address space");
 
-  // Second pass: emit and patch.
+  // Second pass: decode each routine once, straight into its placement,
+  // then patch it while it is still in cache. The encoded bytes are
+  // dropped as soon as they are consumed.
   Exe.Code.reserve(Addr);
-  for (uint32_t MIdx : Order) {
-    const MachineRoutine &MR = Machines[MIdx];
-    uint32_t Base = Exe.Routines[ExeIndexOf[MR.Routine]].CodeStart;
-    for (MInstr I : MR.Code) {
-      switch (I.Op) {
+  for (size_t Pos = 0; Pos != Order.size(); ++Pos) {
+    MachineRoutine &MR = Machines[Order[Pos]];
+    const ExeRoutine &ER = Exe.Routines[Pos];
+    Exe.Code.resize(ER.CodeStart + ER.CodeLen);
+    MInstr *Begin = Exe.Code.data() + ER.CodeStart;
+    if (!MCodeReader(MR).decodeAll(Begin))
+      return fail("malformed machine code in '" + MR.Name + "'");
+    std::vector<uint8_t>().swap(MR.Code);
+    for (MInstr *I = Begin, *End = Begin + ER.CodeLen; I != End; ++I) {
+      switch (I->Op) {
       case MOp::Jmp:
       case MOp::Br:
       case MOp::Brz:
-        I.Target += Base;
+        I->Target += ER.CodeStart;
         break;
       case MOp::Call: {
-        auto It = ExeIndexOf.find(I.Sym);
-        if (It == ExeIndexOf.end()) {
-          Error = "undefined routine '" + P.displayName(I.Sym) +
-                  "' referenced from '" + MR.Name + "'";
-          return Executable();
-        }
-        I.Sym = It->second;
+        if (I->Sym >= ExeIndexOf.size() || ExeIndexOf[I->Sym] == None)
+          return fail("undefined routine '" + routineName(P, I->Sym) +
+                      "' referenced from '" + MR.Name + "'");
+        I->Sym = ExeIndexOf[I->Sym];
         break;
       }
       case MOp::LoadG:
       case MOp::StoreG:
-        I.Sym = Exe.GlobalOffset[I.Sym];
-        break;
       case MOp::LoadIdx:
       case MOp::StoreIdx:
+        if (I->Sym >= P.numGlobals())
+          return fail("undefined global #" + std::to_string(I->Sym) +
+                      " referenced from '" + MR.Name + "'");
         // The VM wraps indices modulo the array size carried in Slot.
-        I.Slot = P.global(I.Sym).Size;
-        I.Sym = Exe.GlobalOffset[I.Sym];
+        if (I->Op == MOp::LoadIdx || I->Op == MOp::StoreIdx)
+          I->Slot = P.global(I->Sym).Size;
+        I->Sym = Exe.GlobalOffset[I->Sym];
         break;
       default:
         break;
       }
-      Exe.Code.push_back(I);
     }
   }
 
@@ -198,10 +251,8 @@ Executable scmo::linkProgram(const Program &P,
   for (uint32_t Idx = 0; Idx != Exe.Routines.size(); ++Idx)
     if (Exe.Routines[Idx].Name == "main")
       Exe.Entry = Idx;
-  if (Exe.Entry == InvalidId) {
-    Error = "no main() routine in the link set";
-    return Executable();
-  }
+  if (Exe.Entry == InvalidId)
+    return fail("no main() routine in the link set");
   Exe.NumProbes = Opts.NumProbes;
   return Exe;
 }

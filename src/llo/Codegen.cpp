@@ -204,7 +204,9 @@ public:
   RoutineLowering(Program &P, RoutineId R, const RoutineBody &Body,
                   const LloOptions &Opts, LloStats *Stats)
       : P(P), R(R), Body(Body), Opts(Opts), Stats(Stats),
-        Tracker(P.tracker()) {}
+        Tracker(P.tracker()), Code(CodeScratch) {
+    Code.clear();
+  }
 
   ~RoutineLowering() {
     if (Tracker && Charged)
@@ -218,8 +220,17 @@ public:
     else
       spillEverything();
     emitAll();
+    // The MInstr working vector is per-thread scratch; it counts against
+    // LLO only while this routine is being lowered.
+    charge(Code.size() * sizeof(MInstr));
     if (Opts.Schedule)
       scheduleAll();
+    thread_local std::vector<uint8_t> Bytes;
+    Bytes.clear();
+    for (const MInstr &I : Code)
+      encodeMInstr(Bytes, I);
+    Out.Code.assign(Bytes.begin(), Bytes.end());
+    Out.NumInstrs = static_cast<uint32_t>(Code.size());
     if (Stats) {
       ++Stats->RoutinesLowered;
       if (Charged > Stats->PeakRoutineBytes)
@@ -631,7 +642,7 @@ private:
   // Emission
   //===--------------------------------------------------------------------===
 
-  void emit(MInstr I) { Out.Code.push_back(I); }
+  void emit(MInstr I) { Code.push_back(I); }
 
   /// Fetches an IL operand into a machine operand, reloading spilled values
   /// into \p Scratch.
@@ -736,21 +747,21 @@ private:
     std::vector<std::pair<uint32_t, BlockId>> Fixups;
     // Emission averages about one machine instruction per IL instruction
     // (spill code and dropped jumps roughly cancel), plus the prologue.
-    Out.Code.reserve(Body.instrCount() + Body.NumParams + NumCalleeSave);
+    Code.reserve(Body.instrCount() + Body.NumParams + NumCalleeSave);
 
     for (size_t LIdx = 0; LIdx != Layout.size(); ++LIdx) {
       BlockId B = Layout[LIdx];
       BlockId NextB = LIdx + 1 < Layout.size() ? Layout[LIdx + 1] : InvalidId;
-      BlockMachineStart[B] = static_cast<uint32_t>(Out.Code.size());
-      RegionStarts.push_back(static_cast<uint32_t>(Out.Code.size()));
+      BlockMachineStart[B] = static_cast<uint32_t>(Code.size());
+      RegionStarts.push_back(static_cast<uint32_t>(Code.size()));
       if (LIdx == 0)
         emitPrologue();
       for (const Instr *I : Body.Blocks[B].Instrs)
         emitInstr(*I, NextB, Fixups);
     }
-    RegionStarts.push_back(static_cast<uint32_t>(Out.Code.size()));
+    RegionStarts.push_back(static_cast<uint32_t>(Code.size()));
     for (auto &[MIdx, Target] : Fixups)
-      Out.Code[MIdx].Target = BlockMachineStart[Target];
+      Code[MIdx].Target = BlockMachineStart[Target];
   }
 
   void emitInstr(const Instr &I, BlockId NextB,
@@ -761,7 +772,7 @@ private:
       BrI.Op = Op;
       BrI.A = Cond;
       BrI.Probe = ProbeId;
-      Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size()), Target);
+      Fixups.emplace_back(static_cast<uint32_t>(Code.size()), Target);
       emit(BrI);
     };
     switch (I.Op) {
@@ -967,7 +978,7 @@ private:
         return;
       MInstr JmpI;
       JmpI.Op = MOp::Jmp;
-      Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size()), I.T1);
+      Fixups.emplace_back(static_cast<uint32_t>(Code.size()), I.T1);
       emit(JmpI);
       return;
     }
@@ -977,7 +988,7 @@ private:
         if (I.T1 != NextB) {
           MInstr JmpI;
           JmpI.Op = MOp::Jmp;
-          Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size()), I.T1);
+          Fixups.emplace_back(static_cast<uint32_t>(Code.size()), I.T1);
           emit(JmpI);
         }
         return;
@@ -989,7 +1000,7 @@ private:
         if (I.T2 != NextB) {
           MInstr JmpI;
           JmpI.Op = MOp::Jmp;
-          Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size()), I.T2);
+          Fixups.emplace_back(static_cast<uint32_t>(Code.size()), I.T2);
           emit(JmpI);
         }
         return;
@@ -1005,7 +1016,7 @@ private:
       branchTo(MOp::Br, Cond, I.T1, InvalidId);
       MInstr JmpI;
       JmpI.Op = MOp::Jmp;
-      Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size()), I.T2);
+      Fixups.emplace_back(static_cast<uint32_t>(Code.size()), I.T2);
       emit(JmpI);
       return;
     }
@@ -1057,9 +1068,9 @@ private:
   /// stall). Regions are delimited by block starts and control instructions.
   void scheduleAll() {
     size_t RegionBegin = 0;
-    for (size_t Idx = 0; Idx <= Out.Code.size(); ++Idx) {
+    for (size_t Idx = 0; Idx <= Code.size(); ++Idx) {
       bool Boundary =
-          Idx == Out.Code.size() || isControl(Out.Code[Idx].Op) ||
+          Idx == Code.size() || isControl(Code[Idx].Op) ||
           std::binary_search(RegionStarts.begin(), RegionStarts.end(),
                              static_cast<uint32_t>(Idx));
       if (!Boundary)
@@ -1086,7 +1097,7 @@ private:
   void scheduleRegion(size_t Begin, size_t End) {
     thread_local ScheduleScratch S;
     size_t N = End - Begin;
-    S.Orig.assign(Out.Code.begin() + Begin, Out.Code.begin() + End);
+    S.Orig.assign(Code.begin() + Begin, Code.begin() + End);
     const std::vector<MInstr> &Orig = S.Orig;
     // Dependence DAG. Quadratic in region size — the concrete source of
     // LLO's superlinear memory noted in Figure 4's caption.
@@ -1172,7 +1183,7 @@ private:
         ++Moves;
       const MInstr &C = Orig[Chosen];
       LastLoadRd = isLoad(C.Op) ? C.Rd : -1;
-      Out.Code[Begin + Placed++] = C;
+      Code[Begin + Placed++] = C;
       for (uint32_t E = S.SuccBegin[Chosen]; E != S.SuccBegin[Chosen + 1];
            ++E) {
         uint32_t Succ = S.Succs[E];
@@ -1265,9 +1276,15 @@ private:
   bool UsedCalleeSave[NumCalleeSave] = {};
   uint32_t CalleeSaveSlot[NumCalleeSave] = {};
   MachineRoutine Out;
+  /// The routine's instructions while it is lowered: laid out, allocated
+  /// and scheduled here, then encoded into Out.Code.
+  static thread_local std::vector<MInstr> CodeScratch;
+  std::vector<MInstr> &Code;
   std::vector<uint32_t> BlockMachineStart;
   std::vector<uint32_t> RegionStarts;
 };
+
+thread_local std::vector<MInstr> RoutineLowering::CodeScratch;
 
 } // namespace
 

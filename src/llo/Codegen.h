@@ -61,10 +61,12 @@ struct LloStats {
   }
 };
 
-/// Lowers \p Body (the IL of routine \p R) to machine code. Transient LLO
-/// memory is charged to the session tracker's Llo category — this footprint
-/// grows superlinearly with routine size, which is why heavy inlining makes
-/// the *overall* compiler curve in Figure 4 outgrow the HLO curve.
+/// Lowers \p Body (the IL of routine \p R) to machine code in the dense
+/// encoding of llo/MachineCode.h. Transient LLO memory — the MInstr working
+/// vector and the allocation and scheduling state — is charged to the
+/// session tracker's Llo category while the routine is lowered. It grows
+/// superlinearly with routine size, the paper's explanation for Figure 4's
+/// overall curve outgrowing HLO.
 MachineRoutine lowerRoutine(Program &P, RoutineId R, const RoutineBody &Body,
                             const LloOptions &Opts, LloStats *Stats = nullptr);
 

@@ -33,6 +33,7 @@
 #define SCMO_LLO_MACHINECODE_H
 
 #include "ir/Ids.h"
+#include "support/VarInt.h"
 
 #include <cstdint>
 #include <string>
@@ -125,14 +126,85 @@ struct MInstr {
   uint32_t Slot = 0; ///< Spill slot for LoadSpill/StoreSpill.
 };
 
-/// LLO's output for one routine.
+/// LLO's output for one routine. Code holds NumInstrs instructions in the
+/// dense encoding below — the only form lowered code takes between LLO and
+/// the linker, in memory and in the incremental cache's unit artifacts.
+/// Targets are local instruction indices; Sym is a RoutineId / GlobalId.
 struct MachineRoutine {
   RoutineId Routine = InvalidId;
   std::string Name;            ///< Display name (diagnostics, entry lookup).
-  std::vector<MInstr> Code;    ///< Targets are local instruction indices.
+  std::vector<uint8_t> Code;   ///< Encoded instructions (encodeMInstr).
+  uint32_t NumInstrs = 0;      ///< Instructions in Code.
   uint32_t SpillSlots = 0;     ///< Frame size in slots.
   uint64_t EntryFreq = 0;      ///< Profile invocation count (for clustering).
   uint32_t SourceLines = 0;
+};
+
+//===----------------------------------------------------------------------===//
+// Dense code encoding
+//===----------------------------------------------------------------------===//
+//
+// One instruction is an opcode byte, a field-presence mask (unsigned LEB128)
+// and the present fields in mask-bit order. A field is present iff it differs
+// from its MInstr default, so every MInstr round-trips exactly:
+//
+//   bit 0     Rd          one byte, 1..NumPhysRegs-1
+//   bits 1-2  operand A   01 register (one byte, nonzero), 10 immediate
+//                         (zig-zag varint), 11 raw (IsImm byte, register
+//                         byte, zig-zag immediate) for the combinations the
+//                         short forms cannot spell
+//   bits 3-4  operand B   as A
+//   bit 5     Slot        varint, nonzero
+//   bit 6     Sym         varint, not InvalidId
+//   bit 7     Target      varint, not InvalidId
+//   bit 8     Probe       varint, not InvalidId
+//
+// Typical instructions take 3-5 bytes against sizeof(MInstr) == 56.
+
+/// The smallest encoded instruction: an opcode and an empty mask.
+inline constexpr size_t MinInstrBytes = 2;
+
+/// Appends the encoding of \p I to \p Out.
+void encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I);
+
+/// Validating decoder over one routine's encoded code: decodes exactly
+/// NumInstrs instructions and rejects anything the encoder cannot produce
+/// or the VM could not execute safely — an opcode >= NumMOps, a register
+/// >= NumPhysRegs, a branch without a target or with one >= NumInstrs, a
+/// spill slot >= SpillSlots, a non-canonical field or varint, and trailing
+/// bytes. Sym is passed through; its meaning (RoutineId, GlobalId or a
+/// cache reference index) is the caller's to check.
+class MCodeReader {
+public:
+  MCodeReader(const uint8_t *Data, size_t Size, uint32_t NumInstrs,
+              uint32_t SpillSlots);
+  explicit MCodeReader(const MachineRoutine &MR)
+      : MCodeReader(MR.Code.data(), MR.Code.size(), MR.NumInstrs,
+                    MR.SpillSlots) {}
+
+  /// Decodes the next instruction into \p Out. Returns false once all
+  /// NumInstrs instructions were read or on malformed bytes; ok() tells
+  /// which.
+  bool next(MInstr &Out);
+
+  /// Decodes every remaining instruction into consecutive slots from
+  /// \p Dst on; returns ok().
+  bool decodeAll(MInstr *Dst);
+
+  /// True iff every instruction decoded and the bytes ended exactly there.
+  bool ok() const { return !Bad && Left == 0 && In.atEnd(); }
+
+private:
+  bool fail() {
+    Bad = true;
+    return false;
+  }
+
+  ByteReader In;
+  uint32_t NumInstrs;
+  uint32_t SpillSlots;
+  uint32_t Left;
+  bool Bad = false;
 };
 
 } // namespace scmo

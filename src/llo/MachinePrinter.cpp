@@ -99,10 +99,14 @@ std::string scmo::printMInstr(const MInstr &I, uint32_t Base) {
 
 std::string scmo::printMachineRoutine(const MachineRoutine &MR) {
   std::ostringstream OS;
-  OS << "machine " << MR.Name << " (" << MR.Code.size() << " instrs, "
+  OS << "machine " << MR.Name << " (" << MR.NumInstrs << " instrs, "
      << MR.SpillSlots << " slots)\n";
-  for (size_t Idx = 0; Idx != MR.Code.size(); ++Idx)
-    OS << "  " << Idx << ":\t" << printMInstr(MR.Code[Idx]) << "\n";
+  MCodeReader Reader(MR);
+  MInstr I;
+  for (uint32_t Idx = 0; Reader.next(I); ++Idx)
+    OS << "  " << Idx << ":\t" << printMInstr(I) << "\n";
+  if (!Reader.ok())
+    OS << "  <malformed code>\n";
   return OS.str();
 }
 

@@ -128,7 +128,7 @@ public:
   uint64_t cacheBytes() const { return CachedBytes.load(Relaxed); }
   size_t cachedPoolCount() const {
     std::lock_guard<std::mutex> L(M);
-    return CacheOrder.size();
+    return LruCount;
   }
   bool degraded() const { return SpillDisabled.load(Relaxed); }
   Status firstError() const {
@@ -199,6 +199,7 @@ private:
   void unpinLocked(RoutineId R);
   /// Places the unpinned expanded pool R at the MRU end of the cache.
   void parkLocked(RoutineId R);
+  void unlinkLruLocked(RoutineId R);
   void enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
   void evictOneLocked(std::unique_lock<std::mutex> &L);
   void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
@@ -241,14 +242,15 @@ private:
   mutable std::mutex M;
   std::condition_variable TransitionCv;
 
-  /// Unpinned expanded pools ordered by last use: (LruTick, id). The id
-  /// tie-break is unreachable (ticks are unique) but keeps the comparator
-  /// total.
-  std::set<std::pair<uint64_t, RoutineId>> CacheOrder;
-  /// Sum of irBytes over CacheOrder. Atomic so every shard's budget check
+  /// Unpinned expanded pools in park order, least recently used at the
+  /// head: a doubly-linked list threaded through RoutineSlot::LruPrev /
+  /// LruNext, so parking and unparking allocate nothing.
+  RoutineId LruHead = InvalidId;
+  RoutineId LruTail = InvalidId;
+  size_t LruCount = 0;
+  /// Sum of irBytes over the LRU list. Atomic so every shard's budget check
   /// can sum it without taking M; mutations stay under M.
   std::atomic<uint64_t> CachedBytes{0};
-  uint64_t Tick = 0;
   /// This shard's Compact pools in id order: the offload victims, so the
   /// budget check need not rescan every routine id.
   std::set<RoutineId> CompactIds;
@@ -302,7 +304,7 @@ RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
         Stats.PrefetchHits.fetch_add(1, Relaxed);
         S.WasPrefetched = false;
       }
-      CacheOrder.erase({S.LruTick, R});
+      unlinkLruLocked(R);
       CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
       S.UnloadPending = false;
     }
@@ -330,7 +332,6 @@ RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
     }
   }
   ++S.Pins;
-  S.LruTick = ++Tick;
   RoutineBody &Body = *S.Body;
 
   // Slide the readahead window: this shard's acquire #N uncovers position
@@ -382,9 +383,29 @@ void LoaderShard::parkLocked(RoutineId R) {
   // compaction happens only if the budget demands it.
   RoutineSlot &S = P.routine(R).Slot;
   S.UnloadPending = true;
-  S.LruTick = ++Tick;
-  CacheOrder.insert({S.LruTick, R});
+  S.LruPrev = LruTail;
+  S.LruNext = InvalidId;
+  if (LruTail != InvalidId)
+    P.routine(LruTail).Slot.LruNext = R;
+  else
+    LruHead = R;
+  LruTail = R;
+  ++LruCount;
   CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
+}
+
+void LoaderShard::unlinkLruLocked(RoutineId R) {
+  RoutineSlot &S = P.routine(R).Slot;
+  if (S.LruPrev != InvalidId)
+    P.routine(S.LruPrev).Slot.LruNext = S.LruNext;
+  else
+    LruHead = S.LruNext;
+  if (S.LruNext != InvalidId)
+    P.routine(S.LruNext).Slot.LruPrev = S.LruPrev;
+  else
+    LruTail = S.LruPrev;
+  S.LruPrev = S.LruNext = InvalidId;
+  --LruCount;
 }
 
 void LoaderShard::releaseAllShard() {
@@ -437,22 +458,22 @@ void LoaderShard::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
     return;
   // One soft budget over every shard's cache: while the summed resident
   // bytes exceed it, evict this shard's least-recently-used pool. Only
-  // unpinned pools live in CacheOrder, so a pool another worker holds can
+  // unpinned pools live in the LRU list, so a pool another worker holds can
   // never be chosen. compactPool drops the mutex around the encode; the
   // loop re-reads the cache state afterwards, so concurrent releases and
   // evictions interleave correctly. The sum reads the other shards'
   // relaxed counters without their mutexes, so no shard ever waits on
   // another. With one shard this is the pre-shard eviction condition.
-  while (!CacheOrder.empty() &&
+  while (LruHead != InvalidId &&
          (Everything || F.cacheBytes() > Config.ExpandedCacheBytes))
     evictOneLocked(L);
   offloadOverBudgetLocked(L);
 }
 
 void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
-  RoutineId Victim = CacheOrder.begin()->second;
+  RoutineId Victim = LruHead;
   RoutineSlot &S = P.routine(Victim).Slot;
-  CacheOrder.erase(CacheOrder.begin());
+  unlinkLruLocked(Victim);
   CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
   if (S.WasPrefetched) {
     Stats.PrefetchWasted.fetch_add(1, Relaxed);

@@ -17,6 +17,7 @@
 #define SCMO_SUPPORT_VARINT_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 

@@ -12,6 +12,9 @@
 /// determinism requirement hinges on it. The decoders read bytes from disk,
 /// so a seeded mutation fuzzer checks that every corrupted input either
 /// fails with the program untouched or decodes to exactly what it encodes.
+/// The same fuzzer covers the dense machine-code encoding and the unit
+/// artifacts that carry it: a mutant is rejected or decodes to code the VM
+/// can run safely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +22,9 @@
 #include "bytecode/Compact.h"
 #include "bytecode/ObjectFile.h"
 #include "cache/ArtifactCache.h"
+#include "cache/CacheFormat.h"
 #include "frontend/Frontend.h"
+#include "llo/Codegen.h"
 #include "support/Hash.h"
 #include "support/VarInt.h"
 
@@ -635,4 +640,294 @@ TEST(DecoderFuzz, SourceEntryMutantsMissCleanlyOrReencodeExactly) {
         << "mutant " << I;
     P = C.context();
   }
+}
+
+namespace {
+
+/// The FuzzCorpus program compiled whole and lowered: every defined
+/// routine's machine code, ascending RoutineId.
+struct MachineCorpus {
+  GeneratedProgram GP;
+  std::unique_ptr<Program> P;
+  std::vector<MachineRoutine> Machines;
+  std::vector<CallEdgeWeight> Edges;
+
+  MachineCorpus() {
+    GP = FuzzCorpus().GP;
+    P = context();
+    for (RoutineId R = 0; R != P->numRoutines(); ++R) {
+      if (!P->routine(R).IsDefined)
+        continue;
+      LloOptions Opts;
+      Opts.RegAlloc = R % 2 == 0; // Spill-heavy and register-heavy code.
+      Machines.push_back(lowerRoutine(*P, R, P->body(R), Opts));
+      if (R)
+        Edges.push_back({R - 1, R, 10 * R});
+    }
+  }
+
+  std::unique_ptr<Program> context() const {
+    auto Q = std::make_unique<Program>();
+    for (const GeneratedModule &GM : GP.Modules)
+      EXPECT_TRUE(compileSource(*Q, GM.Name, GM.Source).Ok);
+    return Q;
+  }
+
+  /// The routine with the most instructions other than \p Not.
+  const MachineRoutine &largest(size_t Not = SIZE_MAX) const {
+    size_t Best = Not == 0 ? 1 : 0;
+    for (size_t I = 0; I != Machines.size(); ++I)
+      if (I != Not && Machines[I].NumInstrs > Machines[Best].NumInstrs)
+        Best = I;
+    return Machines[Best];
+  }
+};
+
+/// Decodes \p MR; true iff it is well formed with every operand safe to
+/// execute and every symbol inside \p P.
+bool codeIsSafe(const Program &P, const MachineRoutine &MR) {
+  MCodeReader Reader(MR);
+  MInstr I;
+  while (Reader.next(I)) {
+    if (static_cast<unsigned>(I.Op) >= NumMOps || I.Rd >= NumPhysRegs ||
+        I.A.Reg >= NumPhysRegs || I.B.Reg >= NumPhysRegs)
+      return false;
+    if ((I.Op == MOp::Jmp || I.Op == MOp::Br || I.Op == MOp::Brz) &&
+        I.Target >= MR.NumInstrs)
+      return false;
+    if ((I.Op == MOp::LoadSpill || I.Op == MOp::StoreSpill) &&
+        I.Slot >= MR.SpillSlots)
+      return false;
+    if (I.Op == MOp::Call && I.Sym >= P.numRoutines())
+      return false;
+    if ((I.Op == MOp::LoadG || I.Op == MOp::StoreG || I.Op == MOp::LoadIdx ||
+         I.Op == MOp::StoreIdx) &&
+        I.Sym >= P.numGlobals())
+      return false;
+  }
+  return Reader.ok();
+}
+
+} // namespace
+
+TEST(MachineCode, EveryFieldRoundTrips) {
+  // The presence mask must spell every MInstr, including operand
+  // combinations LLO never emits, so executables stay byte-identical.
+  std::vector<MInstr> Cases;
+  MInstr Plain;
+  Plain.Op = MOp::Ret;
+  Cases.push_back(Plain);
+  MInstr Full;
+  Full.Op = MOp::StoreIdx;
+  Full.Rd = 31;
+  Full.A = MOperand::imm(INT64_MIN);
+  Full.B = MOperand::reg(7);
+  Full.Sym = 0;
+  Full.Target = 2;
+  Full.Probe = 0x7fffffff;
+  Full.Slot = 2;
+  Cases.push_back(Full);
+  MInstr Raw;
+  Raw.Op = MOp::Mov;
+  Raw.A.IsImm = true;
+  Raw.A.Reg = 5;
+  Raw.A.Imm = -1;
+  Raw.B.Imm = 9; // A register operand with a stray immediate.
+  Raw.Target = 0;
+  Cases.push_back(Raw);
+  std::vector<uint8_t> Bytes;
+  for (const MInstr &I : Cases)
+    encodeMInstr(Bytes, I);
+  MCodeReader Reader(Bytes.data(), Bytes.size(), uint32_t(Cases.size()), 4);
+  for (const MInstr &Want : Cases) {
+    MInstr Got;
+    ASSERT_TRUE(Reader.next(Got));
+    EXPECT_EQ(Got.Op, Want.Op);
+    EXPECT_EQ(Got.Rd, Want.Rd);
+    EXPECT_EQ(Got.A.IsImm, Want.A.IsImm);
+    EXPECT_EQ(Got.A.Reg, Want.A.Reg);
+    EXPECT_EQ(Got.A.Imm, Want.A.Imm);
+    EXPECT_EQ(Got.B.IsImm, Want.B.IsImm);
+    EXPECT_EQ(Got.B.Reg, Want.B.Reg);
+    EXPECT_EQ(Got.B.Imm, Want.B.Imm);
+    EXPECT_EQ(Got.Sym, Want.Sym);
+    EXPECT_EQ(Got.Target, Want.Target);
+    EXPECT_EQ(Got.Probe, Want.Probe);
+    EXPECT_EQ(Got.Slot, Want.Slot);
+  }
+  MInstr Extra;
+  EXPECT_FALSE(Reader.next(Extra));
+  EXPECT_TRUE(Reader.ok());
+}
+
+TEST(MachineCode, DecoderRejectsUnsafeFields) {
+  auto decodes = [](const MInstr &I, uint32_t NumInstrs, uint32_t Slots) {
+    std::vector<uint8_t> Bytes;
+    encodeMInstr(Bytes, I);
+    // Pad the count with returns so NumInstrs is satisfiable.
+    MInstr Ret;
+    Ret.Op = MOp::Ret;
+    for (uint32_t K = 1; K < NumInstrs; ++K)
+      encodeMInstr(Bytes, Ret);
+    MCodeReader Reader(Bytes.data(), Bytes.size(), NumInstrs, Slots);
+    MInstr Out;
+    while (Reader.next(Out)) {
+    }
+    return Reader.ok();
+  };
+  MInstr Mov;
+  Mov.Op = MOp::Mov;
+  Mov.Rd = 3;
+  Mov.A = MOperand::reg(4);
+  EXPECT_TRUE(decodes(Mov, 1, 0));
+  MInstr BadRd = Mov;
+  BadRd.Rd = NumPhysRegs;
+  EXPECT_FALSE(decodes(BadRd, 1, 0));
+  MInstr BadA = Mov;
+  BadA.A = MOperand::reg(200);
+  EXPECT_FALSE(decodes(BadA, 1, 0));
+  MInstr BadB = Mov;
+  BadB.B = MOperand::reg(NumPhysRegs);
+  EXPECT_FALSE(decodes(BadB, 1, 0));
+  MInstr Jmp;
+  Jmp.Op = MOp::Jmp;
+  Jmp.Target = 1;
+  EXPECT_TRUE(decodes(Jmp, 2, 0));
+  EXPECT_FALSE(decodes(Jmp, 1, 0)); // Target past the routine.
+  MInstr NoTarget;
+  NoTarget.Op = MOp::Br;
+  EXPECT_FALSE(decodes(NoTarget, 1, 0));
+  MInstr Spill;
+  Spill.Op = MOp::LoadSpill;
+  Spill.Rd = 5;
+  Spill.Slot = 2;
+  EXPECT_TRUE(decodes(Spill, 1, 3));
+  EXPECT_FALSE(decodes(Spill, 1, 2));
+  Spill.Slot = 0;
+  EXPECT_FALSE(decodes(Spill, 1, 0)); // Slot 0 of an empty frame.
+  // An opcode past the table.
+  std::vector<uint8_t> BadOp = {uint8_t(NumMOps), 0};
+  MCodeReader OpReader(BadOp.data(), BadOp.size(), 1, 0);
+  MInstr Out;
+  EXPECT_FALSE(OpReader.next(Out));
+  EXPECT_FALSE(OpReader.ok());
+  // A count the bytes cannot hold fails before decoding anything.
+  std::vector<uint8_t> Two = {uint8_t(MOp::Ret), 0};
+  MCodeReader Greedy(Two.data(), Two.size(), 0x40000000, 0);
+  EXPECT_FALSE(Greedy.next(Out));
+  EXPECT_FALSE(Greedy.ok());
+}
+
+TEST(DecoderFuzz, MachineCodeMutantsFailOrReencodeExactly) {
+  MachineCorpus C;
+  const MachineRoutine &A = C.largest();
+  const MachineRoutine &B = C.largest(size_t(&A - C.Machines.data()));
+  ASSERT_TRUE(codeIsSafe(*C.P, A));
+  Prng Rng(0x5eed4);
+  unsigned Decoded = 0;
+  for (int I = 0; I != 20000; ++I) {
+    std::vector<uint8_t> M = mutate(Rng, A.Code, B.Code);
+    // Now and then the header lies too: a different count or frame size.
+    uint32_t NumInstrs = A.NumInstrs, Slots = A.SpillSlots;
+    switch (Rng.nextBelow(8)) {
+    case 0:
+      NumInstrs += uint32_t(Rng.nextBelow(3)) - 1;
+      break;
+    case 1:
+      Slots = uint32_t(Rng.nextBelow(Slots + 1));
+      break;
+    case 2:
+      NumInstrs = UINT32_MAX;
+      break;
+    }
+    MachineRoutine MR = A;
+    MR.Code = M;
+    MR.NumInstrs = NumInstrs;
+    MR.SpillSlots = Slots;
+    MCodeReader Reader(MR);
+    std::vector<uint8_t> Re;
+    MInstr Instr;
+    while (Reader.next(Instr))
+      encodeMInstr(Re, Instr);
+    if (!Reader.ok())
+      continue;
+    ++Decoded;
+    ASSERT_EQ(Re, M) << "mutant " << I;
+    // Sym is the caller's to check; every other field must be safe.
+    MCodeReader Again(MR);
+    while (Again.next(Instr)) {
+      ASSERT_LT(Instr.Rd, NumPhysRegs);
+      ASSERT_LT(Instr.A.Reg, NumPhysRegs);
+      ASSERT_LT(Instr.B.Reg, NumPhysRegs);
+      if (Instr.Op == MOp::Jmp || Instr.Op == MOp::Br || Instr.Op == MOp::Brz)
+        ASSERT_LT(Instr.Target, NumInstrs);
+      if (Instr.Op == MOp::LoadSpill || Instr.Op == MOp::StoreSpill)
+        ASSERT_LT(Instr.Slot, Slots);
+    }
+  }
+  EXPECT_GT(Decoded, 0u); // Some flips land in immediates and survive.
+}
+
+TEST(DecoderFuzz, UnitArtifactMutantsMissCleanlyOrLoadSafeCode) {
+  MachineCorpus C;
+  ArtifactCache::EntryKey K{0x1234, 0x5678};
+  RoutineId CloneBase = RoutineId(C.P->numRoutines());
+  std::vector<uint8_t> Entry =
+      encodeUnitEntry(*C.P, K, C.Machines, CloneBase, C.Edges);
+  std::vector<MachineRoutine> Half(C.Machines.begin(),
+                                   C.Machines.begin() + C.Machines.size() / 2);
+  std::vector<uint8_t> OtherEntry =
+      encodeUnitEntry(*C.P, K, Half, CloneBase, {});
+  {
+    // The unmutated entry loads in a fresh context to the very same code.
+    auto P = C.context();
+    CachedUnit Out;
+    ASSERT_TRUE(readUnitEntry(*P, Entry, K, Out));
+    ASSERT_EQ(Out.Machines.size(), C.Machines.size());
+    for (size_t I = 0; I != Out.Machines.size(); ++I) {
+      EXPECT_EQ(Out.Machines[I].Routine, C.Machines[I].Routine);
+      EXPECT_EQ(Out.Machines[I].NumInstrs, C.Machines[I].NumInstrs);
+      EXPECT_EQ(Out.Machines[I].Code, C.Machines[I].Code);
+    }
+    EXPECT_EQ(Out.Edges.size(), C.Edges.size());
+    EXPECT_EQ(encodeUnitEntry(*P, K, Out.Machines, CloneBase, Out.Edges),
+              Entry);
+  }
+  Prng Rng(0x5eed5);
+  auto P = C.context();
+  uint64_t Before = programFingerprint(*P);
+  unsigned Hits = 0;
+  for (int I = 0; I != 6000; ++I) {
+    // Half the mutants hit the file as stored (the frame checksum rejects
+    // nearly all of them); the other half mutate the payload and are
+    // framed afresh, so they reach the reference tables and the code.
+    std::vector<uint8_t> Mutant;
+    if (I % 2 == 0) {
+      Mutant = mutate(Rng, Entry, OtherEntry);
+    } else {
+      std::vector<uint8_t> Payload(Entry.begin() + cachefmt::FrameBytes,
+                                   Entry.end());
+      std::vector<uint8_t> OtherPayload(
+          OtherEntry.begin() + cachefmt::FrameBytes, OtherEntry.end());
+      Payload = mutate(Rng, Payload, OtherPayload);
+      cachefmt::Sink File;
+      cachefmt::frameArtifact(File, Payload);
+      Mutant = std::move(File.Bytes);
+      Mutant.insert(Mutant.end(), Payload.begin(), Payload.end());
+    }
+    CachedUnit Out;
+    if (!readUnitEntry(*P, Mutant, K, Out)) {
+      ASSERT_EQ(programFingerprint(*P), Before) << "mutant " << I;
+      continue;
+    }
+    ++Hits;
+    for (const MachineRoutine &MR : Out.Machines)
+      ASSERT_TRUE(codeIsSafe(*P, MR)) << "mutant " << I << ": " << MR.Name;
+    for (const CallEdgeWeight &E : Out.Edges) {
+      ASSERT_LT(E.From, P->numRoutines());
+      ASSERT_LT(E.To, P->numRoutines());
+    }
+    P = C.context();
+  }
+  EXPECT_GT(Hits, 0u); // Immediates and frequencies are free to change.
 }

@@ -188,7 +188,7 @@ func main() { return f(2, 1); }
   EXPECT_NE(Text.find("ret"), std::string::npos);
   // Every instruction appears on its own numbered line.
   size_t Lines = std::count(Text.begin(), Text.end(), '\n');
-  EXPECT_EQ(Lines, MR.Code.size() + 1);
+  EXPECT_EQ(Lines, MR.NumInstrs + 1);
 }
 
 TEST(MachinePrinter, DisassemblesLinkedExecutables) {

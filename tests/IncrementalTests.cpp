@@ -21,6 +21,7 @@
 
 #include "TestUtil.h"
 #include "cache/ArtifactCache.h"
+#include "cache/CacheFormat.h"
 
 #include <gtest/gtest.h>
 
@@ -314,6 +315,70 @@ TEST(Incremental, CorruptArtifactFallsBackToRecompilation) {
   ASSERT_TRUE(Healed.Build.Ok) << Healed.Build.Error;
   EXPECT_GT(stat(Healed.Build, "cache.hits"), 0u);
   EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Healed.Build.Exe));
+}
+
+TEST(Incremental, FormatVersion1ArtifactIsAMissAndIsOverwritten) {
+  // Unit artifacts written before the dense code encoding carry payload
+  // version 1. Left in a cache directory they must read as misses (never
+  // be decoded under the new layout), recompile, and be overwritten so the
+  // next build hits again.
+  GeneratedProgram GP = testProgram(43);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O2;
+  Opts.Jobs = 1;
+  IncBuild Plain = buildWithCache(GP, "", Opts);
+  ASSERT_TRUE(Plain.Build.Ok) << Plain.Build.Error;
+  std::string Dir = freshCacheDir();
+  IncBuild Cold = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
+
+  // Re-stamp every unit artifact as version 1 under a valid frame.
+  auto unitEntries = [&Dir] {
+    std::vector<std::string> Paths;
+    for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+      std::string Name = E.path().filename().string();
+      if (Name.rfind("unit-", 0) == 0 || Name.rfind("mod-", 0) == 0)
+        Paths.push_back(E.path().string());
+    }
+    return Paths;
+  };
+  auto payloadVersion = [](const std::vector<uint8_t> &Bytes) {
+    cachefmt::Reader R(Bytes, cachefmt::FrameBytes);
+    return R.u32();
+  };
+  std::vector<std::string> Units = unitEntries();
+  ASSERT_EQ(Units.size(), stat(Cold.Build, "cache.stores"));
+  for (const std::string &Path : Units) {
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(readFile(Path, Bytes));
+    ASSERT_EQ(payloadVersion(Bytes), 2u);
+    std::vector<uint8_t> Payload(Bytes.begin() + cachefmt::FrameBytes,
+                                 Bytes.end());
+    Payload[0] = 1;
+    Payload[1] = Payload[2] = Payload[3] = 0;
+    cachefmt::Sink File;
+    cachefmt::frameArtifact(File, Payload);
+    File.Bytes.insert(File.Bytes.end(), Payload.begin(), Payload.end());
+    ASSERT_TRUE(writeFile(Path, File.Bytes));
+  }
+
+  IncBuild Stale = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Stale.Build.Ok) << Stale.Build.Error;
+  EXPECT_EQ(stat(Stale.Build, "cache.hits"), 0u);
+  EXPECT_EQ(stat(Stale.Build, "cache.misses"), Units.size());
+  EXPECT_EQ(stat(Stale.Build, "cache.stores"), Units.size());
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Stale.Build.Exe));
+  for (const std::string &Path : unitEntries()) {
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(readFile(Path, Bytes));
+    EXPECT_EQ(payloadVersion(Bytes), 2u) << Path;
+  }
+
+  IncBuild Warm = buildWithCache(GP, Dir, Opts);
+  ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
+  EXPECT_EQ(stat(Warm.Build, "cache.hits"), Units.size());
+  EXPECT_EQ(stat(Warm.Build, "cache.misses"), 0u);
+  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Warm.Build.Exe));
 }
 
 TEST(Incremental, StoreFailureDegradesGracefully) {

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 using namespace scmo;
 using namespace scmo::test;
 
@@ -28,6 +32,73 @@ struct LinkFixture {
         Machines.push_back(lowerRoutine(P, R, P.body(R), LloOptions()));
   }
 };
+
+/// Pettis-Hansen chain merging written the plain way — one deque per
+/// chain, physical reversal — as the oracle for the linker's index-list
+/// version: both must place routines in exactly the same order.
+std::vector<RoutineId>
+referenceClusterOrder(const std::vector<MachineRoutine> &Machines,
+                      const std::vector<CallEdgeWeight> &Edges) {
+  size_t N = Machines.size();
+  std::map<RoutineId, uint32_t> IndexOf;
+  for (uint32_t Idx = 0; Idx != N; ++Idx)
+    IndexOf[Machines[Idx].Routine] = Idx;
+  std::vector<std::deque<uint32_t>> Chains(N);
+  std::vector<uint32_t> ChainOf(N);
+  for (uint32_t Idx = 0; Idx != N; ++Idx) {
+    Chains[Idx].push_back(Idx);
+    ChainOf[Idx] = Idx;
+  }
+  std::vector<CallEdgeWeight> Sorted = Edges;
+  std::stable_sort(Sorted.begin(), Sorted.end(),
+                   [](const CallEdgeWeight &X, const CallEdgeWeight &Y) {
+                     if (X.Weight != Y.Weight)
+                       return X.Weight > Y.Weight;
+                     if (X.From != Y.From)
+                       return X.From < Y.From;
+                     return X.To < Y.To;
+                   });
+  for (const CallEdgeWeight &E : Sorted) {
+    auto FromIt = IndexOf.find(E.From), ToIt = IndexOf.find(E.To);
+    if (FromIt == IndexOf.end() || ToIt == IndexOf.end())
+      continue;
+    uint32_t A = FromIt->second, B = ToIt->second;
+    uint32_t CA = ChainOf[A], CB = ChainOf[B];
+    if (CA == CB)
+      continue;
+    std::deque<uint32_t> &ChA = Chains[CA], &ChB = Chains[CB];
+    if (ChA.back() != A) {
+      if (ChA.front() != A)
+        continue;
+      std::reverse(ChA.begin(), ChA.end());
+    }
+    if (ChB.front() != B) {
+      if (ChB.back() != B)
+        continue;
+      std::reverse(ChB.begin(), ChB.end());
+    }
+    for (uint32_t Member : ChB) {
+      ChA.push_back(Member);
+      ChainOf[Member] = CA;
+    }
+    ChB.clear();
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> Ranks; // (-hotness, chain)
+  for (uint32_t C = 0; C != N; ++C) {
+    if (Chains[C].empty())
+      continue;
+    uint64_t Hot = 0;
+    for (uint32_t Member : Chains[C])
+      Hot = std::max(Hot, Machines[Member].EntryFreq);
+    Ranks.push_back({~Hot, C});
+  }
+  std::sort(Ranks.begin(), Ranks.end());
+  std::vector<RoutineId> Order;
+  for (const auto &[NegHot, C] : Ranks)
+    for (uint32_t Member : Chains[C])
+      Order.push_back(Machines[Member].Routine);
+  return Order;
+}
 
 } // namespace
 
@@ -180,4 +251,64 @@ TEST(Linker, ProbeCountPropagates) {
   EXPECT_EQ(Exe.NumProbes, 42u);
   RunResult Run = runExecutable(Exe);
   EXPECT_EQ(Run.Probes.size(), 42u);
+}
+
+TEST(Linker, RejectsMalformedMachineCode) {
+  for (int Damage = 0; Damage != 3; ++Damage) {
+    LinkFixture F(R"(
+func f(n) {
+  var s = 0;
+  while (n > 0) { s = s + n; n = n - 1; }
+  return s;
+}
+func main() { return f(4); }
+)");
+    MachineRoutine &MR = F.Machines[0];
+    if (Damage == 0)
+      MR.Code.pop_back(); // Truncated.
+    else if (Damage == 1)
+      MR.NumInstrs = UINT32_MAX; // A count the bytes cannot hold.
+    else
+      MR.Code[0] = uint8_t(NumMOps); // An opcode past the table.
+    std::string Err;
+    Executable Exe =
+        linkProgram(F.P, std::move(F.Machines), LinkOptions(), Err);
+    EXPECT_NE(Err.find("malformed machine code"), std::string::npos)
+        << "damage " << Damage << ": " << Err;
+    EXPECT_TRUE(Exe.Code.empty());
+  }
+}
+
+TEST(Linker, ClusteringMatchesTheChainMergingOracle) {
+  // Random hotness and random weighted edges (self edges, duplicates and
+  // edges to routines outside the link set included) over many routines:
+  // the placement must equal the plain deque-based chain merge.
+  std::string Src;
+  const unsigned N = 40;
+  for (unsigned I = 0; I != N; ++I)
+    Src += "func f" + std::to_string(I) + "(x) { return x + " +
+           std::to_string(I) + "; }\n";
+  Src += "func main() { return f0(1); }\n";
+  Prng Rng(0xc1u);
+  for (int Round = 0; Round != 60; ++Round) {
+    LinkFixture F(Src.c_str());
+    for (MachineRoutine &MR : F.Machines)
+      MR.EntryFreq = Rng.nextBelow(4) == 0 ? 0 : Rng.nextBelow(50);
+    LinkOptions Opts;
+    Opts.ClusterByProfile = true;
+    RoutineId Span = RoutineId(F.P.numRoutines() + 2);
+    for (uint64_t E = 0, NE = Rng.nextBelow(3 * N); E != NE; ++E)
+      Opts.EdgeWeights.push_back({RoutineId(Rng.nextBelow(Span)),
+                                  RoutineId(Rng.nextBelow(Span)),
+                                  Rng.nextBelow(8)});
+    std::vector<RoutineId> Want =
+        referenceClusterOrder(F.Machines, Opts.EdgeWeights);
+    std::string Err;
+    Executable Exe = linkProgram(F.P, std::move(F.Machines), Opts, Err);
+    ASSERT_TRUE(Err.empty()) << Err;
+    std::vector<RoutineId> Got;
+    for (const ExeRoutine &ER : Exe.Routines)
+      Got.push_back(ER.Routine);
+    ASSERT_EQ(Got, Want) << "round " << Round;
+  }
 }

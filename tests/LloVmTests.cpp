@@ -34,13 +34,15 @@ RunResult runWith(const std::string &Src, OptLevel Level) {
 /// every path ends in control flow, spill slots within the frame.
 void verifyMachine(const MachineRoutine &MR, size_t NumRoutines,
                    size_t NumGlobals) {
-  ASSERT_FALSE(MR.Code.empty());
-  for (const MInstr &I : MR.Code) {
+  std::vector<MInstr> Code = decodeMachine(MR);
+  ASSERT_FALSE(Code.empty());
+  ASSERT_EQ(Code.size(), MR.NumInstrs);
+  for (const MInstr &I : Code) {
     switch (I.Op) {
     case MOp::Jmp:
     case MOp::Br:
     case MOp::Brz:
-      EXPECT_LT(I.Target, MR.Code.size());
+      EXPECT_LT(I.Target, Code.size());
       break;
     case MOp::Call:
       EXPECT_LT(I.Sym, NumRoutines);
@@ -67,7 +69,7 @@ void verifyMachine(const MachineRoutine &MR, size_t NumRoutines,
     }
   }
   // The last instruction must be a control transfer (no fall-off).
-  MOp Last = MR.Code.back().Op;
+  MOp Last = Code.back().Op;
   EXPECT_TRUE(Last == MOp::Ret || Last == MOp::Jmp || Last == MOp::Br ||
               Last == MOp::Brz);
 }

@@ -164,6 +164,32 @@ TEST(Loader, TightBudgetCompactsLruFirst) {
   EXPECT_EQ(L.stats().Expansions, 1u);
 }
 
+TEST(Loader, EvictsLeastRecentlyUsedFirst) {
+  // Park r0..r3 under a budget that holds exactly them, touch r0 again,
+  // then park r4: the budget must be met by evicting from the cold end
+  // (r1 first), never the pools just used.
+  LoaderFixture F(8);
+  NaimConfig C;
+  C.Mode = NaimMode::CompactIr;
+  C.Shards = 1;
+  C.ExpandedCacheBytes = 0;
+  for (unsigned I = 0; I != 4; ++I)
+    C.ExpandedCacheBytes += F.P.routine(F.Routines[I]).Slot.Body->irBytes();
+  Loader L(F.P, C);
+  for (unsigned I : {0u, 1u, 2u, 3u, 0u, 4u}) {
+    L.acquire(F.Routines[I]);
+    L.release(F.Routines[I]);
+  }
+  auto state = [&](unsigned I) {
+    return F.P.routine(F.Routines[I]).Slot.State;
+  };
+  EXPECT_EQ(state(1), PoolState::Compact);
+  EXPECT_EQ(state(0), PoolState::Expanded);
+  EXPECT_EQ(state(3), PoolState::Expanded);
+  EXPECT_EQ(state(4), PoolState::Expanded);
+  EXPECT_EQ(L.stats().CacheHits, 1u);
+}
+
 TEST(Loader, CacheHitAvoidsExpansionWork) {
   LoaderFixture F(4);
   NaimConfig C;

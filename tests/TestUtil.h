@@ -25,6 +25,17 @@
 namespace scmo {
 namespace test {
 
+/// Decodes \p MR's encoded code; empty (plus a test failure) if malformed.
+inline std::vector<MInstr> decodeMachine(const MachineRoutine &MR) {
+  std::vector<MInstr> Code;
+  MCodeReader Reader(MR);
+  MInstr I;
+  while (Reader.next(I))
+    Code.push_back(I);
+  EXPECT_TRUE(Reader.ok()) << "malformed code in " << MR.Name;
+  return Reader.ok() ? Code : std::vector<MInstr>();
+}
+
 /// Structural equality of two bodies (everything the compact encoding must
 /// preserve).
 inline bool bodiesEqual(const RoutineBody &X, const RoutineBody &Y,
