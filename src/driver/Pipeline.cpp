@@ -14,6 +14,7 @@ bool Pipeline::run(std::vector<StageMetrics> &Metrics) {
     StageMetrics M;
     M.Name = Stage->name();
     Timer T;
+    double Cpu = processCpuSeconds();
     bool Skipped = false;
     bool Ok;
     {
@@ -24,6 +25,7 @@ bool Pipeline::run(std::vector<StageMetrics> &Metrics) {
       Ok = Stage->run(Skipped);
     }
     M.Seconds = T.seconds();
+    M.CpuSeconds = processCpuSeconds() - Cpu;
     M.Skipped = Skipped;
     if (Tracker)
       M.LiveBytesAfter = Tracker->totalLiveBytes();

@@ -10,9 +10,9 @@
 /// monolith; it is now a sequence of named stages, each an object that
 /// declares what it reads and what it produces and implements one phase of
 /// the paper's Figure 2 flow. The runner owns the cross-cutting concerns —
-/// per-stage wall-clock timing, live-memory sampling, skip accounting (the
-/// incremental cache turns whole stages off per unit), and stop-on-failure —
-/// so the stages hold only compilation logic. The per-stage metrics land in
+/// per-stage wall-clock and process-CPU timing, live-memory sampling, skip
+/// accounting (the incremental cache turns whole stages off per unit), and
+/// stop-on-failure — so the stages hold only compilation logic. The per-stage metrics land in
 /// BuildResult::Stages and are printed by scmoc --stats.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,6 +32,9 @@ namespace scmo {
 struct StageMetrics {
   std::string Name;
   double Seconds = 0;
+  /// Process CPU seconds across the stage: its own thread plus every pool
+  /// worker, busy or not, so idle workers that burn CPU show up here.
+  double CpuSeconds = 0;
   /// Live tracked bytes when the stage finished.
   uint64_t LiveBytesAfter = 0;
   /// True when the stage declared itself not applicable this build (e.g.

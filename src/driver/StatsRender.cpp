@@ -68,8 +68,8 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
           (unsigned long long)Build.Loader.CompressedBytes,
           (unsigned long long)Build.Loader.RawBytes);
   for (const StageMetrics &M : Build.Stages)
-    appendf(Out, "; stage %-12s %8.3fs  live %8.2f MiB%s\n", M.Name.c_str(),
-            M.Seconds, mib(M.LiveBytesAfter),
+    appendf(Out, "; stage %-12s %8.3fs  cpu %8.3fs  live %8.2f MiB%s\n",
+            M.Name.c_str(), M.Seconds, M.CpuSeconds, mib(M.LiveBytesAfter),
             M.Skipped ? "  (skipped)" : "");
 
   // The allocation profile: one row per active (stage, category) cell,
@@ -207,9 +207,9 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
     if (I)
       Out += ",";
     appendf(Out,
-            "{\"name\":\"%s\",\"seconds\":%.6f,\"live_bytes_after\":%llu,"
-            "\"skipped\":%s}",
-            M.Name.c_str(), M.Seconds,
+            "{\"name\":\"%s\",\"seconds\":%.6f,\"cpu_s\":%.6f,"
+            "\"live_bytes_after\":%llu,\"skipped\":%s}",
+            M.Name.c_str(), M.Seconds, M.CpuSeconds,
             (unsigned long long)M.LiveBytesAfter,
             M.Skipped ? "true" : "false");
   }

@@ -31,6 +31,7 @@ std::string renderStatsText(const BuildResult &Build);
 /// The same data as one JSON object with fixed key order:
 /// source_lines, routines, instrs, hlo_peak_bytes, total_peak_bytes,
 /// loader, naim_io, stages, memory_profile, statistics, exe_xxh64.
+/// Stage rows: name, seconds, cpu_s, live_bytes_after, skipped.
 /// Within memory_profile: stages, arena_waste, underflow_events,
 /// underflow_category. Cell keys: category, allocs, alloc_bytes,
 /// release_bytes, peak_live_bytes, waste_bytes.

@@ -8,20 +8,23 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
+#include <sched.h>
 
 using namespace scmo;
 
 unsigned ThreadPool::hardwareThreads() {
+  // hardware_concurrency ignores the affinity mask (taskset, cgroup cpusets).
+  cpu_set_t Mask;
+  if (sched_getaffinity(0, sizeof(Mask), &Mask) == 0 && CPU_COUNT(&Mask) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&Mask));
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;
 }
 
 ThreadPool::ThreadPool(unsigned Threads) {
   NumParticipants = Threads ? Threads : hardwareThreads();
-  if (NumParticipants <= 1) {
-    NumParticipants = 1;
+  if (NumParticipants == 1)
     return; // Serial mode: no shards, no workers.
-  }
   Shards.reserve(NumParticipants);
   for (unsigned I = 0; I != NumParticipants; ++I)
     Shards.push_back(std::make_unique<Shard>());
@@ -31,10 +34,9 @@ ThreadPool::ThreadPool(unsigned Threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> Lock(JobM);
-    ShuttingDown = true;
-  }
+  std::unique_lock<std::mutex> Lock(JobM);
+  ShuttingDown = true;
+  Lock.unlock();
   WorkCv.notify_all();
   for (std::thread &W : Workers)
     W.join();
@@ -85,45 +87,37 @@ void ThreadPool::participate(unsigned Self,
                              const std::function<void(size_t)> &Fn) {
   for (;;) {
     size_t Index;
-    while (popOwn(Self, Index)) {
+    while (popOwn(Self, Index))
       Fn(Index);
-      Remaining.fetch_sub(1, std::memory_order_acq_rel);
-    }
     if (!stealInto(Self))
       return; // Every deque is empty: nothing left to claim.
   }
 }
 
 void ThreadPool::workerLoop(unsigned Self) {
+  uint64_t Seen = 0; // The last Generation this worker joined.
+  std::unique_lock<std::mutex> Lock(JobM);
   for (;;) {
-    const std::function<void(size_t)> *Fn;
-    {
-      std::unique_lock<std::mutex> Lock(JobM);
-      WorkCv.wait(Lock, [this] {
-        return ShuttingDown ||
-               (JobFn && Remaining.load(std::memory_order_acquire) != 0);
-      });
-      if (ShuttingDown)
-        return;
-      Fn = JobFn;
-      ++ActiveWorkers;
-    }
+    WorkCv.wait(Lock, [&] {
+      return ShuttingDown || (JobFn && Generation != Seen);
+    });
+    if (ShuttingDown)
+      return;
+    Seen = Generation;
+    const std::function<void(size_t)> *Fn = JobFn;
+    ++ActiveWorkers;
+    Lock.unlock();
     participate(Self, *Fn);
-    {
-      std::lock_guard<std::mutex> Lock(JobM);
-      --ActiveWorkers;
-    }
-    DoneCv.notify_all();
+    Lock.lock();
+    if (--ActiveWorkers == 0)
+      DoneCv.notify_one();
   }
 }
 
 void ThreadPool::parallelFor(size_t NumTasks,
                              const std::function<void(size_t)> &Fn) {
-  if (NumTasks == 0)
-    return;
-  if (NumParticipants == 1 || NumTasks == 1) {
-    // Serial: in order, on the calling thread — identical to the
-    // pre-parallel backend.
+  if (NumParticipants == 1 || NumTasks <= 1) {
+    // Serial: in order, on the calling thread.
     for (size_t I = 0; I != NumTasks; ++I)
       Fn(I);
     return;
@@ -141,20 +135,16 @@ void ThreadPool::parallelFor(size_t NumTasks,
       Shards[P]->Ranges.push_back({Next, Next + Take});
     Next += Take;
   }
-  {
-    std::lock_guard<std::mutex> Lock(JobM);
-    JobFn = &Fn;
-    Remaining.store(NumTasks, std::memory_order_release);
-  }
+  std::unique_lock<std::mutex> Lock(JobM);
+  JobFn = &Fn;
+  ++Generation;
+  Lock.unlock();
   WorkCv.notify_all();
   participate(0, Fn);
-  // Our shard drained, but workers may still be running stolen tasks (and
-  // still hold the Fn pointer): wait for full completion before returning,
-  // so Fn and any state it captures outlive every call.
-  std::unique_lock<std::mutex> Lock(JobM);
-  DoneCv.wait(Lock, [this] {
-    return Remaining.load(std::memory_order_acquire) == 0 &&
-           ActiveWorkers == 0;
-  });
+  // Every range is claimed, but workers may still run claimed tasks (and hold
+  // the Fn pointer): wait for them so Fn and its captures outlive every call.
+  // Clearing JobFn under the same lock turns away workers that wake late.
+  Lock.lock();
+  DoneCv.wait(Lock, [this] { return ActiveWorkers == 0; });
   JobFn = nullptr;
 }

@@ -17,6 +17,17 @@
 ///  - Owners take single indices from the front of their own deque; thieves
 ///    take the *upper half* of a range from the back of a victim's deque, so
 ///    stolen work is large-grained and locality inside a range is preserved.
+///    Ranges stay per-participant on purpose: one shared fetch_add claim
+///    counter matched them on cmo-mem4 but cost +5.9% build CPU on
+///    sel5-roomy, as neighbouring task slots were written by other threads.
+///  - Job hand-off: parallelFor bumps Generation as it publishes JobFn under
+///    JobM; a worker joins each generation at most once, then blocks on
+///    WorkCv, so drained workers take no part in a job's tail. A job is done
+///    once the caller's participate has returned (every range is claimed)
+///    and ActiveWorkers is 0 (every claimer has finished); the worker that
+///    brings it to 0 notifies DoneCv. A worker that wakes after the caller
+///    returned finds JobFn null and sleeps again; one that wakes into job
+///    K+1 reads K+1's JobFn under JobM, so it never runs a stale function.
 ///  - parallelFor(N, Fn) blocks until every index in [0, N) has executed.
 ///    Tasks must not throw and must not call back into the pool.
 ///
@@ -26,18 +37,17 @@
 /// pre-sized slots indexed by task id and keep any shared accumulation
 /// commutative or per-task.
 ///
-/// A pool constructed with 0 or 1 threads spawns no workers at all:
-/// parallelFor degenerates to an in-order inline loop, byte-for-byte the
-/// serial behavior. This is the `--jobs=1` escape hatch.
+/// A one-participant pool spawns no workers: parallelFor is an in-order
+/// inline loop, byte-for-byte the serial behavior (the `--jobs=1` path).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCMO_SUPPORT_THREADPOOL_H
 #define SCMO_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -67,7 +77,8 @@ public:
   /// Not reentrant: tasks must not call parallelFor on the same pool.
   void parallelFor(size_t NumTasks, const std::function<void(size_t)> &Fn);
 
-  /// std::thread::hardware_concurrency, clamped to at least 1.
+  /// CPUs in this thread's affinity mask (falling back to
+  /// std::thread::hardware_concurrency), clamped to at least 1.
   static unsigned hardwareThreads();
 
 private:
@@ -95,13 +106,12 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
   std::vector<std::thread> Workers;
 
-  // Job hand-off state. JobM orders job start/finish; Remaining counts tasks
-  // not yet completed and is the workers' "all done" signal.
+  // Job hand-off state, all guarded by JobM.
   std::mutex JobM;
   std::condition_variable WorkCv;  ///< Wakes workers for a new job.
   std::condition_variable DoneCv;  ///< Wakes the caller when a job drains.
   const std::function<void(size_t)> *JobFn = nullptr;
-  std::atomic<size_t> Remaining{0};
+  uint64_t Generation = 0; ///< Bumped each time a job is published.
   unsigned ActiveWorkers = 0;
   bool ShuttingDown = false;
 };

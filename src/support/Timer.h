@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timing for the compile-time measurements behind Figures 5/6.
+/// Wall-clock and process-CPU timing for the compile-time measurements
+/// behind Figures 5/6.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #define SCMO_SUPPORT_TIMER_H
 
 #include <chrono>
+#include <ctime>
 
 namespace scmo {
 
@@ -37,6 +39,13 @@ private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;
 };
+
+/// CPU seconds consumed so far by every thread of this process.
+inline double processCpuSeconds() {
+  timespec Ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Ts);
+  return double(Ts.tv_sec) + double(Ts.tv_nsec) * 1e-9;
+}
 
 /// Accumulates time across start/stop intervals (per compiler phase).
 class PhaseTimer {

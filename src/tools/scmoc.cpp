@@ -24,8 +24,9 @@
 ///                            routine id, so the executable is
 ///                            byte-identical at any shards x partitions x
 ///                            jobs combination
-///     --jobs <N>             backend worker threads (0 = all cores, 1 =
-///                            serial); output is identical at any width
+///     --jobs <N>             backend worker threads (0 = every CPU in the
+///                            affinity mask, 1 = serial; max 1024); output
+///                            is identical at any width
 ///     --hlo-partitions <N>   LTRANS partition count for the parallel HLO
 ///                            phase (0 = match the --jobs pool width, the
 ///                            default; max 4096). Output is byte-identical
@@ -89,6 +90,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace scmo;
@@ -126,9 +128,9 @@ int usage(const char *Argv0) {
 }
 
 /// Strict integer parse for flag values: the whole token must be a
-/// non-negative decimal number no smaller than \p Min.
-uint64_t parseCount(const char *Flag, const std::string &Text,
-                    uint64_t Min) {
+/// non-negative decimal number in [\p Min, \p Max].
+uint64_t parseCount(const char *Flag, const std::string &Text, uint64_t Min,
+                    uint64_t Max = std::numeric_limits<uint64_t>::max()) {
   char *End = nullptr;
   errno = 0;
   unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
@@ -136,6 +138,9 @@ uint64_t parseCount(const char *Flag, const std::string &Text,
     optionError(Flag, "expected a number, got '" + Text + "'");
   if (V < Min)
     optionError(Flag, "must be at least " + std::to_string(Min));
+  if (V > Max)
+    optionError(Flag, "must be at most " + std::to_string(Max) + " (got " +
+                          std::to_string(V) + ")");
   return V;
 }
 
@@ -256,7 +261,8 @@ int main(int argc, char **argv) {
       SawCompress = true;
     } else if (Arg == "--naim-prefetch") {
       PrefetchDepth = static_cast<unsigned>(
-          parseCount("--naim-prefetch", takeValue("--naim-prefetch"), 0));
+          parseCount("--naim-prefetch", takeValue("--naim-prefetch"), 0,
+                     std::numeric_limits<unsigned>::max()));
       SawPrefetch = true;
     } else if (Arg == "--naim-shards") {
       uint64_t N = parseCount("--naim-shards", takeValue("--naim-shards"), 0);
@@ -269,7 +275,7 @@ int main(int argc, char **argv) {
       SawShards = true;
     } else if (Arg == "--jobs")
       Opts.Jobs = static_cast<unsigned>(
-          parseCount("--jobs", takeValue("--jobs"), 0));
+          parseCount("--jobs", takeValue("--jobs"), 0, 1024));
     else if (Arg == "--hlo-partitions") {
       uint64_t N = parseCount("--hlo-partitions",
                               takeValue("--hlo-partitions"), 0);

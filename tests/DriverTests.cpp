@@ -215,6 +215,19 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
     Prev = At;
   }
 
+  // Each stage row's fixed sub-order, CPU time beside the wall time.
+  size_t StagesAt = Json.find("\"stages\"");
+  ASSERT_NE(StagesAt, std::string::npos);
+  const char *StageKeys[] = {"\"name\"", "\"seconds\"", "\"cpu_s\"",
+                             "\"live_bytes_after\"", "\"skipped\""};
+  Prev = StagesAt;
+  for (const char *Key : StageKeys) {
+    size_t At = Json.find(Key, Prev);
+    ASSERT_NE(At, std::string::npos) << "missing stage key " << Key;
+    Prev = At;
+  }
+  EXPECT_LT(Prev, Json.find("\"memory_profile\"")) << "stage keys out of place";
+
   // memory_profile's own fixed sub-order.
   size_t MpAt = Json.find("\"memory_profile\"");
   ASSERT_NE(MpAt, std::string::npos);

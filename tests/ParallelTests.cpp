@@ -16,11 +16,15 @@
 
 #include "TestUtil.h"
 #include "support/ThreadPool.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <sched.h>
+#include <thread>
 
 using namespace scmo;
 using namespace scmo::test;
@@ -109,7 +113,7 @@ TEST(ThreadPool, SerialWidthRunsInOrder) {
 
 TEST(ThreadPool, PoolIsReusableAcrossJobs) {
   // A stale worker from job K must never execute tasks of job K+1 with job
-  // K's function (the handoff race the pool's join protocol prevents).
+  // K's function (the handoff race the pool's generation gate prevents).
   ThreadPool Pool(3);
   for (int Round = 0; Round != 50; ++Round) {
     std::atomic<uint64_t> Sum{0};
@@ -119,6 +123,54 @@ TEST(ThreadPool, PoolIsReusableAcrossJobs) {
     });
     EXPECT_EQ(Sum.load(), uint64_t(N) * (N + 1) / 2) << "round " << Round;
   }
+  // Tiny jobs on a wider pool: the caller usually finishes before the
+  // workers wake, so they wake into a finished job (and must sleep again)
+  // or straight into a later one (and must run that job's function). The
+  // yield widens the window in which a worker still runs a claimed task
+  // after the caller's own share is done; the caller must wait for it.
+  ThreadPool Wide(4);
+  for (int Round = 0; Round != 2000; ++Round) {
+    std::atomic<uint64_t> Sum{0};
+    size_t N = 2 + static_cast<size_t>(Round) % 3;
+    Wide.parallelFor(N, [&](size_t I) {
+      std::this_thread::yield();
+      Sum.fetch_add(I + 1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(Sum.load(), uint64_t(N) * (N + 1) / 2) << "round " << Round;
+  }
+}
+
+TEST(ThreadPool, DrainedWorkersSleepWhileATaskRuns) {
+  // Three tasks finish at once and task 0 sleeps: the three drained
+  // participants must block rather than poll until task 0 ends.
+  ThreadPool Pool(4);
+  Pool.parallelFor(4, [](size_t) {}); // Let every worker start.
+  double Before = processCpuSeconds();
+  Pool.parallelFor(4, [](size_t I) {
+    if (I == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  EXPECT_LT(processCpuSeconds() - Before, 0.050);
+}
+
+TEST(ThreadPool, HardwareThreadsFollowsTheAffinityMask) {
+  cpu_set_t Mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Mask), &Mask), 0);
+  EXPECT_EQ(ThreadPool::hardwareThreads(), unsigned(CPU_COUNT(&Mask)));
+  // Pinned to one CPU (as under `taskset -c N`), the count follows the pin.
+  unsigned Pinned = 0;
+  std::thread([&] {
+    cpu_set_t One;
+    CPU_ZERO(&One);
+    for (int Cpu = 0; Cpu != CPU_SETSIZE; ++Cpu)
+      if (CPU_ISSET(Cpu, &Mask)) {
+        CPU_SET(Cpu, &One);
+        break;
+      }
+    if (sched_setaffinity(0, sizeof(One), &One) == 0)
+      Pinned = ThreadPool::hardwareThreads();
+  }).join();
+  EXPECT_EQ(Pinned, 1u);
 }
 
 TEST(ThreadPool, OversubscribedWidthStillCompletes) {
