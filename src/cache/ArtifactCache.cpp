@@ -122,23 +122,6 @@ GlobalId resolveGlobal(const Program &P, const GlobalRef &Ref) {
   return cachefmt::resolveGlobalByName(P, Ref.Name, Ref.IsStatic, Ref.Owner);
 }
 
-/// Whether this machine opcode's Sym is a routine, a global, or unused.
-enum class SymKind : uint8_t { None, Routine, Global };
-
-SymKind symKind(MOp Op) {
-  switch (Op) {
-  case MOp::Call:
-    return SymKind::Routine;
-  case MOp::LoadG:
-  case MOp::StoreG:
-  case MOp::LoadIdx:
-  case MOp::StoreIdx:
-    return SymKind::Global;
-  default:
-    return SymKind::None;
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -368,7 +351,9 @@ bool scmo::readUnitEntry(Program &P, const std::vector<uint8_t> &Bytes,
   // resolution has succeeded, so a failed load leaves the program
   // untouched.
   RoutineId CloneStart = static_cast<RoutineId>(P.numRoutines());
-  std::vector<RoutineId> RMap(RRefs.size(), InvalidId);
+  auto Refs = std::make_shared<SymRefs>();
+  std::vector<RoutineId> &RMap = Refs->Routines;
+  RMap.assign(RRefs.size(), InvalidId);
   for (size_t I = 0; I != RRefs.size(); ++I) {
     if (RRefs[I].Kind == 1) {
       if (RRefs[I].CloneIdx >= Clones.size())
@@ -380,7 +365,8 @@ bool scmo::readUnitEntry(Program &P, const std::vector<uint8_t> &Bytes,
         return false;
     }
   }
-  std::vector<GlobalId> GMap(GRefs.size(), InvalidId);
+  std::vector<GlobalId> &GMap = Refs->Globals;
+  GMap.assign(GRefs.size(), InvalidId);
   std::vector<ModuleId> CloneOwner(Clones.size(), InvalidId);
   for (size_t I = 0; I != GRefs.size(); ++I) {
     GMap[I] = resolveGlobal(P, GRefs[I]);
@@ -393,8 +379,9 @@ bool scmo::readUnitEntry(Program &P, const std::vector<uint8_t> &Bytes,
       return false;
   }
 
-  // Machine code: one validating walk per routine maps every reference
-  // index back to a current id and re-encodes the instruction in place.
+  // Machine code: one validating walk per routine checks every instruction
+  // and every reference index against the tables. The code is kept as
+  // stored; the linker resolves its indices through Refs.
   uint32_t NumMachines = count();
   if (R.Bad)
     return false;
@@ -415,28 +402,15 @@ bool scmo::readUnitEntry(Program &P, const std::vector<uint8_t> &Bytes,
     if (!R.need(CodeLen))
       return false;
     MCodeReader Code(R.P, CodeLen, MR.NumInstrs, MR.SpillSlots);
-    R.P += CodeLen;
-    MR.Code.reserve(CodeLen);
     MInstr I;
-    while (Code.next(I)) {
-      switch (symKind(I.Op)) {
-      case SymKind::Routine:
-        if (I.Sym >= RMap.size())
-          return false;
-        I.Sym = RMap[I.Sym];
-        break;
-      case SymKind::Global:
-        if (I.Sym >= GMap.size())
-          return false;
-        I.Sym = GMap[I.Sym];
-        break;
-      case SymKind::None:
-        break;
-      }
-      encodeMInstr(MR.Code, I);
-    }
+    while (Code.next(I))
+      if (!Refs->resolve(I))
+        return false;
     if (!Code.ok())
       return false;
+    MR.Code.assign(R.P, R.P + CodeLen);
+    MR.Refs = Refs;
+    R.P += CodeLen;
     Machines.push_back(std::move(MR));
   }
 
@@ -478,7 +452,8 @@ scmo::encodeUnitEntry(const Program &P, const ArtifactCache::EntryKey &K,
                       const std::vector<CallEdgeWeight> &Edges) {
   // Build the reference tables by walking everything that names a symbol.
   // Code is re-encoded with every routine and global operand rewritten to
-  // its reference index.
+  // its reference index (code loaded from an artifact is first resolved
+  // through its own tables).
   RefBuilder Refs(P, CloneBase);
   Sink Body;
   Body.u32(static_cast<uint32_t>(Machines.size()));
@@ -494,6 +469,8 @@ scmo::encodeUnitEntry(const Program &P, const ArtifactCache::EntryKey &K,
     MCodeReader Code(MR);
     MInstr I;
     while (Code.next(I)) {
+      [[maybe_unused]] bool Resolved = !MR.Refs || MR.Refs->resolve(I);
+      assert(Resolved && "reference index past the unit's tables");
       switch (symKind(I.Op)) {
       case SymKind::Routine:
         I.Sym = Refs.routineRef(I.Sym);

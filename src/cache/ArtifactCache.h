@@ -100,8 +100,9 @@ struct CacheUnit {
 
 /// A successfully loaded artifact, resolved against the current program.
 struct CachedUnit {
-  /// The unit's machine routines with Routine and every instruction Sym
-  /// rebound to current program ids. Ascending RoutineId.
+  /// The unit's machine routines, ascending RoutineId. Routine is rebound
+  /// to the current program id; the code stays as stored, its Sym fields
+  /// indexing the unit's shared Refs table (validated in range).
   std::vector<MachineRoutine> Machines;
   /// The unit's contribution to the linker's profiled call-edge weights
   /// (caller-side slice), rebound to current ids.
@@ -211,6 +212,8 @@ private:
 /// The framed unit-artifact bytes ArtifactCache::store writes: \p Machines'
 /// code in the dense MachineCode encoding, every routine and global operand
 /// rewritten to an index into the artifact's by-name reference tables.
+/// Accepts loaded code too (Refs set): re-encoding a loaded entry
+/// reproduces its bytes.
 std::vector<uint8_t> encodeUnitEntry(const Program &P,
                                      const ArtifactCache::EntryKey &K,
                                      const std::vector<MachineRoutine> &Machines,
@@ -219,9 +222,10 @@ std::vector<uint8_t> encodeUnitEntry(const Program &P,
 
 /// The in-memory half of ArtifactCache::load: validates \p Entry's frame,
 /// version, check hash, reference tables and code (one validating walk per
-/// routine, which maps reference indices back to current ids), and only
-/// then replays the clone declarations into \p P and fills \p Out. Returns
-/// false with \p P unchanged if anything is off.
+/// routine, which bounds-checks every reference index against the tables),
+/// and only then replays the clone declarations into \p P and fills \p Out.
+/// The code is handed on as stored, with the resolved tables as its Refs.
+/// Returns false with \p P unchanged if anything is off.
 bool readUnitEntry(Program &P, const std::vector<uint8_t> &Entry,
                    const ArtifactCache::EntryKey &K, CachedUnit &Out);
 

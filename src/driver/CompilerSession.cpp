@@ -16,7 +16,6 @@
 #include "ir/Checksum.h"
 #include "ir/Verifier.h"
 #include "profile/Probes.h"
-#include "support/Hash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -596,12 +595,7 @@ struct CompilerSession::BuildState {
         B.Result.Warnings.push_back(std::move(D));
       }
       uint64_t Fp = S.Opts.fingerprint();
-      uint64_t Epoch = 0;
-      if (B.UsableProfile) {
-        std::string Ser = S.Profile.serialize();
-        Epoch = hashBytes(reinterpret_cast<const uint8_t *>(Ser.data()),
-                          Ser.size());
-      }
+      uint64_t Epoch = B.UsableProfile ? S.Profile.fingerprint() : 0;
       // Content hashes of every defined routine: stored with the module's
       // source entry when it has one (nothing has rewritten a body since
       // addSource — instrumented builds skip this stage, correlation only

@@ -208,12 +208,19 @@ Executable scmo::linkProgram(const Program &P,
   Exe.Code.reserve(Addr);
   for (size_t Pos = 0; Pos != Order.size(); ++Pos) {
     MachineRoutine &MR = Machines[Order[Pos]];
+    const SymRefs *Refs = MR.Refs.get();
     const ExeRoutine &ER = Exe.Routines[Pos];
     Exe.Code.resize(ER.CodeStart + ER.CodeLen);
     MInstr *Begin = Exe.Code.data() + ER.CodeStart;
     if (!MCodeReader(MR).decodeAll(Begin))
       return fail("malformed machine code in '" + MR.Name + "'");
     std::vector<uint8_t>().swap(MR.Code);
+    // Cached code indexes its unit's reference tables: map each routine and
+    // global operand to its program id first, then patch as for LLO output.
+    auto badRef = [&](const MInstr &I) {
+      return fail("reference #" + std::to_string(I.Sym) +
+                  " past the reference tables of '" + MR.Name + "'");
+    };
     for (MInstr *I = Begin, *End = Begin + ER.CodeLen; I != End; ++I) {
       switch (I->Op) {
       case MOp::Jmp:
@@ -222,6 +229,8 @@ Executable scmo::linkProgram(const Program &P,
         I->Target += ER.CodeStart;
         break;
       case MOp::Call: {
+        if (Refs && !Refs->resolve(*I))
+          return badRef(*I);
         if (I->Sym >= ExeIndexOf.size() || ExeIndexOf[I->Sym] == None)
           return fail("undefined routine '" + routineName(P, I->Sym) +
                       "' referenced from '" + MR.Name + "'");
@@ -232,6 +241,8 @@ Executable scmo::linkProgram(const Program &P,
       case MOp::StoreG:
       case MOp::LoadIdx:
       case MOp::StoreIdx:
+        if (Refs && !Refs->resolve(*I))
+          return badRef(*I);
         if (I->Sym >= P.numGlobals())
           return fail("undefined global #" + std::to_string(I->Sym) +
                       " referenced from '" + MR.Name + "'");

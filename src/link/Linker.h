@@ -66,9 +66,11 @@ struct LinkOptions {
   uint32_t NumProbes = 0;
 };
 
-/// Links \p Machines into an executable. Reports unresolved references
-/// (calls to routines with no definition) and a missing main() through
-/// \p Error; returns an empty image in that case.
+/// Links \p Machines into an executable. Routines with Refs (cached code)
+/// have their Sym fields resolved through that table first. Reports
+/// unresolved references (calls to routines with no definition, an index
+/// past a routine's Refs) and a missing main() through \p Error; returns an
+/// empty image in that case.
 Executable linkProgram(const Program &P, std::vector<MachineRoutine> Machines,
                        const LinkOptions &Opts, std::string &Error);
 

@@ -185,3 +185,15 @@ bool MCodeReader::decodeAll(MInstr *Dst) {
     ++Dst;
   return ok();
 }
+
+bool SymRefs::resolve(MInstr &I) const {
+  SymKind Kind = symKind(I.Op);
+  if (Kind == SymKind::None)
+    return true;
+  const std::vector<uint32_t> &Table =
+      Kind == SymKind::Routine ? Routines : Globals;
+  if (I.Sym >= Table.size())
+    return false;
+  I.Sym = Table[I.Sym];
+  return true;
+}

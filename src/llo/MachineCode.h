@@ -36,6 +36,7 @@
 #include "support/VarInt.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -126,10 +127,42 @@ struct MInstr {
   uint32_t Slot = 0; ///< Spill slot for LoadSpill/StoreSpill.
 };
 
+/// What an instruction's Sym names.
+enum class SymKind : uint8_t { None, Routine, Global };
+
+/// Call names a routine; LoadG, StoreG, LoadIdx and StoreIdx name a global.
+inline SymKind symKind(MOp Op) {
+  switch (Op) {
+  case MOp::Call:
+    return SymKind::Routine;
+  case MOp::LoadG:
+  case MOp::StoreG:
+  case MOp::LoadIdx:
+  case MOp::StoreIdx:
+    return SymKind::Global;
+  default:
+    return SymKind::None;
+  }
+}
+
+/// The program ids behind a cached unit's reference indices: in code that
+/// carries a table, a routine Sym indexes Routines and a global Sym indexes
+/// Globals. One table serves every routine of the unit.
+struct SymRefs {
+  std::vector<RoutineId> Routines; ///< Clones included.
+  std::vector<GlobalId> Globals;
+
+  /// Rewrites \p I's reference index to the program id it stands for.
+  /// Returns false, leaving \p I untouched, if the index is past its table.
+  bool resolve(MInstr &I) const;
+};
+
 /// LLO's output for one routine. Code holds NumInstrs instructions in the
 /// dense encoding below — the only form lowered code takes between LLO and
 /// the linker, in memory and in the incremental cache's unit artifacts.
-/// Targets are local instruction indices; Sym is a RoutineId / GlobalId.
+/// Targets are local instruction indices. Sym is a RoutineId / GlobalId,
+/// unless Refs is set: code loaded from a unit artifact keeps its stored
+/// bytes, whose Sym fields index Refs, and the linker resolves them there.
 struct MachineRoutine {
   RoutineId Routine = InvalidId;
   std::string Name;            ///< Display name (diagnostics, entry lookup).
@@ -138,6 +171,7 @@ struct MachineRoutine {
   uint32_t SpillSlots = 0;     ///< Frame size in slots.
   uint64_t EntryFreq = 0;      ///< Profile invocation count (for clustering).
   uint32_t SourceLines = 0;
+  std::shared_ptr<const SymRefs> Refs; ///< Null for LLO output.
 };
 
 //===----------------------------------------------------------------------===//
@@ -172,8 +206,8 @@ void encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I);
 /// or the VM could not execute safely — an opcode >= NumMOps, a register
 /// >= NumPhysRegs, a branch without a target or with one >= NumInstrs, a
 /// spill slot >= SpillSlots, a non-canonical field or varint, and trailing
-/// bytes. Sym is passed through; its meaning (RoutineId, GlobalId or a
-/// cache reference index) is the caller's to check.
+/// bytes. Sym is passed through; its meaning (RoutineId, GlobalId or an
+/// index into the routine's Refs) is the caller's to check.
 class MCodeReader {
 public:
   MCodeReader(const uint8_t *Data, size_t Size, uint32_t NumInstrs,

@@ -103,8 +103,13 @@ std::string scmo::printMachineRoutine(const MachineRoutine &MR) {
      << MR.SpillSlots << " slots)\n";
   MCodeReader Reader(MR);
   MInstr I;
-  for (uint32_t Idx = 0; Reader.next(I); ++Idx)
+  for (uint32_t Idx = 0; Reader.next(I); ++Idx) {
+    if (MR.Refs && !MR.Refs->resolve(I)) {
+      OS << "  <unresolvable reference>\n";
+      return OS.str();
+    }
     OS << "  " << Idx << ":\t" << printMInstr(I) << "\n";
+  }
   if (!Reader.ok())
     OS << "  <malformed code>\n";
   return OS.str();

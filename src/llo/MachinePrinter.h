@@ -28,7 +28,8 @@ namespace scmo {
 /// link-resolved code with routine-relative labels.
 std::string printMInstr(const MInstr &I, uint32_t Base = 0);
 
-/// Disassembles a (pre-link) machine routine.
+/// Disassembles a (pre-link) machine routine. Symbols print as program
+/// ids, resolved through the routine's Refs when it has them.
 std::string printMachineRoutine(const MachineRoutine &MR);
 
 /// Disassembles one routine of a linked executable by name; empty string if

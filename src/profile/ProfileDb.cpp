@@ -7,6 +7,8 @@
 
 #include "profile/ProfileDb.h"
 
+#include "support/Hash.h"
+
 #include <sstream>
 
 using namespace scmo;
@@ -122,18 +124,44 @@ bool ProfileDb::parse(const std::string &Text, ProfileDb &Out) {
   size_t NumEntries = 0;
   if (!(IS >> Magic >> NumEntries) || Magic != "scmo-profile-v1")
     return false;
+  ProfileDb Db;
   for (size_t E = 0; E != NumEntries; ++E) {
     std::string Key;
     RoutineProfile RP;
     size_t NumBlocks = 0;
     if (!(IS >> Key >> RP.Checksum >> NumBlocks))
       return false;
+    // Each block line takes at least 4 characters (" 0 0"), so a count the
+    // rest of the text cannot hold is malformed, never an allocation.
+    size_t Left = IS.eof() ? 0 : Text.size() - size_t(IS.tellg());
+    if (NumBlocks > Left / 4)
+      return false;
     RP.BlockCounts.resize(NumBlocks);
     RP.TakenCounts.resize(NumBlocks);
     for (size_t B = 0; B != NumBlocks; ++B)
       if (!(IS >> RP.BlockCounts[B] >> RP.TakenCounts[B]))
         return false;
-    Out.Map.emplace(std::move(Key), std::move(RP));
+    Db.Map.emplace(std::move(Key), std::move(RP));
   }
+  Out = std::move(Db);
   return true;
+}
+
+uint64_t ProfileDb::fingerprint() const {
+  std::vector<uint8_t> Bytes;
+  auto U64 = [&Bytes](uint64_t V) {
+    for (int I = 0; I != 8; ++I)
+      Bytes.push_back(static_cast<uint8_t>(V >> (I * 8)));
+  };
+  for (const auto &[Key, RP] : Map) {
+    U64(Key.size());
+    Bytes.insert(Bytes.end(), Key.begin(), Key.end());
+    U64(RP.Checksum);
+    U64(RP.BlockCounts.size());
+    for (size_t B = 0; B != RP.BlockCounts.size(); ++B) {
+      U64(RP.BlockCounts[B]);
+      U64(RP.TakenCounts[B]);
+    }
+  }
+  return hashBytes(Bytes.data(), Bytes.size());
 }

@@ -82,7 +82,15 @@ public:
 
   /// Text serialization (the on-disk database format).
   std::string serialize() const;
+  /// Parses \p Text into \p Out, replacing its contents. On malformed text
+  /// returns false with \p Out untouched.
   static bool parse(const std::string &Text, ProfileDb &Out);
+
+  /// XXH64 over every entry in map order (its length-prefixed name,
+  /// checksum, block count, then each block's count and taken count): the
+  /// profile epoch in incremental cache keys. Changes whenever serialize()'s
+  /// output would, without formatting it.
+  uint64_t fingerprint() const;
 
 private:
   std::map<std::string, RoutineProfile> Map;

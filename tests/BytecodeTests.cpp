@@ -14,7 +14,8 @@
 /// fails with the program untouched or decodes to exactly what it encodes.
 /// The same fuzzer covers the dense machine-code encoding and the unit
 /// artifacts that carry it: a mutant is rejected or decodes to code the VM
-/// can run safely.
+/// can run safely. It also covers the profile database's text: a mutant is
+/// rejected or round-trips through serialize().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +26,13 @@
 #include "cache/CacheFormat.h"
 #include "frontend/Frontend.h"
 #include "llo/Codegen.h"
+#include "profile/ProfileDb.h"
 #include "support/Hash.h"
 #include "support/VarInt.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
 
 using namespace scmo;
 using namespace scmo::test;
@@ -684,11 +688,21 @@ struct MachineCorpus {
 };
 
 /// Decodes \p MR; true iff it is well formed with every operand safe to
-/// execute and every symbol inside \p P.
+/// execute, every reference index inside MR.Refs (when it has one) and
+/// every resolved symbol inside \p P.
 bool codeIsSafe(const Program &P, const MachineRoutine &MR) {
   MCodeReader Reader(MR);
   MInstr I;
   while (Reader.next(I)) {
+    bool IsCall = symKind(I.Op) == SymKind::Routine;
+    bool IsGlobal = symKind(I.Op) == SymKind::Global;
+    if (MR.Refs && (IsCall || IsGlobal)) {
+      const std::vector<uint32_t> &Table =
+          IsCall ? MR.Refs->Routines : MR.Refs->Globals;
+      if (I.Sym >= Table.size())
+        return false;
+      I.Sym = Table[I.Sym];
+    }
     if (static_cast<unsigned>(I.Op) >= NumMOps || I.Rd >= NumPhysRegs ||
         I.A.Reg >= NumPhysRegs || I.B.Reg >= NumPhysRegs)
       return false;
@@ -698,11 +712,9 @@ bool codeIsSafe(const Program &P, const MachineRoutine &MR) {
     if ((I.Op == MOp::LoadSpill || I.Op == MOp::StoreSpill) &&
         I.Slot >= MR.SpillSlots)
       return false;
-    if (I.Op == MOp::Call && I.Sym >= P.numRoutines())
+    if (IsCall && I.Sym >= P.numRoutines())
       return false;
-    if ((I.Op == MOp::LoadG || I.Op == MOp::StoreG || I.Op == MOp::LoadIdx ||
-         I.Op == MOp::StoreIdx) &&
-        I.Sym >= P.numGlobals())
+    if (IsGlobal && I.Sym >= P.numGlobals())
       return false;
   }
   return Reader.ok();
@@ -879,15 +891,27 @@ TEST(DecoderFuzz, UnitArtifactMutantsMissCleanlyOrLoadSafeCode) {
   std::vector<uint8_t> OtherEntry =
       encodeUnitEntry(*C.P, K, Half, CloneBase, {});
   {
-    // The unmutated entry loads in a fresh context to the very same code.
+    // The unmutated entry loads in a fresh context to the very same code:
+    // stored reference indices, which resolve through the unit's one shared
+    // table to exactly the corpus's instructions.
     auto P = C.context();
     CachedUnit Out;
     ASSERT_TRUE(readUnitEntry(*P, Entry, K, Out));
     ASSERT_EQ(Out.Machines.size(), C.Machines.size());
     for (size_t I = 0; I != Out.Machines.size(); ++I) {
-      EXPECT_EQ(Out.Machines[I].Routine, C.Machines[I].Routine);
-      EXPECT_EQ(Out.Machines[I].NumInstrs, C.Machines[I].NumInstrs);
-      EXPECT_EQ(Out.Machines[I].Code, C.Machines[I].Code);
+      const MachineRoutine &Got = Out.Machines[I];
+      EXPECT_EQ(Got.Routine, C.Machines[I].Routine);
+      EXPECT_EQ(Got.NumInstrs, C.Machines[I].NumInstrs);
+      ASSERT_NE(Got.Refs, nullptr);
+      EXPECT_EQ(Got.Refs, Out.Machines[0].Refs);
+      ASSERT_TRUE(codeIsSafe(*P, Got)) << Got.Name;
+      std::vector<MInstr> Resolved = decodeMachine(Got);
+      for (MInstr &Instr : Resolved)
+        ASSERT_TRUE(Got.Refs->resolve(Instr));
+      std::vector<uint8_t> Bytes;
+      for (const MInstr &Instr : Resolved)
+        encodeMInstr(Bytes, Instr);
+      EXPECT_EQ(Bytes, C.Machines[I].Code) << Got.Name;
     }
     EXPECT_EQ(Out.Edges.size(), C.Edges.size());
     EXPECT_EQ(encodeUnitEntry(*P, K, Out.Machines, CloneBase, Out.Edges),
@@ -930,4 +954,76 @@ TEST(DecoderFuzz, UnitArtifactMutantsMissCleanlyOrLoadSafeCode) {
     P = C.context();
   }
   EXPECT_GT(Hits, 0u); // Immediates and frequencies are free to change.
+}
+
+namespace {
+
+/// One mutation of a profile db's text: the structure-blind mutations above,
+/// or one number replaced by a count no file of this size could back.
+std::string mutateProfile(Prng &Rng, const std::string &A,
+                          const std::string &B) {
+  auto bytes = [](const std::string &S) {
+    return std::vector<uint8_t>(S.begin(), S.end());
+  };
+  if (Rng.nextBelow(4) != 0) {
+    std::vector<uint8_t> M = mutate(Rng, bytes(A), bytes(B));
+    return std::string(M.begin(), M.end());
+  }
+  static const char *const Huge[] = {"1099511627776", "300000000",
+                                     "18446744073709551615",
+                                     "99999999999999999999"};
+  std::string M = A;
+  size_t Pos = Rng.nextBelow(M.size());
+  while (Pos != 0 && std::isdigit(static_cast<unsigned char>(M[Pos - 1])))
+    --Pos;
+  size_t End = Pos;
+  while (End != M.size() && std::isdigit(static_cast<unsigned char>(M[End])))
+    ++End;
+  M.replace(Pos, End - Pos, Huge[Rng.nextBelow(4)]);
+  return M;
+}
+
+} // namespace
+
+TEST(DecoderFuzz, ProfileDbMutantsFailCleanlyOrRoundTrip) {
+  // The profile db is text a build reads from disk: a mutant either fails
+  // with the caller's db untouched, or parses to a db whose serialization
+  // parses back to the same db, with the same fingerprint.
+  std::string Error;
+  ProfileDb Trained = trainProfile(FuzzCorpus().GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  ASSERT_GT(Trained.size(), 2u);
+  std::string Text = Trained.serialize();
+  {
+    ProfileDb Back;
+    ASSERT_TRUE(ProfileDb::parse(Text, Back));
+    ASSERT_EQ(Back.serialize(), Text);
+    ASSERT_EQ(Back.fingerprint(), Trained.fingerprint());
+  }
+  ProfileDb Other;
+  RoutineProfile RP;
+  RP.Checksum = 99;
+  RP.BlockCounts = {7, 3};
+  RP.TakenCounts = {0, 2};
+  Other.insert("other:routine", RP);
+  std::string OtherText = Other.serialize();
+
+  Prng Rng(0x5eed6);
+  unsigned Parsed = 0;
+  for (int I = 0; I != 6000; ++I) {
+    std::string Mutant = mutateProfile(Rng, Text, OtherText);
+    ProfileDb Out = Other;
+    if (!ProfileDb::parse(Mutant, Out)) {
+      ASSERT_EQ(Out.serialize(), OtherText) << "mutant " << I;
+      ASSERT_EQ(Out.fingerprint(), Other.fingerprint()) << "mutant " << I;
+      continue;
+    }
+    ++Parsed;
+    std::string Again = Out.serialize();
+    ProfileDb Back;
+    ASSERT_TRUE(ProfileDb::parse(Again, Back)) << "mutant " << I;
+    ASSERT_EQ(Back.serialize(), Again) << "mutant " << I;
+    ASSERT_EQ(Back.fingerprint(), Out.fingerprint()) << "mutant " << I;
+  }
+  EXPECT_GT(Parsed, 0u); // Flipped count digits still parse.
 }

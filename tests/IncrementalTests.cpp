@@ -208,6 +208,51 @@ TEST(Incremental, ModuleEditInvalidatesOnlyItsUnit) {
   EXPECT_TRUE(exesIdentical(Fresh.Build.Exe, Warm.Build.Exe));
 }
 
+TEST(Incremental, DefaultModuleEditLinksCachedCmoCodeLikeAColdBuild) {
+  // The edit-compile loop's shape: O4 +P with selectivity, a CMO unit whose
+  // HLO created clones, and one default-set module edited. The warm build
+  // links the cached CMO unit's code, clones included, from its stored
+  // reference indices next to freshly lowered code, and must reproduce a
+  // from-scratch build of the edited sources.
+  GeneratedProgram GP = testProgram(34);
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Pbo = true;
+  Opts.SelectivityPercent = 5;
+  std::string Dir = freshCacheDir();
+  IncBuild Cold = buildWithCache(GP, Dir, Opts, &Db);
+  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
+  ASSERT_GT(stat(Cold.Build, "clone.created"), 0u);
+  const SelectivityResult &Sel = Cold.Build.Selectivity;
+  ASSERT_FALSE(Sel.CmoModules.empty());
+  ASSERT_FALSE(Sel.DefaultModules.empty());
+  uint64_t Units = stat(Cold.Build, "cache.misses");
+  ASSERT_EQ(Units, 1 + Sel.DefaultModules.size());
+
+  GeneratedProgram Edited = editModule(GP, Sel.DefaultModules.back());
+  IncBuild Fresh = buildWithCache(Edited, "", Opts, &Db);
+  ASSERT_TRUE(Fresh.Build.Ok) << Fresh.Build.Error;
+  for (unsigned Jobs : {1u, 4u}) {
+    CompileOptions JOpts = Opts;
+    JOpts.Jobs = Jobs;
+    std::string JDir = freshCacheDir();
+    ASSERT_TRUE(buildWithCache(GP, JDir, JOpts, &Db).Build.Ok);
+    IncBuild Warm = buildWithCache(Edited, JDir, JOpts, &Db);
+    ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
+    EXPECT_EQ(stat(Warm.Build, "cache.misses"), 1u) << "jobs=" << Jobs;
+    EXPECT_EQ(stat(Warm.Build, "cache.hits"), Units - 1) << "jobs=" << Jobs;
+    EXPECT_EQ(stat(Warm.Build, "cache.skip.hlo"), 1u) << "jobs=" << Jobs;
+    EXPECT_GT(stat(Warm.Build, "cache.skip.llo"), 0u) << "jobs=" << Jobs;
+    EXPECT_TRUE(exesIdentical(Fresh.Build.Exe, Warm.Build.Exe))
+        << "jobs=" << Jobs;
+    EXPECT_EQ(hashExecutable(Fresh.Build.Exe), hashExecutable(Warm.Build.Exe))
+        << "jobs=" << Jobs;
+  }
+}
+
 TEST(Incremental, CmoMemberEditInvalidatesTheWholeSet) {
   // At O4 without selectivity the entire program is one CMO unit — HLO is
   // interprocedural across it, so any member edit invalidates the set.

@@ -8,6 +8,7 @@
 #include "TestUtil.h"
 #include "frontend/Frontend.h"
 #include "llo/Codegen.h"
+#include "llo/MachinePrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -100,7 +101,112 @@ referenceClusterOrder(const std::vector<MachineRoutine> &Machines,
   return Order;
 }
 
+/// \p Machines as a unit artifact hands them to the linker: every routine
+/// and global operand rewritten to an index into one shared table. The
+/// tables list ids in reverse first-use order, so no index equals its id.
+std::vector<MachineRoutine>
+withRefTables(const std::vector<MachineRoutine> &Machines) {
+  auto Refs = std::make_shared<SymRefs>();
+  std::map<uint32_t, uint32_t> RIdx, GIdx;
+  for (const MachineRoutine &MR : Machines)
+    for (const MInstr &I : decodeMachine(MR)) {
+      SymKind Kind = symKind(I.Op);
+      if (Kind == SymKind::Routine && !RIdx.count(I.Sym)) {
+        RIdx[I.Sym] = 0;
+        Refs->Routines.insert(Refs->Routines.begin(), I.Sym);
+      } else if (Kind == SymKind::Global && !GIdx.count(I.Sym)) {
+        GIdx[I.Sym] = 0;
+        Refs->Globals.insert(Refs->Globals.begin(), I.Sym);
+      }
+    }
+  for (uint32_t Idx = 0; Idx != Refs->Routines.size(); ++Idx)
+    RIdx[Refs->Routines[Idx]] = Idx;
+  for (uint32_t Idx = 0; Idx != Refs->Globals.size(); ++Idx)
+    GIdx[Refs->Globals[Idx]] = Idx;
+  std::vector<MachineRoutine> Out;
+  for (const MachineRoutine &MR : Machines) {
+    MachineRoutine T = MR;
+    T.Code.clear();
+    for (MInstr I : decodeMachine(MR)) {
+      if (symKind(I.Op) == SymKind::Routine)
+        I.Sym = RIdx[I.Sym];
+      else if (symKind(I.Op) == SymKind::Global)
+        I.Sym = GIdx[I.Sym];
+      encodeMInstr(T.Code, I);
+    }
+    T.Refs = Refs;
+    Out.push_back(std::move(T));
+  }
+  return Out;
+}
+
+/// Rewrites the Sym of \p MR's first instruction for which \p Pick holds.
+bool setFirstSym(MachineRoutine &MR, bool (*Pick)(MOp), uint32_t Sym) {
+  std::vector<MInstr> Code = decodeMachine(MR);
+  auto It = std::find_if(Code.begin(), Code.end(),
+                         [&](const MInstr &I) { return Pick(I.Op); });
+  if (It == Code.end())
+    return false;
+  It->Sym = Sym;
+  MR.Code.clear();
+  for (const MInstr &I : Code)
+    encodeMInstr(MR.Code, I);
+  return true;
+}
+
 } // namespace
+
+TEST(Linker, ReferenceTablesResolveLikeProgramIds) {
+  const char *Src = R"(
+global g = 3;
+global arr[9];
+func add(a, b) { return a + b + g; }
+func fill(n) {
+  var i = 0;
+  while (i < n) { arr[i] = add(i, 1); i = i + 1; }
+  return arr[n - 1];
+}
+func main() {
+  g = 2;
+  print fill(12);
+  return add(arr[4], g);
+}
+)";
+  LinkFixture F(Src);
+  std::vector<MachineRoutine> Tabled = withRefTables(F.Machines);
+  ASSERT_FALSE(Tabled[0].Refs->Routines.empty());
+  ASSERT_FALSE(Tabled[0].Refs->Globals.empty());
+  for (size_t I = 0; I != Tabled.size(); ++I)
+    EXPECT_EQ(printMachineRoutine(Tabled[I]),
+              printMachineRoutine(F.Machines[I]));
+
+  LinkOptions Opts;
+  std::string Err;
+  Executable Direct = linkProgram(F.P, F.Machines, Opts, Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  Executable Resolved = linkProgram(F.P, Tabled, Opts, Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_EQ(hashExecutable(Resolved), hashExecutable(Direct));
+  RunResult Run = runExecutable(Resolved);
+  ASSERT_TRUE(Run.Ok) << Run.Error;
+  EXPECT_EQ(Run.OutputChecksum, runExecutable(Direct).OutputChecksum);
+
+  // An index past the table is a link error, never an out-of-bounds read.
+  auto isCall = [](MOp Op) { return Op == MOp::Call; };
+  auto isStoreIdx = [](MOp Op) { return Op == MOp::StoreIdx; };
+  for (auto Pick : {+isCall, +isStoreIdx}) {
+    std::vector<MachineRoutine> Bad = Tabled;
+    bool Damaged = false;
+    for (MachineRoutine &MR : Bad)
+      if (!Damaged)
+        Damaged = setFirstSym(MR, Pick, 1000);
+    ASSERT_TRUE(Damaged);
+    Executable Exe = linkProgram(F.P, std::move(Bad), Opts, Err);
+    EXPECT_NE(Err.find("past the reference tables"), std::string::npos)
+        << Err;
+    EXPECT_TRUE(Exe.Code.empty());
+  }
+}
 
 TEST(Linker, LaysOutGlobalDataWithInitializers) {
   LinkFixture F(R"(

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <unistd.h>
+
 using namespace scmo;
 using namespace scmo::test;
 
@@ -101,6 +104,83 @@ TEST(ProfileDb, ParseRejectsGarbage) {
   ProfileDb Out;
   EXPECT_FALSE(ProfileDb::parse("not-a-profile 3", Out));
   EXPECT_FALSE(ProfileDb::parse("scmo-profile-v1 1\nfoo 1", Out));
+}
+
+TEST(ProfileDb, BlockCountsBeyondTheTextAreRejectedNotAllocated) {
+  // 2^40 blocks would ask for 16 TiB; the text cannot hold even one.
+  ProfileDb Out;
+  RoutineProfile RP;
+  RP.Checksum = 5;
+  RP.BlockCounts = {1};
+  RP.TakenCounts = {0};
+  Out.insert("kept:entry", RP);
+  std::string Before = Out.serialize();
+  EXPECT_FALSE(
+      ProfileDb::parse("scmo-profile-v1 1\nmain 0 1099511627776\n", Out));
+  EXPECT_FALSE(ProfileDb::parse("scmo-profile-v1 1\nmain 0 300000000\n"
+                                "1 0\n2 0\n",
+                                Out));
+  EXPECT_EQ(Out.serialize(), Before);
+
+  // The same bytes on disk: the loader a build uses fails cleanly too.
+  char Path[] = "/tmp/scmo-profile-XXXXXX";
+  int Fd = mkstemp(Path);
+  ASSERT_GE(Fd, 0);
+  const char Bad[] = "scmo-profile-v1 1\nmain 0 1099511627776\n";
+  ASSERT_EQ(write(Fd, Bad, sizeof(Bad) - 1), ssize_t(sizeof(Bad) - 1));
+  close(Fd);
+  ProfileDb Loaded;
+  EXPECT_FALSE(loadProfileDb(Path, Loaded));
+  EXPECT_TRUE(Loaded.empty());
+  unlink(Path);
+
+  // The tightest honest text still parses: a last block line without its
+  // newline, and an empty routine at the very end.
+  ASSERT_TRUE(
+      ProfileDb::parse("scmo-profile-v1 2\na 1 2\n3 4\n5 6\nb 7 0", Out));
+  ASSERT_NE(Out.lookup("a"), nullptr);
+  EXPECT_EQ(Out.lookup("a")->TakenCounts, (std::vector<uint64_t>{4, 6}));
+  ASSERT_NE(Out.lookup("b"), nullptr);
+  EXPECT_EQ(Out.lookup("kept:entry"), nullptr); // Replaced, not merged.
+}
+
+TEST(ProfileDb, FingerprintTracksEveryFieldAndIgnoresInsertionOrder) {
+  auto entry = [](uint64_t Checksum, std::vector<uint64_t> Counts,
+                  std::vector<uint64_t> Taken) {
+    RoutineProfile RP;
+    RP.Checksum = Checksum;
+    RP.BlockCounts = std::move(Counts);
+    RP.TakenCounts = std::move(Taken);
+    return RP;
+  };
+  ProfileDb Base;
+  Base.insert("m:a", entry(1, {10, 4}, {3, 0}));
+  Base.insert("m:b", entry(2, {7}, {1}));
+  Base.insert("n:c", entry(3, {}, {}));
+  uint64_t Fp = Base.fingerprint();
+
+  ProfileDb Reordered;
+  Reordered.insert("n:c", entry(3, {}, {}));
+  Reordered.insert("m:b", entry(2, {7}, {1}));
+  Reordered.insert("m:a", entry(1, {10, 4}, {3, 0}));
+  EXPECT_EQ(Reordered.fingerprint(), Fp);
+
+  auto changed = [&](const std::string &Name, RoutineProfile RP) {
+    ProfileDb Db = Base;
+    Db.insert(Name, std::move(RP));
+    return Db.fingerprint();
+  };
+  EXPECT_NE(changed("m:a", entry(9, {10, 4}, {3, 0})), Fp); // Checksum.
+  EXPECT_NE(changed("m:a", entry(1, {11, 4}, {3, 0})), Fp); // Count.
+  EXPECT_NE(changed("m:a", entry(1, {10, 4}, {3, 1})), Fp); // Taken.
+  EXPECT_NE(changed("m:a", entry(1, {10, 4, 0}, {3, 0, 0})), Fp); // Blocks.
+  EXPECT_NE(changed("n:d", entry(0, {}, {})), Fp); // One more entry.
+  ProfileDb Renamed;
+  Renamed.insert("m:a", entry(1, {10, 4}, {3, 0}));
+  Renamed.insert("m:bb", entry(2, {7}, {1}));
+  Renamed.insert("n:c", entry(3, {}, {}));
+  EXPECT_NE(Renamed.fingerprint(), Fp); // Name.
+  EXPECT_NE(ProfileDb().fingerprint(), Fp);
 }
 
 TEST(ProfileDb, MergeAccumulatesMatchingRuns) {
