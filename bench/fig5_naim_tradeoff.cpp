@@ -47,29 +47,23 @@ int main() {
   std::printf("Figure 5: HLO compile time vs memory (gcc-like, %llu lines, "
               "O4+P)\n\n",
               (unsigned long long)GP.TotalLines);
-  std::printf("%-16s %12s %12s %12s %12s %16s\n", "NAIM level", "HLO peak",
-              "HLO time s", "compactions", "offloads", "repo stored/raw");
+  std::printf("%-16s %12s %12s %12s %12s %12s\n", "NAIM level", "HLO peak",
+              "HLO time s", "compactions", "offloads", "repo stored");
 
   struct Config {
     const char *Name;
     NaimMode Mode;
-    NaimCompress Compress = NaimCompress::Off;
-    unsigned PrefetchDepth = 0;
   };
   const Config Configs[] = {
       {"off", NaimMode::Off},
       {"IR compaction", NaimMode::CompactIr},
       {"+ST compaction", NaimMode::CompactIrSt},
       {"+offloading", NaimMode::Offload},
-      {"+compression", NaimMode::Offload, NaimCompress::Fast},
-      {"+prefetch", NaimMode::Offload, NaimCompress::Fast, 8},
   };
   uint64_t Baseline = 0;
   for (const Config &C : Configs) {
     CompileOptions Opts = optionsFor(OptLevel::O4, true);
     Opts.Naim.Mode = C.Mode;
-    Opts.Naim.Compress = C.Compress;
-    Opts.Naim.PrefetchDepth = C.PrefetchDepth;
     // Tight budgets force the machinery to work (the paper's "squeezed"
     // operating points).
     Opts.Naim.ExpandedCacheBytes = 2ull << 20;
@@ -84,20 +78,16 @@ int main() {
     else if (Baseline != M.Build.Exe.Code.size())
       std::fprintf(stderr,
                    "WARNING: NAIM level changed generated code size!\n");
-    char Buf[32], BufS[32], BufR[32];
-    std::printf("%-16s %10s M %12.2f %12llu %12llu %6s/%-6s M\n", C.Name,
+    char Buf[32], BufS[32];
+    std::printf("%-16s %10s M %12.2f %12llu %12llu %10s M\n", C.Name,
                 fmtMiB(M.HloPeakBytes, Buf, sizeof(Buf)),
                 M.HloSeconds,
                 (unsigned long long)M.Build.Loader.Compactions,
                 (unsigned long long)M.Build.Loader.Offloads,
-                fmtMiB(M.Build.Loader.CompressedBytes, BufS, sizeof(BufS)),
-                fmtMiB(M.Build.Loader.RawBytes, BufR, sizeof(BufR)));
+                fmtMiB(M.Build.Loader.CompressedBytes, BufS, sizeof(BufS)));
   }
   std::printf("\npaper (Figure 5): memory drops ~10x from 'off' to full\n"
               "offloading while HLO time rises ~50%%; identical code at\n"
-              "every level (Section 6.2 determinism). The +compression and\n"
-              "+prefetch rows are the I/O-path overhaul (DESIGN.md §5f):\n"
-              "smaller repository payloads and schedule-driven readahead\n"
-              "claw back most of the offloading time cost.\n");
+              "every level (Section 6.2 determinism).\n");
   return 0;
 }

@@ -18,7 +18,6 @@
 #include "naim/Loader.h"
 #include "naim/Repository.h"
 #include "support/Arena.h"
-#include "support/Compress.h"
 #include "support/MemoryTracker.h"
 #include "workload/Generator.h"
 
@@ -129,59 +128,28 @@ void BM_LoaderOffloadRoundTrip(benchmark::State &State) {
 }
 BENCHMARK(BM_LoaderOffloadRoundTrip);
 
-void BM_LoaderCompressedOffloadRoundTrip(benchmark::State &State) {
-  // The read-only round trip is the hot shape of the overhauled I/O path:
-  // the store is elided (clean pool) and the fetch decompresses.
+void BM_LoaderReadOnlyOffloadRoundTrip(benchmark::State &State) {
+  // The read-only round trip: the pool stays clean, so each eviction drops
+  // it back to its record (an elided store) and each acquire fetches it.
   auto P = makeProgram();
   NaimConfig C;
   C.Mode = NaimMode::Offload;
   C.ExpandedCacheBytes = 0;
   C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
   Loader L(*P, C);
   RoutineId R = firstDefined(*P);
   L.acquire(R);
   L.release(R);
-  L.drainSpills();
   for (auto _ : State) {
     const RoutineBody &Body = L.acquireRead(R);
     benchmark::DoNotOptimize(&Body);
     L.release(R);
   }
-  L.drainSpills();
   LoaderStats S = L.stats();
-  State.counters["raw_bytes"] = double(S.RawBytes);
   State.counters["stored_bytes"] = double(S.CompressedBytes);
   State.counters["elisions"] = double(S.SpillElisions);
 }
-BENCHMARK(BM_LoaderCompressedOffloadRoundTrip);
-
-void BM_LzCompressCompactIl(benchmark::State &State) {
-  // Compression throughput on real compact IL (not synthetic payloads).
-  auto P = makeProgram();
-  auto Bytes = compactRoutine(*P->routine(firstDefined(*P)).Slot.Body);
-  for (auto _ : State) {
-    auto Z = lzCompress(Bytes);
-    benchmark::DoNotOptimize(Z.data());
-  }
-  auto Z = lzCompress(Bytes);
-  State.SetBytesProcessed(State.iterations() * Bytes.size());
-  State.counters["ratio"] = double(Z.size()) / double(Bytes.size());
-}
-BENCHMARK(BM_LzCompressCompactIl);
-
-void BM_LzDecompressCompactIl(benchmark::State &State) {
-  auto P = makeProgram();
-  auto Bytes = compactRoutine(*P->routine(firstDefined(*P)).Slot.Body);
-  auto Z = lzCompress(Bytes);
-  std::vector<uint8_t> Out;
-  for (auto _ : State) {
-    bool Ok = lzDecompress(Z, Out, Bytes.size());
-    benchmark::DoNotOptimize(Ok);
-  }
-  State.SetBytesProcessed(State.iterations() * Bytes.size());
-}
-BENCHMARK(BM_LzDecompressCompactIl);
+BENCHMARK(BM_LoaderReadOnlyOffloadRoundTrip);
 
 void BM_RepositoryStoreFetch(benchmark::State &State) {
   Repository Repo;

@@ -176,7 +176,6 @@ int main() {
     Opts.Jobs = ShardJobs;
     Opts.HloPartitions = 0;
     Opts.Naim = NaimConfig::autoFor(MachineMem);
-    Opts.Naim.PrefetchDepth = 4;
     Opts.Naim.Shards = Shards;
     return measure(NaimGP, Opts, &NaimDb, /*RunIt=*/true);
   };

@@ -239,9 +239,8 @@ std::vector<uint8_t> keyMaterial(const Program &P, const CacheUnit &U,
 
 ArtifactCache::ArtifactCache(std::string Dir,
                              std::shared_ptr<FaultInjector> Injector,
-                             Statistics &Stats, bool Locking)
-    : Dir(std::move(Dir)), Injector(std::move(Injector)), Stats(Stats),
-      Locking(Locking) {
+                             Statistics &Stats)
+    : Dir(std::move(Dir)), Injector(std::move(Injector)), Stats(Stats) {
   ::mkdir(this->Dir.c_str(), 0755); // Best-effort; writes report failures.
   Writable = cachedir::dirWritable(this->Dir);
 }
@@ -562,19 +561,8 @@ void ArtifactCache::storeEntry(const std::string &Path, uint64_t Key,
   bool Overwrite = std::find(InvalidOnDisk.begin(), InvalidOnDisk.end(),
                              Key) != InvalidOnDisk.end();
   using SO = cachedir::StoreOutcome;
-  SO Out;
-  if (Locking) {
-    Out = cachedir::storeEntry(Path, File, FI, /*CorruptSkip=*/FrameBytes,
-                               /*LockWaitMs=*/2000, Overwrite);
-  } else {
-    // Bench-only unlocked mode: same fault site, same atomic rename, no
-    // advisory lock — the delta against Locking is the lock tax.
-    Out = writeFileWithFaults(Path, File, FI, FaultInjector::Site::CacheStore,
-                              /*CorruptSkip=*/FrameBytes)
-              ? SO::Stored
-              : SO::Failed;
-  }
-  switch (Out) {
+  switch (cachedir::storeEntry(Path, File, FI, /*CorruptSkip=*/FrameBytes,
+                               /*LockWaitMs=*/2000, Overwrite)) {
   case SO::Stored:
     Count("stores");
     break;

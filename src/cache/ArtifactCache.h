@@ -124,10 +124,8 @@ public:
   /// \p Dir must exist or be creatable; \p Injector (may be null) drives
   /// the fault-injection hooks on every artifact read and write (sites
   /// cache-load / cache-store); \p Stats receives the cache.* counters.
-  /// \p Locking disables the per-entry advisory lock when false — a
-  /// bench-only knob for measuring the lock tax; production stores lock.
   ArtifactCache(std::string Dir, std::shared_ptr<FaultInjector> Injector,
-                Statistics &Stats, bool Locking = true);
+                Statistics &Stats);
 
   /// False when the cache directory cannot be written: stores will be
   /// skipped and the driver should surface a scmo-cache-degraded warning.
@@ -200,7 +198,6 @@ private:
   std::string Dir;
   std::shared_ptr<FaultInjector> Injector;
   Statistics &Stats;
-  bool Locking = true;
   bool Writable = true;
   /// Keys whose entry file existed but failed validation on load this
   /// session: their store overwrites in place of the usual skip-if-present,

@@ -25,26 +25,6 @@
 
 using namespace scmo;
 
-namespace {
-
-/// Brackets a parallel per-routine stage with the loader's acquisition
-/// schedule so the I/O thread can read ahead of the workers
-/// (--naim-prefetch). A no-op when prefetch is off; the destructor always
-/// clears, so a stage that fails mid-way cannot leak a stale schedule into
-/// the next stage's acquire pattern.
-struct ScheduleGuard {
-  Loader &Ldr;
-  ScheduleGuard(Loader &L, const std::vector<RoutineId> &Ids) : Ldr(L) {
-    if (Ldr.config().PrefetchDepth)
-      Ldr.setAcquisitionSchedule(Ids);
-  }
-  ~ScheduleGuard() { Ldr.clearAcquisitionSchedule(); }
-  ScheduleGuard(const ScheduleGuard &) = delete;
-  ScheduleGuard &operator=(const ScheduleGuard &) = delete;
-};
-
-} // namespace
-
 CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
   if (!this->Opts.FaultInject.empty()) {
     std::string Err;
@@ -68,8 +48,7 @@ CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
   Ldr = std::make_unique<Loader>(*Prog, this->Opts.Naim);
   if (this->Opts.Incremental && !this->Opts.CacheDir.empty())
     Cache = std::make_unique<ArtifactCache>(this->Opts.CacheDir,
-                                            Ldr->faultInjector(), Stats,
-                                            this->Opts.CacheLocking);
+                                            Ldr->faultInjector(), Stats);
 }
 
 CompilerSession::~CompilerSession() = default;
@@ -157,7 +136,6 @@ void CompilerSession::computeChecksums(ThreadPool &Pool) {
   for (RoutineId R = 0; R != Prog->numRoutines(); ++R)
     if (Prog->routine(R).IsDefined)
       Ids.push_back(R);
-  ScheduleGuard Sched(*Ldr, Ids);
   Pool.parallelFor(Ids.size(), [&](size_t I) {
     RoutineId R = Ids[I];
     const RoutineBody &Body = Ldr->acquireRead(R);
@@ -181,7 +159,6 @@ std::string CompilerSession::verifyRoutines(ThreadPool &Pool, bool EmittedOnly,
   // completion order) is reported, so diagnostics match the serial compiler.
   std::vector<std::string> Errors(Ids.size());
   std::atomic<bool> SawError{false};
-  ScheduleGuard Sched(*Ldr, Ids);
   Pool.parallelFor(Ids.size(), [&](size_t I) {
     if (SawError.load(std::memory_order_relaxed))
       return;
@@ -218,10 +195,6 @@ bool CompilerSession::checkHeap(BuildResult &Result, const char *Phase) {
 }
 
 bool CompilerSession::checkLoader(BuildResult &Result, const char *Phase) {
-  // Join the write-behind spill queue first: a writer-side failure (ENOSPC,
-  // poison) is latched into events/firstError only once the queue drains, and
-  // checkpoints are exactly where the build must observe it.
-  Ldr->drainSpills();
   for (const LoaderEvent &E : Ldr->takeEvents()) {
     Diagnostic D;
     D.Routine = E.Routine;
@@ -607,14 +580,11 @@ struct CompilerSession::BuildState {
         if (S.Prog->routine(R).IsDefined &&
             !S.storedContentHash(R, ContentHashes[R]))
           Ids.push_back(R);
-      {
-        ScheduleGuard Sched(*S.Ldr, Ids);
-        B.Pool.parallelFor(Ids.size(), [&](size_t I) {
-          RoutineId R = Ids[I];
-          ContentHashes[R] = contentHash(*S.Prog, S.Ldr->acquireRead(R));
-          S.Ldr->release(R);
-        });
-      }
+      B.Pool.parallelFor(Ids.size(), [&](size_t I) {
+        RoutineId R = Ids[I];
+        ContentHashes[R] = contentHash(*S.Prog, S.Ldr->acquireRead(R));
+        S.Ldr->release(R);
+      });
       // The unit plan: CMO set first — its clone replay must precede
       // anything that looks at routine ids — then one unit per default
       // module, ascending.
@@ -867,7 +837,6 @@ struct CompilerSession::BuildState {
       std::vector<LloStats> TaskStats(EmitIds.size());
       std::atomic<uint64_t> LoweredBytes{0};
       std::atomic<bool> Stop{false};
-      ScheduleGuard Sched(*S.Ldr, EmitIds);
       B.Pool.parallelFor(EmitIds.size(), [&](size_t I) {
         if (Stop.load(std::memory_order_relaxed))
           return;
@@ -992,7 +961,6 @@ struct CompilerSession::BuildState {
         S.Tracker->release(MemCategory::Other, B.MachineBytes);
       B.Result.HloPeakBytes = S.Tracker->hloPeakBytes();
       B.Result.TotalPeakBytes = S.Tracker->totalPeakBytes();
-      S.Ldr->drainSpills(); // Counters must be exact in the reported stats.
       B.Result.Loader = S.Ldr->stats();
       B.Result.TotalSeconds = B.Total.seconds() + B.Result.FrontendSeconds;
       // Final fault-path checkpoint: collects any warnings the last phases

@@ -120,18 +120,13 @@ struct CompileOptions {
   /// cache directory.
   bool Incremental = false;
   std::string CacheDir;
-  /// Per-entry advisory flock on artifact stores (the multi-process cache
-  /// discipline). Always on in production; bench/fault_overhead turns it
-  /// off to measure the lock tax. Fingerprint-excluded: it cannot change
-  /// generated code, only store concurrency behavior.
-  bool CacheLocking = true;
 
   /// Hash of every option that can change generated machine code. Two
   /// sessions with equal fingerprints and equal IL produce byte-identical
   /// executables, so the fingerprint is cache-key material. Deliberately
   /// excludes knobs that only affect resource usage or diagnostics (Jobs,
   /// HloPartitions, Naim, FaultInject, HeapCapBytes, VerifyIl,
-  /// ObjectDir/WriteObjects, Incremental/CacheDir/CacheLocking themselves).
+  /// ObjectDir/WriteObjects, Incremental/CacheDir themselves).
   uint64_t fingerprint() const;
 };
 

@@ -58,15 +58,9 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
           (unsigned long long)Build.Loader.Shards,
           (unsigned long long)Build.Loader.Contentions,
           double(Build.Loader.LockWaitNanos) / 1e6);
-  appendf(Out,
-          "; naim io: %llu elided stores, %llu queue hits, %llu "
-          "prefetch hits, %llu wasted, %llu/%llu stored/raw bytes\n",
+  appendf(Out, "; naim io: %llu elided stores, %llu stored bytes\n",
           (unsigned long long)Build.Loader.SpillElisions,
-          (unsigned long long)Build.Loader.SpillQueueHits,
-          (unsigned long long)Build.Loader.PrefetchHits,
-          (unsigned long long)Build.Loader.PrefetchWasted,
-          (unsigned long long)Build.Loader.CompressedBytes,
-          (unsigned long long)Build.Loader.RawBytes);
+          (unsigned long long)Build.Loader.CompressedBytes);
   for (const StageMetrics &M : Build.Stages)
     appendf(Out, "; stage %-12s %8.3fs  cpu %8.3fs  live %8.2f MiB%s\n",
             M.Name.c_str(), M.Seconds, M.CpuSeconds, mib(M.LiveBytesAfter),
@@ -191,16 +185,9 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
           (unsigned long long)Build.Loader.Shards,
           (unsigned long long)Build.Loader.Contentions,
           (unsigned long long)Build.Loader.LockWaitNanos);
-  appendf(Out,
-          "\"naim_io\":{\"elided_stores\":%llu,\"queue_hits\":%llu,"
-          "\"prefetch_hits\":%llu,\"prefetch_wasted\":%llu,"
-          "\"stored_bytes\":%llu,\"raw_bytes\":%llu},",
+  appendf(Out, "\"naim_io\":{\"elided_stores\":%llu,\"stored_bytes\":%llu},",
           (unsigned long long)Build.Loader.SpillElisions,
-          (unsigned long long)Build.Loader.SpillQueueHits,
-          (unsigned long long)Build.Loader.PrefetchHits,
-          (unsigned long long)Build.Loader.PrefetchWasted,
-          (unsigned long long)Build.Loader.CompressedBytes,
-          (unsigned long long)Build.Loader.RawBytes);
+          (unsigned long long)Build.Loader.CompressedBytes);
   Out += "\"stages\":[";
   for (size_t I = 0; I != Build.Stages.size(); ++I) {
     const StageMetrics &M = Build.Stages[I];

@@ -150,8 +150,7 @@ void scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Set,
     // members independently and work lands in routine-indexed slots, so
     // the executable is byte-identical; what changes is lock locality —
     // a worker stays on one shard's mutex for a run of routines instead
-    // of hopping shards every acquire. The prefetch schedule is built
-    // from the same order so it predicts the actual acquire sequence.
+    // of hopping shards every acquire.
     std::vector<std::vector<RoutineId>> Affine;
     if (C.L.shardCount() > 1) {
       Affine = *Parts;
@@ -162,23 +161,6 @@ void scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Set,
                            return SA != SB ? SA < SB : A < B;
                          });
       Parts = &Affine;
-    }
-
-    // Prefetch schedule: partition-major, member-ascending — the exact
-    // acquire order of a serial run and a good approximation of the
-    // interleaved parallel one. Clones are excluded: their first
-    // acquisition races their own defineRoutine, and prefetching an
-    // undefined routine is wasted I/O anyway.
-    bool Scheduled = false;
-    if (C.L.config().PrefetchDepth) {
-      std::vector<RoutineId> Schedule;
-      for (const std::vector<RoutineId> &Members : *Parts)
-        for (RoutineId R : Members)
-          if (!Plan.cloneFor(R) && C.P.routine(R).IsDefined &&
-              C.P.routine(R).Emit)
-            Schedule.push_back(R);
-      C.L.setAcquisitionSchedule(Schedule);
-      Scheduled = true;
     }
 
     if (Pool && Pool->threadCount() > 1 && Parts->size() > 1) {
@@ -195,9 +177,6 @@ void scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Set,
       for (const std::vector<RoutineId> &Members : *Parts)
         runPartition(C, Members, Plan, C.Stats);
     }
-
-    if (Scheduled)
-      C.L.clearAcquisitionSchedule();
   });
 
   PM.add("compact-symtabs", [](HloContext &C, std::vector<RoutineId> &) {

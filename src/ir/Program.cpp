@@ -126,7 +126,6 @@ RoutineId Program::declareRoutine(ModuleId M, std::string_view Name,
     if (It != StaticRoutines.end())
       return It->second;
     RoutineId R = static_cast<RoutineId>(Routines.size());
-    prepareRoutineGrowth();
     Routines.emplace_back();
     RoutineInfo &RI = Routines.back();
     RI.Name = N;
@@ -141,7 +140,6 @@ RoutineId Program::declareRoutine(ModuleId M, std::string_view Name,
   if (It != ExternRoutines.end())
     return It->second;
   RoutineId R = static_cast<RoutineId>(Routines.size());
-  prepareRoutineGrowth();
   Routines.emplace_back();
   RoutineInfo &RI = Routines.back();
   RI.Name = N;

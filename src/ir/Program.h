@@ -22,7 +22,6 @@
 #include "support/StringInterner.h"
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -111,31 +110,22 @@ struct RoutineSlot {
   bool UnloadPending = false;          ///< In the loader cache, evictable.
 
   /// A loader worker is encoding/decoding this pool outside the loader
-  /// mutex; every other path must wait (acquire) or skip (eviction,
-  /// prefetch) the slot until the transition lands.
+  /// mutex; every other path must wait (acquire) or skip (eviction) the
+  /// slot until the transition lands.
   bool InTransition = false;
-  /// The resident body was installed by readahead and has not yet been
-  /// acquired; resolves to a PrefetchHit (on acquire) or a PrefetchWasted
-  /// (on eviction).
-  bool WasPrefetched = false;
-  /// Nonzero while a write-behind spill for this pool is still in the
-  /// loader's queue or in the writer's hands: the payload can be served
-  /// from the queue, and RepoOffset/RepoSize are not yet valid.
-  uint64_t SpillTicket = 0;
   /// Hash of CompactBytes (valid when State == Compact): lets the offload
   /// stage detect that the pool's content already matches its last stored
   /// record and elide the store.
   uint64_t CompactHash = 0;
   /// The most recent repository record holding this pool, surviving across
   /// re-expansion (RepoOffset/RepoSize are reset on fetch). LastRepoSize ==
-  /// 0 means no record. LastRawHash/LastRawSize describe the record's
-  /// *decompressed* compact bytes, for content-addressed store elision.
+  /// 0 means no record. LastRepoHash is the hash of the record's compact
+  /// bytes, for content-addressed store elision.
   uint64_t LastRepoOffset = 0;
   uint64_t LastRepoSize = 0;
-  uint64_t LastRawHash = 0;
-  uint64_t LastRawSize = 0;
+  uint64_t LastRepoHash = 0;
   /// True while the expanded body is provably bit-equal to what
-  /// decode(record at LastRepoOffset / queued spill) produces: set when a
+  /// decode(record at LastRepoOffset) produces: set when a
   /// body is expanded from its record, cleared by any mutable acquire.
   /// Lets eviction drop a clean pool straight back to its record with no
   /// re-encode and no store.
@@ -385,17 +375,6 @@ public:
   /// True while a shared instance is installed (diagnostics and tests).
   bool callGraphValid() const { return GraphValid; }
 
-  /// Registers a callback run just before the routine table reallocates —
-  /// i.e. just before every existing RoutineSlot moves to a new address.
-  /// The NAIM loader installs a barrier here that drains its asynchronous
-  /// I/O (write-behind spills, readahead): those threads hold RoutineSlot
-  /// references across blocking stores, so declaring new routines while
-  /// they are in flight would otherwise pull the slots out from under
-  /// them. Pass nullptr to unregister.
-  void setSlotGrowBarrier(std::function<void()> Barrier) {
-    SlotGrowBarrier = std::move(Barrier);
-  }
-
   /// Builds (or reuses) the shared graph counter — how often consumers hit
   /// the cache this session (diagnostics and tests).
   uint64_t callGraphReuses() const { return GraphReuses; }
@@ -413,14 +392,6 @@ private:
   std::map<std::pair<ModuleId, StrId>, RoutineId> StaticRoutines;
   std::map<std::pair<ModuleId, StrId>, GlobalId> StaticGlobals;
   uint64_t GlobalTableCharge = 0;
-  std::function<void()> SlotGrowBarrier;
-
-  /// Runs the grow barrier when the next Routines.emplace_back would
-  /// reallocate (only then do existing slot addresses move).
-  void prepareRoutineGrowth() {
-    if (SlotGrowBarrier && Routines.size() == Routines.capacity())
-      SlotGrowBarrier();
-  }
 
   // Shared call-graph cache (see the accessor group above).
   std::unique_ptr<CallGraph> CachedGraph;

@@ -8,7 +8,6 @@
 #include "naim/Loader.h"
 
 #include "bytecode/Compact.h"
-#include "support/Compress.h"
 #include "support/Debug.h"
 #include "support/Hash.h"
 
@@ -16,19 +15,13 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <iterator>
 #include <set>
-#include <thread>
 
 using namespace scmo;
 
 namespace {
 constexpr std::memory_order Relaxed = std::memory_order_relaxed;
-
-/// Spill envelope kinds (the first byte of every stored record).
-constexpr uint8_t EnvelopeRaw = 0;
-constexpr uint8_t EnvelopeLz = 1;
 
 /// One pass over a resident body collecting the facts routineSummary()
 /// serves. Must mirror exactly what the consumers used to read off the body
@@ -91,10 +84,10 @@ namespace scmo {
 //===----------------------------------------------------------------------===//
 
 /// One shard of the loader: the complete pre-shard loader state machine —
-/// mutex, LRU cache, spill queue, prefetch window, repository file — scoped
-/// to the subset of routines whose id hashes here (Loader::shardOf). Shards
-/// never touch each other's slots or locks; everything cross-shard (the
-/// budget total, symtabs) lives on the facade.
+/// mutex, LRU cache, repository file — scoped to the subset of routines
+/// whose id hashes here (Loader::shardOf). Shards never touch each other's
+/// slots or locks; everything cross-shard (the budget total, symtabs) lives
+/// on the facade.
 class LoaderShard {
 public:
   LoaderShard(Loader &F, unsigned Idx)
@@ -102,28 +95,11 @@ public:
         Repo(shardRepoPath(Config.RepositoryPath, F.NumShards, Idx), F.Faults,
              Idx) {}
 
-  ~LoaderShard() {
-    {
-      std::lock_guard<std::mutex> Q(QM);
-      StopIo = true;
-      // Queued spills still get stored (the writer drains before exiting);
-      // readahead is pointless now and is simply dropped.
-      PrefetchQ.clear();
-      QWorkCv.notify_all();
-    }
-    if (IoThread.joinable())
-      IoThread.join();
-  }
-
   RoutineBody &acquireImpl(RoutineId R, bool Mutable);
   void release(RoutineId R);
   void releaseAllShard();
   void enforceBudgetShard(bool Everything);
   const RoutineIlSummary *routineSummary(RoutineId R);
-  void drainSpills();
-  void drainPrefetches();
-  void setSchedule(std::vector<RoutineId> Order);
-  void clearSchedule();
 
   uint64_t cacheBytes() const { return CachedBytes.load(Relaxed); }
   size_t cachedPoolCount() const {
@@ -157,22 +133,12 @@ private:
     std::atomic<uint64_t> Offloads{0};
     std::atomic<uint64_t> Fetches{0};
     std::atomic<uint64_t> SpillElisions{0};
-    std::atomic<uint64_t> SpillQueueHits{0};
-    std::atomic<uint64_t> PrefetchHits{0};
-    std::atomic<uint64_t> PrefetchWasted{0};
     std::atomic<uint64_t> LockWaitNanos{0};
     std::atomic<uint64_t> Contentions{0};
     std::atomic<uint64_t> SpillFailures{0};
     std::atomic<uint64_t> FetchRetries{0};
     std::atomic<uint64_t> Recoveries{0};
     std::atomic<uint64_t> PoisonedPools{0};
-  };
-
-  struct SpillEntry {
-    RoutineId R = InvalidId;
-    uint64_t Ticket = 0;
-    std::vector<uint8_t> Raw;
-    uint64_t RawHash = 0;
   };
 
   /// Locks M, sampling contention: a failed try_lock counts once and the
@@ -202,32 +168,22 @@ private:
   void unlinkLruLocked(RoutineId R);
   void enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
   void evictOneLocked(std::unique_lock<std::mutex> &L);
-  void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
+  void offloadOverBudgetLocked();
 
   void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
   void setCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
                         uint64_t Hash);
-  void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
-  void storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
-                       uint64_t RawHash);
+  void offloadPool(RoutineId R);
+  void storeSyncLocked(RoutineId R, std::vector<uint8_t> Bytes, uint64_t Hash);
   void degradeSpillsLocked(RoutineId R, const Status &Cause);
-  void restoreSpillLocked(SpillEntry &E);
-  /// Decodes a parked (compact or offloaded) pool and installs its body.
-  /// Readahead (the prefetcher) skips a queue miss, puts compact bytes back
-  /// on failure and never recovers or poisons; an acquire walks the full
-  /// degradation ladder and returns the unrecoverable error.
-  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
-                    bool Readahead = false);
-  Status fetchRecord(uint64_t Offset, uint64_t Size, std::vector<uint8_t> &Raw,
-                     std::string &RetryDetail);
+  /// Decodes a parked (compact or offloaded) pool and installs its body,
+  /// walking the full degradation ladder; returns the unrecoverable error.
+  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  Status fetchRecord(uint64_t Offset, uint64_t Size,
+                     std::vector<uint8_t> &Bytes, std::string &RetryDetail);
   Status recoverPoolLocked(RoutineId R, Status Cause);
   void installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body);
   void poisonPoolLocked(RoutineId R, Status Cause);
-  std::vector<uint8_t> buildEnvelope(const std::vector<uint8_t> &Raw);
-
-  void ensureIoThreadLocked();
-  void ioThreadMain();
-  void prefetchOne(RoutineId R);
 
   Loader &F;
   Program &P;
@@ -237,8 +193,8 @@ private:
 
   AtomicStats Stats;
 
-  /// Guards this shard's pool metadata, cache and fault state. Lock order:
-  /// M -> QM. Never held together with another shard's M.
+  /// Guards this shard's pool metadata, cache, fault state and repository
+  /// stores. Never held together with another shard's M.
   mutable std::mutex M;
   std::condition_variable TransitionCv;
 
@@ -259,23 +215,6 @@ private:
   std::vector<LoaderEvent> Events;
   Status FirstErr;
   Loader::RecoverFn Recover;
-
-  /// Guards the spill/prefetch queues and schedule (lock order M -> QM).
-  std::mutex QM;
-  std::condition_variable QWorkCv; ///< Work arrived (I/O thread waits).
-  std::condition_variable QIdleCv; ///< Queue drained (drain* waits).
-  std::deque<std::shared_ptr<SpillEntry>> SpillQ;
-  std::deque<RoutineId> PrefetchQ;
-  /// This shard's slice of the acquisition schedule (relative order
-  /// preserved). Immutable while ScheduleActive.
-  std::vector<RoutineId> Schedule;
-  std::atomic<bool> ScheduleActive{false};
-  std::atomic<size_t> SchedPos{0};
-  bool SpillBusy = false;
-  bool PrefetchBusy = false;
-  bool StopIo = false;
-  uint64_t NextTicket = 0;
-  std::thread IoThread;
 };
 
 } // namespace scmo
@@ -300,10 +239,6 @@ RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
       // Cache hit: just flip the state back; no loading work at all — the
       // payoff of the lazy unloader (paper Section 4.3).
       Stats.CacheHits.fetch_add(1, Relaxed);
-      if (S.WasPrefetched) {
-        Stats.PrefetchHits.fetch_add(1, Relaxed);
-        S.WasPrefetched = false;
-      }
       unlinkLruLocked(R);
       CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
       S.UnloadPending = false;
@@ -332,23 +267,7 @@ RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
     }
   }
   ++S.Pins;
-  RoutineBody &Body = *S.Body;
-
-  // Slide the readahead window: this shard's acquire #N uncovers position
-  // N + PrefetchDepth of its schedule slice. The Schedule vector is
-  // immutable while active, so reading it outside QM is safe.
-  if (Config.PrefetchDepth &&
-      ScheduleActive.load(std::memory_order_acquire)) {
-    size_t SIdx = SchedPos.fetch_add(1, Relaxed) + Config.PrefetchDepth;
-    if (SIdx < Schedule.size()) {
-      std::lock_guard<std::mutex> Q(QM);
-      if (ScheduleActive.load(Relaxed)) {
-        PrefetchQ.push_back(Schedule[SIdx]);
-        QWorkCv.notify_one();
-      }
-    }
-  }
-  return Body;
+  return *S.Body;
 }
 
 void LoaderShard::release(RoutineId R) {
@@ -467,7 +386,7 @@ void LoaderShard::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
   while (LruHead != InvalidId &&
          (Everything || F.cacheBytes() > Config.ExpandedCacheBytes))
     evictOneLocked(L);
-  offloadOverBudgetLocked(L);
+  offloadOverBudgetLocked();
 }
 
 void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
@@ -475,23 +394,17 @@ void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
   RoutineSlot &S = P.routine(Victim).Slot;
   unlinkLruLocked(Victim);
   CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
-  if (S.WasPrefetched) {
-    Stats.PrefetchWasted.fetch_add(1, Relaxed);
-    S.WasPrefetched = false;
-  }
   // Clean fast path: a pool that was never mutably acquired since it was
-  // expanded from its repository record (or from its still-queued spill)
-  // drops straight back to that record — no re-encode, no store, no
-  // compact residency. Content-equal by history, so deterministic.
+  // expanded from its repository record drops straight back to that record
+  // — no re-encode, no store, no compact residency. Content-equal by
+  // history, so deterministic.
   if (S.CleanSinceRepo && F.offloadEnabled() && !SpillDisabled.load(Relaxed) &&
-      (S.SpillTicket != 0 || S.LastRepoSize != 0)) {
+      S.LastRepoSize != 0) {
     S.Body.reset();
     S.UnloadPending = false;
     S.State = PoolState::Offloaded;
-    // A pending write-behind entry means the record's offset arrives at
-    // writer finalize; until then fetches are served from the queue.
-    S.RepoOffset = S.SpillTicket ? 0 : S.LastRepoOffset;
-    S.RepoSize = S.SpillTicket ? 0 : S.LastRepoSize;
+    S.RepoOffset = S.LastRepoOffset;
+    S.RepoSize = S.LastRepoSize;
     Stats.Compactions.fetch_add(1, Relaxed);
     Stats.Offloads.fetch_add(1, Relaxed);
     Stats.SpillElisions.fetch_add(1, Relaxed);
@@ -500,7 +413,7 @@ void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
   compactPool(Victim, L);
 }
 
-void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
+void LoaderShard::offloadOverBudgetLocked() {
   // Second stage: offload compact pools beyond the compact-residency
   // budget. A degraded shard (earlier spill failure) keeps everything
   // resident: the budget is lifted rather than enforced against a dead
@@ -521,7 +434,7 @@ void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
       break;
     RoutineId R = *It++;
     if (!P.routine(R).Slot.InTransition)
-      offloadPool(R, L);
+      offloadPool(R);
   }
 }
 
@@ -561,35 +474,15 @@ void LoaderShard::setCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
   S.State = PoolState::Compact;
 }
 
-std::vector<uint8_t>
-LoaderShard::buildEnvelope(const std::vector<uint8_t> &Raw) {
-  std::vector<uint8_t> Env;
-  if (Config.Compress == NaimCompress::Fast) {
-    std::vector<uint8_t> Z = lzCompress(Raw);
-    // Incompressible records stay raw: the envelope kind is per-record, so
-    // the flag never makes a record bigger than `off` would.
-    if (Z.size() < Raw.size()) {
-      Env.reserve(Z.size() + 1);
-      Env.push_back(EnvelopeLz);
-      Env.insert(Env.end(), Z.begin(), Z.end());
-      return Env;
-    }
-  }
-  Env.reserve(Raw.size() + 1);
-  Env.push_back(EnvelopeRaw);
-  Env.insert(Env.end(), Raw.begin(), Raw.end());
-  return Env;
-}
-
-void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
+void LoaderShard::offloadPool(RoutineId R) {
   RoutineSlot &S = P.routine(R).Slot;
   assert(S.State == PoolState::Compact && "offloading a non-compact pool");
   CompactIds.erase(R);
   // Content-addressed store elision: if these exact compact bytes already
   // live in the repository (the pool round-tripped without changing), reuse
   // the record instead of storing a duplicate.
-  if (S.LastRepoSize != 0 && S.CompactHash == S.LastRawHash &&
-      S.CompactBytes.size() == S.LastRawSize) {
+  if (S.LastRepoSize != 0 && S.CompactHash == S.LastRepoHash &&
+      S.CompactBytes.size() == S.LastRepoSize) {
     S.CompactBytes.clear();
     S.State = PoolState::Offloaded;
     S.RepoOffset = S.LastRepoOffset;
@@ -598,177 +491,65 @@ void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
     Stats.SpillElisions.fetch_add(1, Relaxed);
     return;
   }
-  std::vector<uint8_t> Raw = S.CompactBytes.take();
-  uint64_t Hash = S.CompactHash;
-  if (Config.SpillQueueDepth != 0) {
-    std::lock_guard<std::mutex> Q(QM);
-    if (SpillQ.size() < Config.SpillQueueDepth) {
-      // Write-behind: park the bytes on the queue and move on; the writer
-      // builds the envelope and stores without holding M. The pool is
-      // Offloaded-pending (ticket set, RepoSize 0) until finalize.
-      ensureIoThreadLocked();
-      auto E = std::make_shared<SpillEntry>();
-      E->R = R;
-      E->Ticket = ++NextTicket;
-      E->Raw = std::move(Raw);
-      E->RawHash = Hash;
-      S.SpillTicket = E->Ticket;
-      S.State = PoolState::Offloaded;
-      S.RepoOffset = 0;
-      S.RepoSize = 0;
-      SpillQ.push_back(std::move(E));
-      Stats.Offloads.fetch_add(1, Relaxed);
-      QWorkCv.notify_all();
-      return;
-    }
-  }
-  // Queue full (backpressure) or write-behind disabled: store synchronously.
-  storeSyncLocked(R, std::move(Raw), Hash);
+  storeSyncLocked(R, S.CompactBytes.take(), S.CompactHash);
 }
 
-void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
-                                  uint64_t RawHash) {
+void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Bytes,
+                                  uint64_t Hash) {
   RoutineSlot &S = P.routine(R).Slot;
-  // This store supersedes any still-queued older record for the pool: the
-  // ticket must die here, or a later fetch would see it and serve the stale
-  // queue entry instead of the record stored below.
-  S.SpillTicket = 0;
-  std::vector<uint8_t> Env = buildEnvelope(Raw);
-  Expected<uint64_t> Off = Repo.store(Env, Raw.size());
+  Expected<uint64_t> Off = Repo.store(Bytes);
   if (!Off.ok()) {
     degradeSpillsLocked(R, Off.status());
     // Degradation instead of death: the pool keeps its compact bytes, this
     // shard stops spilling for good, and the compact-residency budget is
     // lifted (offloadOverBudgetLocked checks SpillDisabled). A slower,
     // fatter compile — not a dead one.
-    setCompactLocked(R, std::move(Raw), RawHash);
+    setCompactLocked(R, std::move(Bytes), Hash);
     return;
   }
   S.State = PoolState::Offloaded;
-  S.RepoOffset = *Off;
-  S.RepoSize = Env.size();
-  S.LastRepoOffset = *Off;
-  S.LastRepoSize = Env.size();
-  S.LastRawHash = RawHash;
-  S.LastRawSize = Raw.size();
+  S.RepoOffset = S.LastRepoOffset = *Off;
+  S.RepoSize = S.LastRepoSize = Bytes.size();
+  S.LastRepoHash = Hash;
   Stats.Offloads.fetch_add(1, Relaxed);
 }
 
 void LoaderShard::degradeSpillsLocked(RoutineId R, const Status &Cause) {
-  if (!SpillDisabled.load(Relaxed)) {
-    SpillDisabled.store(true, Relaxed);
-    Stats.SpillFailures.fetch_add(1, Relaxed);
-    std::string Detail = "repository spill failed (" + Cause.toString() +
-                         "); offloading disabled, pools stay memory-resident";
-    if (F.NumShards > 1)
-      Detail += " (shard " + std::to_string(Idx) + " of " +
-                std::to_string(F.NumShards) + ")";
-    Events.push_back({LoaderEvent::Kind::SpillDegraded, R, std::move(Detail)});
-  }
-  // Restore every queued (not in-flight) spill to compact residency: their
-  // stores would fail against the same dead disk. The in-flight front entry
-  // stays — the writer owns it and applies its own outcome.
-  std::lock_guard<std::mutex> Q(QM);
-  while (SpillQ.size() > (SpillBusy ? 1u : 0u)) {
-    std::shared_ptr<SpillEntry> E = std::move(SpillQ.back());
-    SpillQ.pop_back();
-    Stats.Offloads.fetch_sub(1, Relaxed);
-    restoreSpillLocked(*E);
-  }
-  QIdleCv.notify_all();
-}
-
-void LoaderShard::restoreSpillLocked(SpillEntry &E) {
-  // A dirtied pool may have re-spilled under a newer ticket; then this
-  // entry is dead and the slot is not ours to touch.
-  RoutineSlot &S = P.routine(E.R).Slot;
-  if (S.SpillTicket != E.Ticket)
+  if (SpillDisabled.load(Relaxed))
     return;
-  S.SpillTicket = 0;
-  if (S.State == PoolState::Offloaded && S.RepoSize == 0)
-    setCompactLocked(E.R, std::move(E.Raw), E.RawHash);
+  SpillDisabled.store(true, Relaxed);
+  Stats.SpillFailures.fetch_add(1, Relaxed);
+  std::string Detail = "repository spill failed (" + Cause.toString() +
+                       "); offloading disabled, pools stay memory-resident";
+  if (F.NumShards > 1)
+    Detail += " (shard " + std::to_string(Idx) + " of " +
+              std::to_string(F.NumShards) + ")";
+  Events.push_back({LoaderEvent::Kind::SpillDegraded, R, std::move(Detail)});
 }
 
 Status LoaderShard::fetchRecord(uint64_t Offset, uint64_t Size,
-                                std::vector<uint8_t> &Raw,
+                                std::vector<uint8_t> &Bytes,
                                 std::string &RetryDetail) {
-  auto ReadOnce = [&](std::vector<uint8_t> &Out) -> Status {
-    std::vector<uint8_t> Env;
-    Status FS = Repo.fetch(Offset, Size, Env);
-    if (!FS.ok())
-      return FS;
-    if (Env.empty())
-      return Status::error(StatusCode::Corruption,
-                           "empty spill envelope at offset " +
-                               std::to_string(Offset));
-    if (Env[0] == EnvelopeRaw) {
-      Out.assign(Env.begin() + 1, Env.end());
-      return Status();
-    }
-    if (Env[0] == EnvelopeLz) {
-      if (!lzDecompress(Env.data() + 1, Env.size() - 1, Out,
-                        Repository::MaxRecordBytes))
-        return Status::error(StatusCode::Corruption,
-                             "corrupt compressed spill payload at offset " +
-                                 std::to_string(Offset));
-      return Status();
-    }
-    return Status::error(StatusCode::Corruption,
-                         "unknown spill envelope kind at offset " +
-                             std::to_string(Offset));
-  };
-  Status FS = ReadOnce(Raw);
+  Status FS = Repo.fetch(Offset, Size, Bytes);
   if (!FS.ok() && FS.code() == StatusCode::Corruption) {
     // One immediate re-read: corruption introduced between the platter and
     // us (a flipped buffer, a racing cache) heals; bit-rot that made it to
-    // disk does not, and falls through to object-file recovery. A corrupt
-    // compressed payload rides the same rung.
+    // disk does not, and falls through to object-file recovery.
     RetryDetail = FS.message();
-    FS = ReadOnce(Raw);
+    FS = Repo.fetch(Offset, Size, Bytes);
   }
   return FS;
 }
 
-Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
-                               bool Readahead) {
+Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   RoutineSlot &S = P.routine(R).Slot;
   assert(!S.InTransition && "expanding a transitioning pool");
-  std::vector<uint8_t> Raw;
-  bool FromRepo = false;
-  bool FromQueue = false;
-  uint64_t Off = 0, Sz = 0;
-  uint64_t RawHash = 0;
-  if (S.State == PoolState::Offloaded) {
-    if (S.SpillTicket != 0) {
-      // The record is still in the write-behind queue (or in the writer's
-      // hands — it stays in the deque until finalized, and finalize needs
-      // M, which we hold). Serve the payload straight from the entry; the
-      // store itself proceeds untouched.
-      std::lock_guard<std::mutex> Q(QM);
-      for (const auto &E : SpillQ) {
-        if (E->Ticket == S.SpillTicket) {
-          Raw = E->Raw;
-          RawHash = E->RawHash;
-          FromQueue = true;
-          break;
-        }
-      }
-      if (!FromQueue && Readahead)
-        return Status::error(StatusCode::Unavailable, "spill entry in flight");
-      assert(FromQueue && "pending spill ticket without a queue entry");
-      if (FromQueue) {
-        Stats.SpillQueueHits.fetch_add(1, Relaxed);
-        Stats.Fetches.fetch_add(1, Relaxed);
-      }
-    }
-    if (!FromQueue) {
-      FromRepo = true;
-      Off = S.RepoOffset;
-      Sz = S.RepoSize;
-    }
-  } else {
+  std::vector<uint8_t> Bytes;
+  const bool FromRepo = S.State == PoolState::Offloaded;
+  const uint64_t Off = S.RepoOffset, Sz = S.RepoSize;
+  if (!FromRepo) {
     assert(S.State == PoolState::Compact && "expanding a non-compact pool");
-    Raw = S.CompactBytes.take();
+    Bytes = S.CompactBytes.take();
   }
   // Fetch and decode outside the mutex; the transition flag owns the slot.
   S.InTransition = true;
@@ -776,20 +557,19 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
   Status Err;
   std::string RetryDetail;
   if (FromRepo) {
-    Err = fetchRecord(Off, Sz, Raw, RetryDetail);
-    if (Err.ok()) {
+    Err = fetchRecord(Off, Sz, Bytes, RetryDetail);
+    if (Err.ok())
       Stats.Fetches.fetch_add(1, Relaxed);
-      RawHash = hashBytes(Raw.data(), Raw.size());
-    }
   }
   std::unique_ptr<RoutineBody> Body;
   if (Err.ok()) {
     // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form.
-    Body = expandRoutine(Raw, P.tracker());
+    Body = expandRoutine(Bytes, P.tracker());
     if (!Body)
       Err = Status::error(StatusCode::Corruption,
                           "corrupt compact pool for " + P.displayName(R));
   }
+  uint64_t Hash = FromRepo && Body ? hashBytes(Bytes.data(), Bytes.size()) : 0;
   L.lock();
   S.InTransition = false;
   TransitionCv.notify_all();
@@ -797,28 +577,17 @@ Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L,
     Stats.FetchRetries.fetch_add(1, Relaxed);
     Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
   }
-  if (!Err.ok()) {
-    if (!Readahead)
-      return recoverPoolLocked(R, std::move(Err));
-    // Readahead never poisons: put compact bytes back and let the real
-    // acquire drive the full degradation ladder — that path is
-    // deterministic, this one is opportunistic.
-    if (!FromRepo && !FromQueue)
-      setCompactLocked(R, std::move(Raw), S.CompactHash);
-    return Err;
-  }
+  if (!Err.ok())
+    return recoverPoolLocked(R, std::move(Err));
   installBodyLocked(R, std::move(Body));
   if (FromRepo) {
     // Remember the record: if the body round-trips unmutated, eviction can
     // reuse it (clean fast path / store elision).
     S.LastRepoOffset = Off;
     S.LastRepoSize = Sz;
-    S.LastRawHash = RawHash;
-    S.LastRawSize = Raw.size();
+    S.LastRepoHash = Hash;
+    S.CleanSinceRepo = true;
   }
-  // A pending queue record holds exactly these bytes too; the writer fills
-  // in LastRepoOffset/Size at finalize (ticket match).
-  S.CleanSinceRepo = FromRepo || FromQueue;
   Stats.Expansions.fetch_add(1, Relaxed);
   return Status();
 }
@@ -828,7 +597,7 @@ Status LoaderShard::recoverPoolLocked(RoutineId R, Status Cause) {
     if (std::unique_ptr<RoutineBody> Body = Recover(R)) {
       installBodyLocked(R, std::move(Body));
       // The object-file body is not what was summarized (the pool may have
-      // been optimized since); expand/prefetch installs, by contrast, decode
+      // been optimized since); expand installs, by contrast, decode
       // the very bytes the summary described, so they keep it.
       P.routine(R).Slot.Summary.reset();
       P.routine(R).Slot.ResummarizeOnRelease = false;
@@ -856,8 +625,7 @@ void LoaderShard::installBodyLocked(RoutineId R,
   S.CleanSinceRepo = false;
   S.LastRepoSize = 0;
   S.LastRepoOffset = 0;
-  S.LastRawHash = 0;
-  S.LastRawSize = 0;
+  S.LastRepoHash = 0;
 }
 
 void LoaderShard::poisonPoolLocked(RoutineId R, Status Cause) {
@@ -881,137 +649,6 @@ void LoaderShard::poisonPoolLocked(RoutineId R, Status Cause) {
   P.routine(R).Slot.ResummarizeOnRelease = false;
 }
 
-//===----------------------------------------------------------------------===//
-// Shard: write-behind / prefetch I/O thread
-//===----------------------------------------------------------------------===//
-
-void LoaderShard::ensureIoThreadLocked() {
-  if (!IoThread.joinable())
-    IoThread = std::thread([this] { ioThreadMain(); });
-}
-
-void LoaderShard::ioThreadMain() {
-  std::unique_lock<std::mutex> Q(QM);
-  for (;;) {
-    QWorkCv.wait(Q, [&] {
-      return StopIo || !SpillQ.empty() || !PrefetchQ.empty();
-    });
-    if (!SpillQ.empty()) {
-      // Claim the front entry but leave it in the deque: a racing fetch
-      // finds the payload there for as long as the slot's ticket stands.
-      std::shared_ptr<SpillEntry> E = SpillQ.front();
-      SpillBusy = true;
-      Q.unlock();
-      std::vector<uint8_t> Env = buildEnvelope(E->Raw);
-      Expected<uint64_t> Off = Repo.store(Env, E->Raw.size());
-      {
-        std::unique_lock<std::mutex> LM(M);
-        {
-          std::lock_guard<std::mutex> Q2(QM);
-          SpillQ.pop_front();
-          SpillBusy = false;
-        }
-        RoutineSlot &S = P.routine(E->R).Slot;
-        if (!Off.ok()) {
-          // The offload was counted when it was decided; it did not happen.
-          Stats.Offloads.fetch_sub(1, Relaxed);
-          degradeSpillsLocked(E->R, Off.status());
-          restoreSpillLocked(*E);
-        } else if (S.SpillTicket == E->Ticket) {
-          // (A dirtied pool may have re-spilled under a newer ticket while
-          // we stored; then this record is simply dead repository space.)
-          S.SpillTicket = 0;
-          S.LastRepoOffset = *Off;
-          S.LastRepoSize = Env.size();
-          S.LastRawHash = E->RawHash;
-          S.LastRawSize = E->Raw.size();
-          if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-            S.RepoOffset = *Off;
-            S.RepoSize = Env.size();
-          }
-        }
-      }
-      QIdleCv.notify_all();
-      Q.lock();
-      continue;
-    }
-    if (!PrefetchQ.empty()) {
-      RoutineId R = PrefetchQ.front();
-      PrefetchQ.pop_front();
-      PrefetchBusy = true;
-      Q.unlock();
-      prefetchOne(R);
-      Q.lock();
-      PrefetchBusy = false;
-      QIdleCv.notify_all();
-      continue;
-    }
-    if (StopIo)
-      return;
-  }
-}
-
-void LoaderShard::prefetchOne(RoutineId R) {
-  if (R >= P.numRoutines() || !P.routine(R).IsDefined)
-    return;
-  std::unique_lock<std::mutex> L(M);
-  RoutineSlot &S = P.routine(R).Slot;
-  // Only a parked compact/offloaded pool is worth readahead; anything
-  // resident, transitioning, or racing ahead of us is left alone. Also stop
-  // filling a cache that is already at the budget — prefetch must not
-  // thrash.
-  if (S.InTransition || S.State == PoolState::Expanded ||
-      S.State == PoolState::None)
-    return;
-  if (F.cacheBytes() >= Config.ExpandedCacheBytes)
-    return;
-  if (!expandPool(R, L, /*Readahead=*/true).ok())
-    return;
-  // Park the body in the cache as an unpinned, prefetched resident: the
-  // acquire it anticipates is a cache hit (and a PrefetchHit).
-  S.WasPrefetched = true;
-  parkLocked(R);
-}
-
-void LoaderShard::drainSpills() {
-  std::unique_lock<std::mutex> Q(QM);
-  QIdleCv.wait(Q, [&] { return SpillQ.empty() && !SpillBusy; });
-}
-
-void LoaderShard::drainPrefetches() {
-  std::unique_lock<std::mutex> Q(QM);
-  QIdleCv.wait(Q, [&] { return PrefetchQ.empty() && !PrefetchBusy; });
-}
-
-void LoaderShard::setSchedule(std::vector<RoutineId> Order) {
-  std::lock_guard<std::mutex> Q(QM);
-  if (Order.empty()) {
-    // This shard owns nothing in the upcoming stage: drop any stale window.
-    ScheduleActive.store(false, std::memory_order_release);
-    PrefetchQ.clear();
-    Schedule.clear();
-    return;
-  }
-  Schedule = std::move(Order);
-  SchedPos.store(0, Relaxed);
-  PrefetchQ.clear();
-  for (size_t I = 0; I < Config.PrefetchDepth && I < Schedule.size(); ++I)
-    PrefetchQ.push_back(Schedule[I]);
-  ScheduleActive.store(true, std::memory_order_release);
-  ensureIoThreadLocked();
-  QWorkCv.notify_all();
-}
-
-void LoaderShard::clearSchedule() {
-  std::unique_lock<std::mutex> Q(QM);
-  if (!ScheduleActive.load(Relaxed) && PrefetchQ.empty() && !PrefetchBusy)
-    return;
-  ScheduleActive.store(false, std::memory_order_release);
-  PrefetchQ.clear();
-  QIdleCv.wait(Q, [&] { return !PrefetchBusy; });
-  Schedule.clear();
-}
-
 LoaderStats LoaderShard::snapshot() const {
   LoaderStats S;
   S.Acquires = Stats.Acquires.load(Relaxed);
@@ -1021,11 +658,7 @@ LoaderStats LoaderShard::snapshot() const {
   S.Offloads = Stats.Offloads.load(Relaxed);
   S.Fetches = Stats.Fetches.load(Relaxed);
   S.SpillElisions = Stats.SpillElisions.load(Relaxed);
-  S.SpillQueueHits = Stats.SpillQueueHits.load(Relaxed);
-  S.PrefetchHits = Stats.PrefetchHits.load(Relaxed);
-  S.PrefetchWasted = Stats.PrefetchWasted.load(Relaxed);
-  S.RawBytes = Repo.rawBytesStored();
-  S.CompressedBytes = Repo.bytesStored();
+  S.RawBytes = S.CompressedBytes = Repo.bytesStored();
   S.LockWaitNanos = Stats.LockWaitNanos.load(Relaxed);
   S.Contentions = Stats.Contentions.load(Relaxed);
   S.SpillFailures = Stats.SpillFailures.load(Relaxed);
@@ -1049,23 +682,9 @@ Loader::Loader(Program &P, const NaimConfig &Config)
   ShardList.reserve(NumShards);
   for (unsigned I = 0; I != NumShards; ++I)
     ShardList.push_back(std::make_unique<LoaderShard>(*this, I));
-  // The I/O threads hold RoutineSlot references across blocking stores;
-  // if the routine table grows past its capacity those slots move. Park
-  // the async work whenever the program is about to reallocate it, so
-  // interleaving frontend declarations with loader traffic stays safe.
-  P.setSlotGrowBarrier([this] {
-    drainSpills();
-    drainPrefetches();
-  });
 }
 
-Loader::~Loader() {
-  P.setSlotGrowBarrier(nullptr);
-  // Readahead sums every shard's cache, so no prefetch may still be running
-  // while the shards are torn down one by one.
-  clearAcquisitionSchedule();
-  ShardList.clear();
-}
+Loader::~Loader() = default;
 
 // The threshold predicates read only the config and the (atomic) tracker
 // totals, so they need no lock of their own; the callers that act on them
@@ -1112,8 +731,10 @@ bool Loader::offloadEnabled() const {
   case NaimMode::Offload:
     return true;
   case NaimMode::Auto:
+    // floor(3/4 of it), spelled so that no machine size can overflow.
     return !P.tracker() || P.tracker()->totalLiveBytes() >
-                               (Config.MachineMemoryBytes * 3) / 4;
+                               Config.MachineMemoryBytes / 4 * 3 +
+                                   Config.MachineMemoryBytes % 4 * 3 / 4;
   }
   scmo_unreachable("invalid NAIM mode");
 }
@@ -1161,38 +782,6 @@ void Loader::maybeCompactSymtabs() {
   }
 }
 
-void Loader::drainSpills() {
-  for (auto &Sh : ShardList)
-    Sh->drainSpills();
-}
-
-void Loader::drainPrefetches() {
-  for (auto &Sh : ShardList)
-    Sh->drainPrefetches();
-}
-
-void Loader::setAcquisitionSchedule(std::vector<RoutineId> Order) {
-  if (Config.PrefetchDepth == 0 || Order.empty() || !irCompactionEnabled())
-    return;
-  if (NumShards == 1) {
-    ShardList[0]->setSchedule(std::move(Order));
-    return;
-  }
-  // Split the schedule by owning shard, preserving relative order: each
-  // shard's prefetch window slides over its own slice, so readahead tracks
-  // the acquire stream that will actually reach that shard.
-  std::vector<std::vector<RoutineId>> Slices(NumShards);
-  for (RoutineId R : Order)
-    Slices[shardOf(R)].push_back(R);
-  for (unsigned I = 0; I != NumShards; ++I)
-    ShardList[I]->setSchedule(std::move(Slices[I]));
-}
-
-void Loader::clearAcquisitionSchedule() {
-  for (auto &Sh : ShardList)
-    Sh->clearSchedule();
-}
-
 uint64_t Loader::cacheBytes() const {
   uint64_t Sum = 0;
   for (const auto &Sh : ShardList)
@@ -1218,9 +807,6 @@ LoaderStats Loader::stats() const {
     Sum.Offloads += S.Offloads;
     Sum.Fetches += S.Fetches;
     Sum.SpillElisions += S.SpillElisions;
-    Sum.SpillQueueHits += S.SpillQueueHits;
-    Sum.PrefetchHits += S.PrefetchHits;
-    Sum.PrefetchWasted += S.PrefetchWasted;
     Sum.RawBytes += S.RawBytes;
     Sum.CompressedBytes += S.CompressedBytes;
     Sum.LockWaitNanos += S.LockWaitNanos;

@@ -26,37 +26,29 @@
 /// Thresholding (Section 4.3): NAIM functionality turns on in stages tied to
 /// the configured "machine memory" so small compilations pay nothing.
 ///
-/// The spill hot path (the I/O-path overhaul, DESIGN.md §5f):
+/// The spill path (DESIGN.md §5f) is synchronous and runs on the calling
+/// thread:
 ///
-///  - Records are stored inside a one-byte envelope `[kind][payload]`;
-///    with `--naim-compress=fast` the payload is LZ-compressed
-///    (support/Compress.h) and a failed decompression feeds the same
-///    degradation ladder as a checksum mismatch.
-///  - Offloads are write-behind: the raw compact bytes move onto a bounded
-///    spill queue drained by a dedicated I/O thread, and a fetch of a
-///    record still in flight is served straight from the queue. When the
-///    queue is full the offload falls back to a synchronous store
-///    (backpressure), so memory stays bounded.
+///  - An offload stores its compact bytes as one repository record in the
+///    releasing call, under the shard mutex; an acquire fetches and expands
+///    on the acquiring thread.
 ///  - Store elision: a pool whose compact bytes hash-match its most recent
 ///    repository record reuses that record instead of storing a duplicate;
 ///    a pool that was never mutably acquired since it was expanded from its
 ///    record ("clean") is dropped straight back to that record with no
 ///    re-encode and no store at all. Both checks are content-/history-based
 ///    and therefore deterministic.
-///  - Prefetch: the driver hands the loader the acquisition schedule of the
-///    next stage and the I/O thread expands the next K scheduled routines
-///    ahead of the optimizer (`--naim-prefetch=K`).
-///  - Compaction encode and expansion decode run *outside* the loader mutex
-///    on per-pool transition states; the mutex keeps guarding metadata, the
-///    LRU cache and budgets.
+///  - Compaction encode and expansion decode (and the fetch's read) run
+///    *outside* the loader mutex on per-pool transition states; the mutex
+///    keeps guarding metadata, the LRU cache, budgets and the store.
 ///
 /// Sharding (the PR-10 overhaul, DESIGN.md §5k): the loader is a facade over
 /// N LoaderShards (`--naim-shards=N`, 0 = one shard per worker). Every
 /// routine belongs to exactly one shard — placement is a stable hash of the
 /// RoutineId, independent of jobs/partitions/schedule — and each shard owns
-/// its own mutex, LRU clock, spill queue, prefetch window, I/O thread and
-/// Repository file, so acquire/release traffic from different workers only
-/// collides when two workers touch routines that genuinely hash together.
+/// its own mutex, LRU clock and Repository file, so acquire/release traffic
+/// from different workers only collides when two workers touch routines
+/// that genuinely hash together.
 /// The memory budget stays the paper's one soft cap: a shard evicts its own
 /// LRU pools while the shards' summed cache bytes (relaxed atomics, read
 /// without any other shard's mutex) exceed it. Since placement is
@@ -72,23 +64,22 @@
 ///      the affected *shard* — its pools stay compact-resident, its compact
 ///      budget is lifted, and a warning event records the slower-but-alive
 ///      outcome; the other shards keep offloading to their own healthy
-///      files. Write-behind failures are latched into the event queue and
-///      the in-flight payloads restored to residency; the driver observes
-///      them at its next checkpoint (after drainSpills()).
-///   3. a corrupt fetch (checksum/magic/bounds/decompression mismatch) is
-///      re-read once — transient corruption between disk and memory heals,
-///      bit-rot does not — then falls back to re-expanding the routine from
-///      its source object file when the driver has installed a recovery
-///      handler;
+///      files. The failing store happens inside the releasing call, so the
+///      event and the degraded state are visible when that call returns;
+///   3. a corrupt fetch (checksum/magic/bounds mismatch) is re-read once —
+///      transient corruption between disk and memory heals, bit-rot does
+///      not — then falls back to re-expanding the routine from its source
+///      object file when the driver has installed a recovery handler;
 ///   4. an unrecoverable pool is "poisoned": acquire() returns a trivial
 ///      stub body (so in-flight phases finish safely), the first such error
 ///      is latched, and the driver fails the build with a structured
 ///      diagnostic at its next checkpoint — an exit code, not an abort.
 ///
 /// Concurrency: the loader is safe to call from the parallel backend's
-/// worker threads. Each shard's mutex M guards its pool metadata and
-/// transitions; its queue mutex QM guards its spill/prefetch queues (lock
-/// order always M -> QM, and never two shard mutexes at once). The returned
+/// worker threads. Each shard's mutex M guards its pool metadata,
+/// transitions and repository stores; it is the only loader lock on the
+/// acquire/release path, and no thread ever holds two shard mutexes at
+/// once. The loader starts no threads of its own. The returned
 /// RoutineBody references are NOT guarded — the backend's fan-out gives
 /// each routine to exactly one worker, which is what makes unsynchronized
 /// body access safe.
@@ -123,12 +114,6 @@ enum class NaimMode : uint8_t {
   Auto          ///< Thresholds tied to MachineMemoryBytes enable the stages.
 };
 
-/// Spill-record compression (`--naim-compress`).
-enum class NaimCompress : uint8_t {
-  Off,  ///< Records store the raw compact bytes.
-  Fast  ///< LZ-compressed payloads (support/Compress.h).
-};
-
 /// Loader configuration.
 struct NaimConfig {
   NaimMode Mode = NaimMode::Auto;
@@ -148,19 +133,6 @@ struct NaimConfig {
   /// Repository path ("" = a private anonymous temp file per shard). With
   /// more than one shard, shard S stores to "<path>.<S>.naim".
   std::string RepositoryPath;
-
-  /// Spill-record payload compression.
-  NaimCompress Compress = NaimCompress::Off;
-
-  /// Readahead depth for schedule-driven prefetch (0 = off): the loader
-  /// keeps up to this many upcoming scheduled routines expanding ahead of
-  /// the optimizer.
-  unsigned PrefetchDepth = 0;
-
-  /// Capacity of each shard's write-behind spill queue. A full queue makes
-  /// offloads fall back to synchronous stores (backpressure); 0 disables
-  /// write-behind entirely and every offload stores synchronously.
-  unsigned SpillQueueDepth = 8;
 
   /// Loader shard count (the scmoc --naim-shards knob). 0 = auto: the
   /// driver resolves it to the worker-pool width before constructing the
@@ -190,7 +162,7 @@ struct NaimConfig {
 /// Loader activity counters (reported by the driver's diagnostics). stats()
 /// returns a snapshot of the loader's internal relaxed-atomic counters,
 /// summed over every shard: safe to read while workers are active, exact
-/// once they have joined and the spill queues are drained.
+/// once they have joined.
 struct LoaderStats {
   uint64_t Acquires = 0;
   uint64_t CacheHits = 0;     ///< Acquire found the pool still expanded.
@@ -201,12 +173,16 @@ struct LoaderStats {
   uint64_t SymtabCompactions = 0;
 
   // I/O-path activity (DESIGN.md §5f).
-  uint64_t SpillElisions = 0;  ///< Offloads that reused an existing record.
-  uint64_t SpillQueueHits = 0; ///< Fetches served from the in-flight queue.
-  uint64_t PrefetchHits = 0;   ///< Acquires that found a prefetched body.
-  uint64_t PrefetchWasted = 0; ///< Prefetched bodies evicted unacquired.
-  uint64_t RawBytes = 0;        ///< Uncompressed payload bytes stored.
-  uint64_t CompressedBytes = 0; ///< On-disk payload bytes stored.
+  uint64_t SpillElisions = 0; ///< Offloads that reused an existing record.
+  // The loader has no spill queue, readahead or compression; these three
+  // are always zero and stay only for record formats that name them.
+  uint64_t SpillQueueHits = 0;
+  uint64_t PrefetchHits = 0;
+  uint64_t PrefetchWasted = 0;
+  // Payload bytes stored in the repositories. Records are never compressed,
+  // so both fields equal Repository::bytesStored() summed over shards.
+  uint64_t RawBytes = 0;
+  uint64_t CompressedBytes = 0;
 
   // Contention telemetry (DESIGN.md §5k): time workers spent blocked on
   // shard mutexes, sampled try_lock-then-lock on the acquire/release hot
@@ -250,8 +226,6 @@ public:
   using RecoverFn = std::function<std::unique_ptr<RoutineBody>(RoutineId)>;
 
   Loader(Program &P, const NaimConfig &Config);
-
-  /// Joins every shard's I/O thread after draining outstanding spills.
   ~Loader();
 
   /// Pins and returns the expanded body of \p R (must be defined). A pinned
@@ -297,25 +271,6 @@ public:
   /// Compacts module symbol tables if the mode/thresholds call for it.
   void maybeCompactSymtabs();
 
-  /// Blocks until every queued write-behind spill (on every shard) has been
-  /// stored (or has failed and been restored to residency). The driver
-  /// calls this at its checkpoints so writer errors latch before
-  /// stats/events are read; tests call it before exact-count assertions.
-  void drainSpills();
-
-  /// Blocks until every shard's prefetch queue is idle (deterministic
-  /// tests).
-  void drainPrefetches();
-
-  /// Hands the loader the acquisition order of the upcoming stage; with
-  /// PrefetchDepth > 0 each shard's I/O thread keeps the next K routines of
-  /// its slice of the schedule (relative order preserved) expanding ahead
-  /// of the optimizer. Replaces any previous schedule.
-  void setAcquisitionSchedule(std::vector<RoutineId> Order);
-
-  /// Drops the schedule and any queued readahead (end of stage).
-  void clearAcquisitionSchedule();
-
   /// Bytes of expanded IR currently sitting unpinned in the caches (summed
   /// over shards).
   uint64_t cacheBytes() const;
@@ -325,8 +280,7 @@ public:
   size_t cachedPoolCount() const;
 
   /// Activity counters, summed over every shard. Returns a snapshot: safe
-  /// to call while workers are active, exact once they have joined and
-  /// drainSpills() has run.
+  /// to call while workers are active, exact once they have joined.
   LoaderStats stats() const;
 
   /// One shard's counters (tests, the per-shard --stats breakdown).

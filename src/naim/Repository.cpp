@@ -215,8 +215,7 @@ Status Repository::readAll(int File, uint8_t *Data, size_t Size,
   return Status();
 }
 
-Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
-                                     uint64_t RawSize) {
+Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes) {
   std::lock_guard<std::mutex> Lock(M);
   if (Bytes.size() > MaxRecordBytes)
     return Status::error(StatusCode::IoError,
@@ -233,7 +232,8 @@ Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
   // The checksum always covers the payload the caller handed us; a
   // store-side injected corruption therefore lands on disk checksummed
   // "wrong", exactly like real bit-rot under the write path.
-  uint64_t Checksum = hashBytes(Bytes.data(), Bytes.size());
+  uint64_t Offset = AppendOffset;
+  uint64_t Checksum = hashBytes(Bytes.data(), Bytes.size(), Offset);
   const std::vector<uint8_t> *Payload = &Bytes;
   std::vector<uint8_t> Corrupted;
   if (Action == FaultInjector::Action::Corrupt) {
@@ -246,7 +246,6 @@ Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
   uint8_t Header[FrameHeaderBytes];
   encodeHeader(Header, static_cast<uint32_t>(Bytes.size()), Checksum);
 
-  uint64_t Offset = AppendOffset;
   S = writeAll(Header, FrameHeaderBytes, Offset, Action);
   if (S.ok())
     S = writeAll(Payload->data(), Payload->size(), Offset + FrameHeaderBytes,
@@ -257,7 +256,6 @@ Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
 
   AppendOffset += FrameHeaderBytes + Bytes.size();
   BytesStored += Bytes.size();
-  RawBytesStored += RawSize ? RawSize : Bytes.size();
   ++Stores;
   return Offset;
 }
@@ -324,7 +322,7 @@ Status Repository::fetch(uint64_t Offset, uint64_t Size,
     return S;
   if (Action == FaultInjector::Action::Corrupt && FI)
     FI->corruptBytes(Out.data(), Out.size());
-  if (hashBytes(Out.data(), Out.size()) != Checksum)
+  if (hashBytes(Out.data(), Out.size(), Offset) != Checksum)
     return Status::error(StatusCode::Corruption,
                          "frame checksum mismatch at offset " +
                              std::to_string(Offset) +

@@ -19,10 +19,13 @@
 ///
 /// The spill path is a first-class failure domain. Every record is framed:
 ///
-///   [magic u32][payload size u32][xxh64(payload) u64][payload...]
+///   [magic u32][payload size u32][xxh64(payload, seed = offset) u64]
+///   [payload...]
 ///
 /// so a fetch detects truncation, torn writes and bit-rot by construction
-/// instead of handing the uncompactor garbage. Offsets and sizes are
+/// instead of handing the uncompactor garbage. Seeding the checksum with the
+/// frame's own offset also rejects a whole, valid frame that ended up at
+/// another record's offset (a misdirected write or a spliced file). Offsets and sizes are
 /// validated against the append watermark before any allocation, transient
 /// EINTR/EAGAIN failures are retried with bounded backoff, and hard failures
 /// (ENOSPC, EIO, corruption) surface as structured Status values the loader
@@ -83,11 +86,7 @@ public:
   /// Status describing the failure (NoSpace / IoError / Exists). On failure
   /// the append watermark does not advance: a partially written frame is
   /// simply overwritten by the next store, so torn frames are never visible.
-  /// \p RawSize is the record's uncompressed payload size for the
-  /// raw-vs-stored accounting (0 means "not compressed": Bytes.size() is
-  /// counted).
-  Expected<uint64_t> store(const std::vector<uint8_t> &Bytes,
-                           uint64_t RawSize = 0);
+  Expected<uint64_t> store(const std::vector<uint8_t> &Bytes);
 
   /// Reads back the \p Size payload bytes of the record at \p Offset into
   /// \p Out. Validates bounds against the append watermark before
@@ -115,14 +114,6 @@ public:
   uint64_t bytesStored() const {
     std::lock_guard<std::mutex> Lock(M);
     return BytesStored;
-  }
-
-  /// Total *uncompressed* payload bytes behind the stored records: equal to
-  /// bytesStored() with compression off, larger with it on. The
-  /// bytesStored()/rawBytesStored() ratio is the fig5 compression axis.
-  uint64_t rawBytesStored() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return RawBytesStored;
   }
 
   /// Number of store / fetch operations (for the NAIM statistics).
@@ -169,7 +160,6 @@ private:
   bool UserPath = false;
   uint64_t AppendOffset = 0;
   uint64_t BytesStored = 0;
-  uint64_t RawBytesStored = 0;
   uint64_t Stores = 0;
   /// Bumped from unlocked fetches; relaxed atomics keep them exact.
   std::atomic<uint64_t> Fetches{0};

@@ -19,8 +19,8 @@
 ///     --machine-mem <MiB>    NAIM thresholds for this much memory
 ///     --naim-shards <N>      loader shard count (0 = one per worker, the
 ///                            default; max 1024). Each shard owns its own
-///                            mutex, LRU cache, spill queue and repository
-///                            file; placement is a stable hash of the
+///                            mutex, LRU cache and repository file;
+///                            placement is a stable hash of the
 ///                            routine id, so the executable is
 ///                            byte-identical at any shards x partitions x
 ///                            jobs combination
@@ -101,7 +101,6 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [+O1|+O2|+O4] [+P] [+I] [--profile F] "
                "[--select PCT] [--multi-layered] [--machine-mem MIB] "
-               "[--naim-compress off|fast] [--naim-prefetch K] "
                "[--naim-shards N] "
                "[--jobs N] [--hlo-partitions N] [--run] [--emit-il R] "
                "[--disasm R] [--stats] [--stats-format text|json] "
@@ -144,13 +143,14 @@ uint64_t parseCount(const char *Flag, const std::string &Text, uint64_t Min,
   return V;
 }
 
-/// Strict percentage parse: a full-token decimal in [0, 100].
+/// Strict percentage parse: a full-token decimal in [0, 100]. NaN fails
+/// the range check too (every comparison with it is false).
 double parsePercent(const char *Flag, const std::string &Text) {
   char *End = nullptr;
   double V = std::strtod(Text.c_str(), &End);
   if (Text.empty() || *End != '\0')
     optionError(Flag, "expected a number, got '" + Text + "'");
-  if (V < 0.0 || V > 100.0)
+  if (!(V >= 0.0 && V <= 100.0))
     optionError(Flag, "must be between 0 and 100");
   return V;
 }
@@ -200,13 +200,11 @@ int main(int argc, char **argv) {
   bool CacheGc = false;
   uint64_t CacheMaxBytes = cachedir::NoBudget;
   std::vector<CheckCode> AnalyzeFilter;
-  // I/O-path knobs are collected here and applied after the loop:
-  // --machine-mem replaces Opts.Naim wholesale, so applying them in flag
+  // --naim-shards is collected here and applied after the loop:
+  // --machine-mem replaces Opts.Naim wholesale, so applying it in flag
   // order would make the outcome depend on flag position.
-  NaimCompress Compress = NaimCompress::Off;
-  unsigned PrefetchDepth = 0;
   unsigned NaimShards = 0;
-  bool SawCompress = false, SawPrefetch = false, SawShards = false;
+  bool SawShards = false;
 
   for (int A = 1; A < argc; ++A) {
     std::string Arg = argv[A];
@@ -247,24 +245,12 @@ int main(int argc, char **argv) {
     else if (Arg == "--multi-layered")
       Opts.MultiLayered = true;
     else if (Arg == "--machine-mem")
+      // The cap keeps the MiB-to-bytes shift from wrapping.
       Opts.Naim = NaimConfig::autoFor(
-          parseCount("--machine-mem", takeValue("--machine-mem"), 1) << 20);
-    else if (Arg == "--naim-compress") {
-      std::string Mode = takeValue("--naim-compress");
-      if (Mode == "off")
-        Compress = NaimCompress::Off;
-      else if (Mode == "fast")
-        Compress = NaimCompress::Fast;
-      else
-        optionError("--naim-compress",
-                    "expected 'off' or 'fast', got '" + Mode + "'");
-      SawCompress = true;
-    } else if (Arg == "--naim-prefetch") {
-      PrefetchDepth = static_cast<unsigned>(
-          parseCount("--naim-prefetch", takeValue("--naim-prefetch"), 0,
-                     std::numeric_limits<unsigned>::max()));
-      SawPrefetch = true;
-    } else if (Arg == "--naim-shards") {
+          parseCount("--machine-mem", takeValue("--machine-mem"), 1,
+                     std::numeric_limits<uint64_t>::max() >> 20)
+          << 20);
+    else if (Arg == "--naim-shards") {
       uint64_t N = parseCount("--naim-shards", takeValue("--naim-shards"), 0);
       if (N > 1024)
         optionError("--naim-shards",
@@ -370,10 +356,6 @@ int main(int argc, char **argv) {
     if (HasInline && !TookValue)
       optionError(Arg, "does not take a value");
   }
-  if (SawCompress)
-    Opts.Naim.Compress = Compress;
-  if (SawPrefetch)
-    Opts.Naim.PrefetchDepth = PrefetchDepth;
   if (SawShards)
     Opts.Naim.Shards = NaimShards;
   if (Opts.Incremental && Opts.CacheDir.empty())

@@ -15,7 +15,9 @@
 /// The same fuzzer covers the dense machine-code encoding and the unit
 /// artifacts that carry it: a mutant is rejected or decodes to code the VM
 /// can run safely. It also covers the profile database's text: a mutant is
-/// rejected or round-trips through serialize().
+/// rejected or round-trips through serialize(); and the NAIM repository's
+/// record frames: a fetch from a mutated file fails or returns exactly the
+/// stored record.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include "cache/CacheFormat.h"
 #include "frontend/Frontend.h"
 #include "llo/Codegen.h"
+#include "naim/Repository.h"
 #include "profile/ProfileDb.h"
 #include "support/Hash.h"
 #include "support/VarInt.h"
@@ -33,6 +36,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <cstring>
+#include <unistd.h>
 
 using namespace scmo;
 using namespace scmo::test;
@@ -1026,4 +1032,116 @@ TEST(DecoderFuzz, ProfileDbMutantsFailCleanlyOrRoundTrip) {
     ASSERT_EQ(Back.fingerprint(), Out.fingerprint()) << "mutant " << I;
   }
   EXPECT_GT(Parsed, 0u); // Flipped count digits still parse.
+}
+
+TEST(DecoderFuzz, RepositoryFrameMutantsFailOrFetchExactly) {
+  // A repository file holding the compact records of a generated program.
+  // Each mutant overwrites that file in place (the repository keeps reading
+  // the same inode) and every record is fetched back: the fetch must fail
+  // with a Status or return exactly the stored bytes, and must never size
+  // its buffer past what the directory entry asked for.
+  FuzzCorpus C;
+  Program P;
+  for (const GeneratedModule &GM : C.GP.Modules)
+    ASSERT_TRUE(compileSource(P, GM.Name, GM.Source).Ok);
+  std::string Path =
+      "/tmp/scmo-fuzz-repo-" + std::to_string(::getpid()) + ".naim";
+  std::remove(Path.c_str());
+  struct Record {
+    uint64_t Offset;
+    std::vector<uint8_t> Bytes;
+  };
+  std::vector<Record> Records;
+  Repository Repo(Path);
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    if (!P.routine(R).IsDefined)
+      continue;
+    std::vector<uint8_t> Bytes = compactRoutine(P.body(R));
+    Expected<uint64_t> Off = Repo.store(Bytes);
+    ASSERT_TRUE(Off.ok()) << Off.status().toString();
+    Records.push_back({*Off, std::move(Bytes)});
+  }
+  ASSERT_GT(Records.size(), 8u);
+  std::vector<uint8_t> File;
+  ASSERT_TRUE(readFile(Path, File));
+  // The splice donor: the same records stored in reverse order, so its
+  // valid frames sit at other offsets.
+  std::vector<uint8_t> Reversed;
+  for (auto It = Records.rbegin(); It != Records.rend(); ++It) {
+    size_t Begin = It->Offset;
+    size_t End = Begin + Repository::FrameHeaderBytes + It->Bytes.size();
+    Reversed.insert(Reversed.end(), File.begin() + Begin, File.begin() + End);
+  }
+
+  auto WriteInPlace = [&](const std::vector<uint8_t> &Bytes) {
+    std::FILE *F = std::fopen(Path.c_str(), "wb"); // Truncates, same inode.
+    ASSERT_NE(F, nullptr);
+    if (!Bytes.empty()) {
+      ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+    }
+    ASSERT_EQ(std::fclose(F), 0);
+  };
+  auto FetchAll = [&](int Mutant, unsigned &Exact) {
+    for (const Record &Rec : Records) {
+      std::vector<uint8_t> Out;
+      Status S = Repo.fetch(Rec.Offset, Rec.Bytes.size(), Out);
+      ASSERT_LE(Out.capacity(), Rec.Bytes.size()) << "mutant " << Mutant;
+      if (!S.ok())
+        continue;
+      ASSERT_EQ(Out, Rec.Bytes) << "mutant " << Mutant << " offset "
+                                << Rec.Offset;
+      ++Exact;
+    }
+  };
+
+  unsigned Exact = 0;
+  FetchAll(-1, Exact);
+  ASSERT_EQ(Exact, Records.size()); // The pristine file reads back whole.
+
+  Prng Rng(0x5eed7);
+  for (int I = 0; I != 3000; ++I) {
+    std::vector<uint8_t> M;
+    const Record &Victim = Records[Rng.nextBelow(Records.size())];
+    switch (Rng.nextBelow(4)) {
+    case 0: // Bit flips, truncation, inflated varints, tail splices.
+      M = mutate(Rng, File, Reversed);
+      break;
+    case 1: { // An inflated size field in one frame header.
+      M = File;
+      static const uint32_t Sizes[] = {0xffffffffu, 0x40000001u, 0x10000u};
+      uint32_t Size = Rng.nextBool(0.5)
+                          ? Sizes[Rng.nextBelow(3)]
+                          : uint32_t(Victim.Bytes.size() + 1 +
+                                     Rng.nextBelow(64));
+      std::memcpy(M.data() + Victim.Offset + 4, &Size, 4);
+      break;
+    }
+    case 2: { // A whole valid frame copied over another one.
+      M = File;
+      const Record &Donor = Records[Rng.nextBelow(Records.size())];
+      size_t Len = Repository::FrameHeaderBytes + Donor.Bytes.size();
+      if (Victim.Offset + Len > M.size())
+        M.resize(Victim.Offset + Len);
+      std::memcpy(M.data() + Victim.Offset, File.data() + Donor.Offset, Len);
+      break;
+    }
+    case 3: // Truncation at a frame boundary or inside a header.
+      M.assign(File.begin(), File.begin() + Victim.Offset +
+                                 Rng.nextBelow(Repository::FrameHeaderBytes));
+      break;
+    }
+    WriteInPlace(M);
+    FetchAll(I, Exact);
+    // Directory entries claiming more than the file holds are rejected
+    // before any allocation.
+    std::vector<uint8_t> Out;
+    const uint64_t Inflated[] = {File.size(), Repository::MaxRecordBytes,
+                                 Repository::MaxRecordBytes + 1,
+                                 ~uint64_t(0) - 8};
+    for (uint64_t Size : Inflated) {
+      EXPECT_FALSE(Repo.fetch(Victim.Offset, Size, Out).ok());
+      ASSERT_EQ(Out.capacity(), 0u) << "mutant " << I << " size " << Size;
+    }
+  }
+  EXPECT_GT(Exact, Records.size()); // Records the mutation missed survive.
 }

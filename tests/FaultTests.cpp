@@ -121,10 +121,6 @@ TEST(FaultDriver, DiskFullDegradesTheSameWay) {
   CompileOptions Opts;
   Opts.Level = OptLevel::O2;
   Opts.Naim = spillEverything();
-  // Synchronous stores, so "the first store fails" means no spill ever
-  // lands. With write-behind, a store the writer already has in flight when
-  // a synchronous fallback store fails first may still succeed.
-  Opts.Naim.SpillQueueDepth = 0;
   Opts.Jobs = 1;
   BuildResult Clean = buildGP(GP, Opts);
   ASSERT_TRUE(Clean.Ok) << Clean.Error;
@@ -161,7 +157,6 @@ TEST(FaultDriver, FetchCorruptionRecoversFromObjectFiles) {
   Opts.Level = OptLevel::O1; // No IL mutation: recovery stays armed.
   Opts.WriteObjects = true;
   Opts.Naim = spillEverything();
-  Opts.Naim.SpillQueueDepth = 0; // Sync stores: nth below counts disk ops.
   Opts.Jobs = 1;
   char Dir[] = "/tmp/scmo-fault-obj-XXXXXX";
   ASSERT_NE(mkdtemp(Dir), nullptr);

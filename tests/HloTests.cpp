@@ -796,12 +796,10 @@ TEST(Wpa, CompactSnapshotsRoundTripOutsideTheNaimBudget) {
     L.release(R);
   }
   selectEverything(P);
-  L.drainSpills();
   uint64_t CompactBefore = Tracker.liveBytes(MemCategory::HloCompact);
   HloOptions Opts;
   Opts.Pbo = false;
   auto Plan = std::make_unique<HloPlan>(planHlo(Ctx, Set, Opts));
-  L.drainSpills();
   EXPECT_EQ(Tracker.liveBytes(MemCategory::HloCompact), CompactBefore);
   ASSERT_GT(Plan->Snapshots.size(), 10u) << "too few inlines to test";
 

@@ -561,25 +561,6 @@ TEST(Incremental, EditedModuleAmongReplayedObjectsMatchesAColdBuild) {
   }
 }
 
-TEST(Incremental, UnlockedCacheStoresAndReplaysSourceEntries) {
-  // CacheLocking=false (the lock-tax measurement knob) applies to source
-  // entries as to unit artifacts; the entries must still round-trip.
-  GeneratedProgram GP = testProgram(43);
-  CompileOptions Opts;
-  Opts.Level = OptLevel::O4;
-  Opts.CacheLocking = false;
-  IncBuild Plain = buildWithCache(GP, "", Opts);
-  ASSERT_TRUE(Plain.Build.Ok) << Plain.Build.Error;
-  std::string Dir = freshCacheDir();
-  IncBuild Cold = buildWithCache(GP, Dir, Opts);
-  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
-  EXPECT_EQ(stat(Cold.Build, "cache.source_stores"), GP.Modules.size());
-  IncBuild Warm = buildWithCache(GP, Dir, Opts);
-  ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
-  EXPECT_EQ(stat(Warm.Build, "cache.source_hits"), GP.Modules.size());
-  EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Warm.Build.Exe));
-}
-
 TEST(Incremental, EntryThatNoLongerLinksIsAMissAndTheFrontendReports) {
   // app's source is unchanged, but lib's edit changed the arity app calls.
   // Replaying app's object would have to bind the call anyway; instead the
@@ -671,9 +652,13 @@ TEST(Incremental, StoredContentHashesMatchRecomputedOnes) {
   // The cache plan trusts the hashes a source entry carries instead of
   // re-hashing the IL; they must be exactly what contentHash computes —
   // when the module was just parsed (cold) and when it was replayed (warm).
+  // Every module's entry is stored cold and replayed warm, and the replayed
+  // build links the executable of a build without a cache.
   GeneratedProgram GP = testProgram(42);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
+  IncBuild Plain = buildWithCache(GP, "", Opts);
+  ASSERT_TRUE(Plain.Build.Ok) << Plain.Build.Error;
   Opts.Incremental = true;
   Opts.CacheDir = freshCacheDir();
   for (const char *Pass : {"cold", "warm"}) {
@@ -694,8 +679,11 @@ TEST(Incremental, StoredContentHashesMatchRecomputedOnes) {
     EXPECT_GT(Checked, 0u);
     BuildResult Build = Session.build();
     ASSERT_TRUE(Build.Ok) << Build.Error;
-    if (std::string(Pass) == "warm") {
+    if (std::string(Pass) == "cold") {
+      EXPECT_EQ(Build.Stats.get("cache.source_stores"), GP.Modules.size());
+    } else {
       EXPECT_EQ(Build.Stats.get("cache.source_hits"), GP.Modules.size());
+      EXPECT_TRUE(exesIdentical(Plain.Build.Exe, Build.Exe));
     }
   }
 }

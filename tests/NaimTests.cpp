@@ -16,7 +16,6 @@
 #include "bytecode/ObjectFile.h"
 #include "naim/Loader.h"
 #include "naim/Repository.h"
-#include "support/Compress.h"
 #include "support/Prng.h"
 
 #include <gtest/gtest.h>
@@ -278,6 +277,12 @@ TEST(Loader, AutoModeStaysExpandedUnderThreshold) {
   Loader L(F.P, C);
   L.releaseAll();
   EXPECT_EQ(L.stats().Compactions, 0u);
+  // Thresholds of a machine near the top of the uint64 range must not
+  // wrap: 3 x this size is 2 MiB past 2^64.
+  F.Tracker.allocate(MemCategory::Other, 1u << 20);
+  Loader Big(F.P, NaimConfig::autoFor(5864062014806ull << 20));
+  EXPECT_FALSE(Big.offloadEnabled());
+  F.Tracker.release(MemCategory::Other, 1u << 20);
 }
 
 TEST(Loader, SymtabCompactionFollowsMode) {
@@ -510,9 +515,6 @@ TEST(Loader, SpillFailureDegradesToResidentMode) {
     L.acquire(R);
     L.release(R);
   }
-  // Join the write-behind queue: the failure is latched by the writer, and
-  // the counters are only exact once it has drained.
-  L.drainSpills();
   // One spill landed, the second failed, and the loader gave up on the
   // repository: every remaining pool stays compact in memory.
   EXPECT_TRUE(L.degraded());
@@ -541,9 +543,6 @@ TEST(Loader, TransientFetchCorruptionHealsByRetry) {
     L.acquire(R);
     L.release(R);
   }
-  // Force the re-acquires below onto the disk path: while a spill is still
-  // queued, a fetch is served from the queue and never touches the platter.
-  L.drainSpills();
   for (unsigned I = 0; I != 4; ++I) {
     EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
     L.release(F.Routines[I]);
@@ -574,7 +573,6 @@ TEST(Loader, PersistentCorruptionRecoversThroughHandler) {
     L.acquire(R);
     L.release(R);
   }
-  L.drainSpills(); // Fetches must read the (corrupt) disk, not the queue.
   for (unsigned I = 0; I != 4; ++I) {
     EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
     L.release(F.Routines[I]);
@@ -590,142 +588,8 @@ TEST(Loader, PersistentCorruptionRecoversThroughHandler) {
 }
 
 //===----------------------------------------------------------------------===//
-// The spill I/O path: compression, write-behind, elision, prefetch
+// The spill I/O path: synchronous stores, elision
 //===----------------------------------------------------------------------===//
-
-TEST(Compress, RoundTripsRepetitiveData) {
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 4096; ++I)
-    In.push_back(uint8_t("abcdabcdabcd0123"[I % 16]));
-  std::vector<uint8_t> Z = lzCompress(In);
-  EXPECT_LT(Z.size(), In.size() / 4); // Highly repetitive: a big win.
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  EXPECT_EQ(Out, In);
-}
-
-TEST(Compress, RoundTripsRleAndShortInputs) {
-  // All-same-byte inputs exercise the overlapping-copy (distance 1) case;
-  // the short sizes sit around the MinMatch boundary.
-  for (size_t N : {size_t(0), size_t(1), size_t(3), size_t(4), size_t(5),
-                   size_t(1000)}) {
-    std::vector<uint8_t> In(N, 0x7f);
-    std::vector<uint8_t> Z = lzCompress(In);
-    std::vector<uint8_t> Out(3, 99); // Stale content must be replaced.
-    ASSERT_TRUE(lzDecompress(Z, Out, N)) << "N=" << N;
-    EXPECT_EQ(Out, In) << "N=" << N;
-  }
-}
-
-TEST(Compress, RoundTripsIncompressibleData) {
-  Prng Rng(99);
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 2048; ++I)
-    In.push_back(uint8_t(Rng.nextBelow(256)));
-  std::vector<uint8_t> Z = lzCompress(In);
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  EXPECT_EQ(Out, In); // Correct even when compression does not pay.
-}
-
-TEST(Compress, RejectsMalformedStreams) {
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 512; ++I)
-    In.push_back(uint8_t(I % 32));
-  std::vector<uint8_t> Z = lzCompress(In);
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  ASSERT_EQ(Out, In);
-  // Every byte is needed to reach the declared raw size, so every proper
-  // prefix must fail cleanly (never crash, never fabricate output).
-  for (size_t Cut = 0; Cut < Z.size(); ++Cut)
-    EXPECT_FALSE(lzDecompress(Z.data(), Cut, Out, In.size())) << Cut;
-  // Trailing garbage is corruption, not ignored.
-  std::vector<uint8_t> Padded = Z;
-  Padded.push_back(0);
-  EXPECT_FALSE(lzDecompress(Padded, Out, In.size()));
-  // A declared raw size beyond the cap is rejected before any allocation.
-  EXPECT_FALSE(lzDecompress(Z, Out, In.size() - 1));
-}
-
-TEST(Loader, CompressedOffloadRoundTrip) {
-  LoaderFixture F(6);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.Offloads, 6u);
-  ASSERT_GT(S.RawBytes, 0u);
-  // Compact IL is varint soup full of repeated patterns; it must shrink.
-  EXPECT_LT(S.CompressedBytes, S.RawBytes);
-  for (unsigned I = 0; I != 6; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, CorruptCompressedRecordWalksTheLadder) {
-  // Corruption of a compressed record rides the same ladder as a raw one:
-  // re-read once, then recover from the object file, never abort.
-  LoaderFixture F(4);
-  LoaderFixture Clean(4);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  C.Injector = injector("store:corrupt-nth=1");
-  Loader L(F.P, C);
-  unsigned Recovered = 0;
-  L.setRecoveryHandler([&](RoutineId R) {
-    ++Recovered;
-    std::vector<uint8_t> Bytes =
-        compactRoutine(*Clean.P.routine(R).Slot.Body);
-    return expandRoutine(Bytes, F.P.tracker());
-  });
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  for (unsigned I = 0; I != 4; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_EQ(Recovered, 1u);
-  EXPECT_EQ(L.stats().Recoveries, 1u);
-  EXPECT_EQ(L.stats().PoisonedPools, 0u);
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, CorruptCompressedRecordPoisonsWithoutHandler) {
-  LoaderFixture F(4);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  C.Injector = injector("store:corrupt-nth=1");
-  Loader L(F.P, C); // No recovery handler installed.
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    L.acquire(R); // The rotten pool yields a stub, not an abort.
-  EXPECT_EQ(L.stats().PoisonedPools, 1u);
-  EXPECT_EQ(L.firstError().code(), StatusCode::Corruption);
-}
 
 TEST(Loader, CleanRoundTripsElideRepositoryStores) {
   LoaderFixture F(5);
@@ -738,7 +602,6 @@ TEST(Loader, CleanRoundTripsElideRepositoryStores) {
     L.acquire(R);
     L.release(R);
   }
-  L.drainSpills();
   const uint64_t FirstPassStores = L.repository().storeCount();
   EXPECT_EQ(FirstPassStores, 5u);
   // A read-only round trip leaves every pool clean since its repository
@@ -748,7 +611,6 @@ TEST(Loader, CleanRoundTripsElideRepositoryStores) {
     L.acquireRead(R);
     L.release(R);
   }
-  L.drainSpills();
   EXPECT_EQ(L.repository().storeCount(), FirstPassStores);
   EXPECT_EQ(L.stats().SpillElisions, 5u);
   EXPECT_EQ(L.stats().Offloads, 10u); // Elided offloads still count.
@@ -756,67 +618,49 @@ TEST(Loader, CleanRoundTripsElideRepositoryStores) {
   RoutineBody &Body = L.acquire(F.Routines[0]);
   Body.Blocks[0].Instrs.back()->A = Operand::imm(42);
   L.release(F.Routines[0]);
-  L.drainSpills();
   EXPECT_EQ(L.repository().storeCount(), FirstPassStores + 1);
   EXPECT_EQ(retValueOf(L.acquire(F.Routines[0])), 42);
 }
 
-TEST(Loader, WriteBehindKeepsFetchesCoherent) {
+TEST(Loader, SpillOutcomesAreVisibleWhenTheReleaseReturns) {
+  // Offloads store inside the releasing call: after every release the
+  // repository already holds exactly the records the counters claim, with
+  // nothing to drain or join first.
   LoaderFixture F(8);
   NaimConfig C;
   C.Mode = NaimMode::Offload;
   C.ExpandedCacheBytes = 0;
   C.CompactResidentBytes = 0;
-  C.SpillQueueDepth = 4;
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
+  {
+    Loader L(F.P, C);
+    for (bool Mutable : {true, false}) {
+      for (RoutineId R : F.Routines) {
+        if (Mutable)
+          L.acquire(R);
+        else
+          L.acquireRead(R); // Clean: its offload elides the store.
+        L.release(R);
+        LoaderStats S = L.stats();
+        EXPECT_EQ(L.repository().storeCount(), S.Offloads - S.SpillElisions);
+        EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
+      }
+    }
+    EXPECT_EQ(L.repository().storeCount(), 8u);
+    EXPECT_EQ(L.stats().SpillElisions, 8u);
   }
-  // No drain: the re-acquires race the writer and may be served from the
-  // in-flight queue; the content must be right either way.
-  for (unsigned I = 0; I != 8; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  L.drainSpills();
-  LoaderStats S = L.stats();
-  // Queue hits are timing-dependent; the fetch total is not (a queue hit
-  // counts as a fetch).
-  EXPECT_EQ(S.Fetches, 8u);
-  EXPECT_LE(S.SpillQueueHits, S.Fetches);
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, PrefetchFollowsTheAcquisitionSchedule) {
-  LoaderFixture F(6);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 1u << 20; // Roomy: prefetched bodies stay cached.
-  C.CompactResidentBytes = 0;
-  C.PrefetchDepth = 2;
-  Loader L(F.P, C);
-  // Park everything in the repository first.
-  L.releaseAll();
-  L.enforceBudget(/*Everything=*/true);
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    ASSERT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  // Hand the loader the upcoming acquisition order; the I/O thread expands
-  // ahead of us. Draining between acquires makes every hit deterministic:
-  // acquire #N uncovers schedule position N + PrefetchDepth.
-  L.setAcquisitionSchedule(F.Routines);
-  L.drainPrefetches();
-  for (unsigned I = 0; I != 6; ++I) {
-    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
-    L.drainPrefetches();
-  }
-  L.clearAcquisitionSchedule();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.PrefetchHits, 6u);
-  EXPECT_EQ(S.CacheHits, 6u); // Every acquire landed on a prefetched body.
-  EXPECT_EQ(S.Fetches, 6u);
-  EXPECT_EQ(S.PrefetchWasted, 0u);
+  // A failing store degrades the shard before the release returns.
+  LoaderFixture G(4);
+  C.Injector = injector("store:fail-nth=1");
+  Loader L(G.P, C);
+  L.acquire(G.Routines[0]);
+  L.release(G.Routines[0]);
+  EXPECT_TRUE(L.degraded());
+  EXPECT_EQ(L.stats().SpillFailures, 1u);
+  EXPECT_EQ(G.P.routine(G.Routines[0]).Slot.State, PoolState::Compact);
+  std::vector<LoaderEvent> Events = L.takeEvents();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events[0].K, LoaderEvent::Kind::SpillDegraded);
+  EXPECT_EQ(Events[0].Routine, G.Routines[0]);
 }
 
 TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
@@ -831,7 +675,6 @@ TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
     L.acquire(R);
     L.release(R);
   }
-  L.drainSpills(); // Fetches must read the (corrupt) disk, not the queue.
   // Acquiring the rotten pool yields a safe stub — the process survives —
   // and the latched error tells the driver the results are unusable.
   for (RoutineId R : F.Routines)
@@ -884,7 +727,6 @@ TEST(Loader, ShardedOffloadRoundTripsAndStatsSum) {
     L.acquire(R);
     L.release(R);
   }
-  L.drainSpills();
   for (RoutineId R : F.Routines)
     EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
   LoaderStats Total = L.stats();
@@ -964,7 +806,6 @@ TEST(Loader, SingleShardEnospcDegradesOnlyThatShard) {
     L.acquire(R);
     L.release(R);
   }
-  L.drainSpills();
   // Only the target shard degraded: its pools stay resident, every other
   // shard kept offloading to its own healthy file.
   EXPECT_TRUE(L.degraded());
@@ -1025,7 +866,7 @@ TEST(Loader, ConcurrentShardedTrafficKeepsTheBudget) {
   // The race oracle for the shared budget check (run under TSan in CI):
   // eight threads acquire and release random routines on a four-shard
   // offloading loader whose budget holds only a few bodies, so evictions,
-  // write-behind spills and fetches interleave across shards.
+  // spills and fetches interleave across shards.
   constexpr unsigned N = 48, NumThreads = 8;
   LoaderFixture F(N);
   NaimConfig C;
@@ -1054,7 +895,6 @@ TEST(Loader, ConcurrentShardedTrafficKeepsTheBudget) {
   for (std::thread &T : Threads)
     T.join();
   L.enforceBudget();
-  L.drainSpills();
   EXPECT_EQ(Mismatches.load(), 0u);
   EXPECT_LE(L.cacheBytes(), C.ExpandedCacheBytes);
   EXPECT_TRUE(L.firstError().ok());
@@ -1065,33 +905,3 @@ TEST(Loader, ConcurrentShardedTrafficKeepsTheBudget) {
   }
 }
 
-TEST(Loader, ShardedPrefetchFollowsTheSchedule) {
-  LoaderFixture F(12);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 1u << 20;
-  C.CompactResidentBytes = 0;
-  C.PrefetchDepth = 2;
-  C.Shards = 3;
-  Loader L(F.P, C);
-  L.releaseAll();
-  L.enforceBudget(/*Everything=*/true);
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    ASSERT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  // The facade splits the schedule into per-shard slices preserving
-  // relative order; draining between acquires makes every hit land.
-  L.setAcquisitionSchedule(F.Routines);
-  L.drainPrefetches();
-  for (unsigned I = 0; I != 12; ++I) {
-    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
-    L.drainPrefetches();
-  }
-  L.clearAcquisitionSchedule();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.Fetches, 12u);
-  EXPECT_EQ(S.PrefetchHits, 12u);
-  EXPECT_EQ(S.CacheHits, 12u); // Every acquire landed on a prefetched body.
-  EXPECT_EQ(S.PrefetchWasted, 0u);
-  EXPECT_TRUE(L.firstError().ok());
-}

@@ -258,10 +258,10 @@ TEST(Parallel, LoaderActivityTotalsMatchAcrossJobCounts) {
 }
 
 TEST(Parallel, IoPathKnobsNeverChangeTheExecutable) {
-  // The whole I/O-path matrix — worker count × spill compression × prefetch
-  // depth — must be invisible in the output: residency decisions are made
-  // in program order under the loader mutex, and compression/prefetch only
-  // change how bytes move, never which bytes the optimizer sees.
+  // The worker count must be invisible in the output under a budget that
+  // keeps the spill path busy: residency decisions are made under the
+  // loader mutex and only change how bytes move, never which bytes the
+  // optimizer sees.
   GeneratedProgram GP = testProgram(26);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
@@ -272,29 +272,17 @@ TEST(Parallel, IoPathKnobsNeverChangeTheExecutable) {
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u); // The matrix must be exercised.
   for (unsigned Jobs : {1u, 8u}) {
-    for (NaimCompress Z : {NaimCompress::Off, NaimCompress::Fast}) {
-      for (unsigned Prefetch : {0u, 8u}) {
-        CompileOptions O = Opts;
-        O.Naim.Compress = Z;
-        O.Naim.PrefetchDepth = Prefetch;
-        JobsBuild Out = buildAtJobs(GP, Jobs, O);
-        ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
-        EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-            << "jobs=" << Jobs << " compress=" << unsigned(Z)
-            << " prefetch=" << Prefetch;
-        EXPECT_EQ(Ref.Checksums, Out.Checksums)
-            << "jobs=" << Jobs << " compress=" << unsigned(Z)
-            << " prefetch=" << Prefetch;
-        // Readahead and worker interleaving legitimately change residency
-        // *traffic*: a prefetched body can be evicted and re-offloaded, and
-        // at jobs > 1 which boundary pools are still compact (not yet
-        // offloaded) at build end depends on release order. Only the output
-        // must not move. Single-threaded without prefetch, the totals are
-        // exact.
-        if (Jobs == 1 && Prefetch == 0)
-          EXPECT_EQ(Ref.Build.Loader.Offloads, Out.Build.Loader.Offloads)
-              << "compress=" << unsigned(Z);
-      }
+    JobsBuild Out = buildAtJobs(GP, Jobs, Opts);
+    ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
+    EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
+        << "jobs=" << Jobs;
+    EXPECT_EQ(Ref.Checksums, Out.Checksums) << "jobs=" << Jobs;
+    // Worker interleaving legitimately changes residency *traffic*: at
+    // jobs > 1 which boundary pools are still compact (not yet offloaded)
+    // at build end depends on release order. Only the output must not
+    // move. Single-threaded, the totals are exact.
+    if (Jobs == 1) {
+      EXPECT_EQ(Ref.Build.Loader.Offloads, Out.Build.Loader.Offloads);
     }
   }
 }
@@ -365,17 +353,18 @@ TEST(Parallel, ExecutablesAreBitIdenticalAcrossPartitionMatrix) {
   }
 }
 
-TEST(Parallel, PartitionMatrixHoldsUnderSpillCompression) {
+TEST(Parallel, PartitionMatrixHoldsUnderOffload) {
   // Partitioning changes which worker touches which routine, so it reshapes
-  // the loader's acquire/release traffic; with compressed spill frames in
-  // the mix the bytes the optimizer reads back must still be exact.
+  // the loader's acquire/release traffic; with every pool spilling through
+  // one shard's file the bytes the optimizer reads back must still be
+  // exact.
   GeneratedProgram GP = testProgram(28);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
   Opts.Naim.Mode = NaimMode::Offload;
   Opts.Naim.ExpandedCacheBytes = 16 << 10;
   Opts.Naim.CompactResidentBytes = 8 << 10;
-  Opts.Naim.Compress = NaimCompress::Fast;
+  Opts.Naim.Shards = 1;
   JobsBuild Ref = buildAtJobs(GP, 1, Opts, nullptr, 1);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
@@ -428,15 +417,6 @@ TEST(Parallel, ExecutablesAreBitIdenticalAcrossShardMatrix) {
       }
     }
   }
-  // One compressed cell: shard files and the LZ envelope compose.
-  CompileOptions O = Opts;
-  O.Naim.Shards = 4;
-  O.Naim.Compress = NaimCompress::Fast;
-  JobsBuild Out = buildAtJobs(GP, 8, O, nullptr, 4);
-  ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
-  EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-      << "sharded + compressed";
-  EXPECT_EQ(Ref.Checksums, Out.Checksums) << "sharded + compressed";
 }
 
 TEST(Parallel, ShardCountIsNotCacheKeyMaterial) {
