@@ -286,8 +286,6 @@ public:
   /// One shard's counters (tests, the per-shard --stats breakdown).
   LoaderStats shardStats(unsigned Shard) const;
 
-  const NaimConfig &config() const { return Config; }
-
   /// The number of shards (>= 1).
   unsigned shardCount() const { return NumShards; }
 

@@ -257,11 +257,12 @@ TEST(Parallel, LoaderActivityTotalsMatchAcrossJobCounts) {
   }
 }
 
-TEST(Parallel, IoPathKnobsNeverChangeTheExecutable) {
-  // The worker count must be invisible in the output under a budget that
-  // keeps the spill path busy: residency decisions are made under the
-  // loader mutex and only change how bytes move, never which bytes the
-  // optimizer sees.
+TEST(Parallel, SpillingBuildIsIdenticalAcrossJobCounts) {
+  // Under a budget that keeps pools compacting and offloading, the worker
+  // count must still be invisible in the output. Unlike the zero-budget
+  // case above, residency traffic here depends on release order (which
+  // boundary pools are still compact, not yet offloaded, at build end), so
+  // only the output is compared.
   GeneratedProgram GP = testProgram(26);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
@@ -270,20 +271,13 @@ TEST(Parallel, IoPathKnobsNeverChangeTheExecutable) {
   Opts.Naim.CompactResidentBytes = 8 << 10;
   JobsBuild Ref = buildAtJobs(GP, 1, Opts);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
-  ASSERT_GT(Ref.Build.Loader.Offloads, 0u); // The matrix must be exercised.
-  for (unsigned Jobs : {1u, 8u}) {
+  ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
+  for (unsigned Jobs : {2u, 8u}) {
     JobsBuild Out = buildAtJobs(GP, Jobs, Opts);
     ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
     EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
         << "jobs=" << Jobs;
     EXPECT_EQ(Ref.Checksums, Out.Checksums) << "jobs=" << Jobs;
-    // Worker interleaving legitimately changes residency *traffic*: at
-    // jobs > 1 which boundary pools are still compact (not yet offloaded)
-    // at build end depends on release order. Only the output must not
-    // move. Single-threaded, the totals are exact.
-    if (Jobs == 1) {
-      EXPECT_EQ(Ref.Build.Loader.Offloads, Out.Build.Loader.Offloads);
-    }
   }
 }
 
@@ -355,16 +349,14 @@ TEST(Parallel, ExecutablesAreBitIdenticalAcrossPartitionMatrix) {
 
 TEST(Parallel, PartitionMatrixHoldsUnderOffload) {
   // Partitioning changes which worker touches which routine, so it reshapes
-  // the loader's acquire/release traffic; with every pool spilling through
-  // one shard's file the bytes the optimizer reads back must still be
-  // exact.
+  // the loader's acquire/release traffic; with pools spilling to the
+  // repository the bytes the optimizer reads back must still be exact.
   GeneratedProgram GP = testProgram(28);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
   Opts.Naim.Mode = NaimMode::Offload;
   Opts.Naim.ExpandedCacheBytes = 16 << 10;
   Opts.Naim.CompactResidentBytes = 8 << 10;
-  Opts.Naim.Shards = 1;
   JobsBuild Ref = buildAtJobs(GP, 1, Opts, nullptr, 1);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
