@@ -13,10 +13,10 @@
 ///      now only the WPA planner is serial and LTRANS fans out with LLO.
 ///      The table shows each stage's share of the build so the remaining
 ///      serial fraction is attributable by name.
-///   2. A partitions x jobs grid of total/HLO seconds. Every cell
-///      cross-checks the output checksum against the serial build: the
-///      partitioned backend must buy speed, never different code.
-///   3. The headline speedup (jobs=max, partitions=auto vs jobs=1).
+///   2. A jobs sweep of total/HLO/LTRANS seconds. Every cell cross-checks
+///      the output checksum against the serial build: the per-routine
+///      LTRANS fan-out must buy speed, never different code.
+///   3. The headline speedup (jobs=max vs jobs=1).
 ///
 /// Prints human tables, then one JSON line per configuration on stdout
 /// ("{"bench":"parallel_scaling",...}") for machine consumption.
@@ -50,8 +50,8 @@ int main() {
   uint64_t Lines = static_cast<uint64_t>(80000 * Scale);
   unsigned HW = ThreadPool::hardwareThreads();
   std::printf("Backend scaling: WPA/LTRANS split, build seconds vs "
-              "--hlo-partitions x --jobs\n(scale %.2f; %llu-line Mcad1-like "
-              "application, O4+P, %u hardware threads)\n\n",
+              "--jobs\n(scale %.2f; %llu-line Mcad1-like application, O4+P, "
+              "%u hardware threads)\n\n",
               Scale, (unsigned long long)Lines, HW);
 
   GeneratedProgram GP = generateProgram(mcadLikeParams(Lines, 1));
@@ -62,21 +62,20 @@ int main() {
     return 1;
   }
 
-  auto buildAt = [&](unsigned Jobs, unsigned Partitions) {
+  auto buildAt = [&](unsigned Jobs) {
     CompileOptions Opts = optionsFor(OptLevel::O4, true);
     Opts.Jobs = Jobs;
-    Opts.HloPartitions = Partitions;
     return measure(GP, Opts, &Db, /*RunIt=*/true);
   };
 
   // Part 1: per-stage breakdown, serial vs wide. The serial fraction of the
   // build is whatever does not shrink between the two columns.
-  Measured Serial = buildAt(1, 1);
+  Measured Serial = buildAt(1);
   if (!Serial.Ok) {
     std::fprintf(stderr, "serial build failed: %s\n", Serial.Error.c_str());
     return 1;
   }
-  Measured Wide = buildAt(HW, 0);
+  Measured Wide = buildAt(HW);
   if (!Wide.Ok) {
     std::fprintf(stderr, "wide build failed: %s\n", Wide.Error.c_str());
     return 1;
@@ -87,8 +86,7 @@ int main() {
     return 1;
   }
 
-  std::printf("Per-stage breakdown (jobs=1 vs jobs=%u, partitions=auto):\n",
-              HW);
+  std::printf("Per-stage breakdown (jobs=1 vs jobs=%u):\n", HW);
   std::printf("%12s %10s %7s %10s %7s\n", "stage", "j1 s", "j1 %", "jN s",
               "jN %");
   for (const StageMetrics &M : Serial.Build.Stages) {
@@ -103,52 +101,42 @@ int main() {
               "share; now only\nthe wpa row is sequential — ltrans fans out "
               "with llo, and the Amdahl limit is\nset by wpa + link.\n\n");
 
-  // Part 2: the partitions x jobs grid.
+  // Part 2: the jobs sweep.
   std::vector<unsigned> JobCols = {1, 2, 4};
   if (HW > 4)
     JobCols.push_back(HW);
-  std::vector<unsigned> PartRows = {1, 2, 4, 8, 0}; // 0 = auto (pool width).
 
   struct Cell {
-    unsigned Partitions, Jobs;
-    double TotalSeconds, HloSeconds;
+    unsigned Jobs;
+    double TotalSeconds, HloSeconds, LtransSeconds;
   };
   std::vector<Cell> Cells;
-  std::printf("Total seconds (HLO seconds) by partitions x jobs:\n");
-  std::printf("%10s", "parts\\jobs");
-  for (unsigned J : JobCols)
-    std::printf(" %14u", J);
-  std::printf("\n");
-  for (unsigned Parts : PartRows) {
-    if (Parts == 0)
-      std::printf("%10s", "auto");
-    else
-      std::printf("%10u", Parts);
-    for (unsigned Jobs : JobCols) {
-      Measured M = buildAt(Jobs, Parts);
-      if (!M.Ok) {
-        std::fprintf(stderr, "\nbuild failed at partitions=%u jobs=%u: %s\n",
-                     Parts, Jobs, M.Error.c_str());
-        return 1;
-      }
-      if (M.OutputChecksum != Serial.OutputChecksum) {
-        std::fprintf(stderr,
-                     "\noutput checksum diverged at partitions=%u jobs=%u "
-                     "(partitioning changed generated code!)\n",
-                     Parts, Jobs);
-        return 1;
-      }
-      std::printf("  %6.2f (%4.2f)", M.CompileSeconds, M.HloSeconds);
-      Cells.push_back({Parts, Jobs, M.CompileSeconds, M.HloSeconds});
+  std::printf("%6s %10s %10s %10s\n", "jobs", "total s", "hlo s",
+              "ltrans s");
+  for (unsigned Jobs : JobCols) {
+    Measured M = buildAt(Jobs);
+    if (!M.Ok) {
+      std::fprintf(stderr, "build failed at jobs=%u: %s\n", Jobs,
+                   M.Error.c_str());
+      return 1;
     }
-    std::printf("\n");
+    if (M.OutputChecksum != Serial.OutputChecksum) {
+      std::fprintf(stderr,
+                   "output checksum diverged at jobs=%u (the LTRANS fan-out "
+                   "changed generated code!)\n",
+                   Jobs);
+      return 1;
+    }
+    double Ltrans = stageSeconds(M.Build, "ltrans");
+    std::printf("%6u %10.3f %10.3f %10.3f\n", Jobs, M.CompileSeconds,
+                M.HloSeconds, Ltrans);
+    Cells.push_back({Jobs, M.CompileSeconds, M.HloSeconds, Ltrans});
   }
 
   double Speedup = Serial.CompileSeconds / Wide.CompileSeconds;
-  std::printf("\nEnd-to-end speedup at jobs=%u, partitions=auto: %.2fx "
-              "(checksums identical\nacross every cell). Expected shape: "
-              "HLO seconds fall with jobs once partitions\n>= jobs; a lone "
-              "partition serializes LTRANS regardless of the pool width.\n\n",
+  std::printf("\nEnd-to-end speedup at jobs=%u: %.2fx (checksums identical "
+              "across every cell).\nExpected shape: ltrans seconds fall "
+              "with jobs; wpa stays serial.\n\n",
               HW, Speedup);
 
   // Part 4: sharded vs monolithic NAIM loader under memory pressure — the
@@ -174,7 +162,6 @@ int main() {
   auto buildSharded = [&](unsigned Shards) {
     CompileOptions Opts = optionsFor(OptLevel::O4, true);
     Opts.Jobs = ShardJobs;
-    Opts.HloPartitions = 0;
     Opts.Naim = NaimConfig::autoFor(MachineMem);
     Opts.Naim.Shards = Shards;
     return measure(NaimGP, Opts, &NaimDb, /*RunIt=*/true);
@@ -201,7 +188,7 @@ int main() {
   double ShardWaitMs = double(Sharded.Build.Loader.LockWaitNanos) / 1e6;
   double WaitCut = ShardWaitMs > 0 ? MonoWaitMs / ShardWaitMs : MonoWaitMs;
   std::printf("Sharded vs monolithic NAIM loader (%llu lines, %.1f MiB "
-              "machine memory,\njobs=%u, partitions=auto):\n",
+              "machine memory,\njobs=%u):\n",
               (unsigned long long)NaimLines,
               double(MachineMem) / (1024.0 * 1024.0), ShardJobs);
   std::printf("%12s %8s %10s %12s %12s %12s\n", "loader", "shards", "total s",
@@ -226,10 +213,10 @@ int main() {
 
   for (const Cell &C : Cells)
     std::printf("{\"bench\":\"parallel_scaling\",\"lines\":%llu,"
-                "\"partitions\":%u,\"jobs\":%u,\"total_seconds\":%.6f,"
-                "\"hlo_seconds\":%.6f}\n",
-                (unsigned long long)Lines, C.Partitions, C.Jobs,
-                C.TotalSeconds, C.HloSeconds);
+                "\"jobs\":%u,\"total_seconds\":%.6f,"
+                "\"hlo_seconds\":%.6f,\"ltrans_seconds\":%.6f}\n",
+                (unsigned long long)Lines, C.Jobs, C.TotalSeconds,
+                C.HloSeconds, C.LtransSeconds);
   std::printf("{\"bench\":\"parallel_scaling\",\"lines\":%llu,"
               "\"wpa_seconds\":%.6f,\"ltrans_seconds\":%.6f,"
               "\"speedup_at_max\":%.3f}\n",

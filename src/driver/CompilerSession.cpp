@@ -11,7 +11,6 @@
 #include "cache/ArtifactCache.h"
 #include "frontend/Frontend.h"
 #include "hlo/Hlo.h"
-#include "hlo/RoutinePasses.h"
 #include "ir/CallGraph.h"
 #include "ir/Checksum.h"
 #include "ir/Verifier.h"
@@ -144,12 +143,12 @@ void CompilerSession::computeChecksums(ThreadPool &Pool) {
   });
 }
 
-std::string CompilerSession::verifyRoutines(ThreadPool &Pool, bool EmittedOnly,
+std::string CompilerSession::verifyRoutines(ThreadPool &Pool,
                                             const std::vector<bool> *SkipOwner) {
   std::vector<RoutineId> Ids;
   for (RoutineId R = 0; R != Prog->numRoutines(); ++R) {
     const RoutineInfo &RI = Prog->routine(R);
-    if (!RI.IsDefined || (EmittedOnly && !RI.Emit))
+    if (!RI.IsDefined)
       continue;
     if (SkipOwner && RI.Owner != InvalidId && (*SkipOwner)[RI.Owner])
       continue;
@@ -363,7 +362,7 @@ struct CompilerSession::BuildState {
   BuildResult Result;
   Timer Total;
   /// The worker pool for the per-routine backend phases (verification,
-  /// checksums, content hashes, LTRANS partitions, LLO). Only WPA planning
+  /// checksums, content hashes, LTRANS, LLO). Only WPA planning
   /// stays serial: it is the interprocedural sequential section of the
   /// pipeline.
   ThreadPool Pool;
@@ -384,11 +383,9 @@ struct CompilerSession::BuildState {
   RoutineId CloneBase = 0; ///< Routine count before HLO; clones are >= this.
 
   // The WPA → LTRANS handoff: the CMO routine set (clones included once
-  // planning appends them), the HLO context whose loader/op-limit state
-  // both phases share, and the finished plan. Absent when the build has no
-  // CMO work or the CMO unit came out of the incremental cache.
+  // planning appends them) and the finished plan. Absent when the build has
+  // no CMO work or the CMO unit came out of the incremental cache.
   std::vector<RoutineId> CmoSet;
-  std::unique_ptr<HloContext> HloCtx;
   std::unique_ptr<HloPlan> Plan;
 
   LinkOptions LinkOpts;
@@ -444,8 +441,8 @@ struct CompilerSession::BuildState {
         Skipped = true;
         return true;
       }
-      B.Result.Error = S.verifyRoutines(
-          B.Pool, /*EmittedOnly=*/false, B.Cache ? &B.ModuleCached : nullptr);
+      B.Result.Error =
+          S.verifyRoutines(B.Pool, B.Cache ? &B.ModuleCached : nullptr);
       if (!B.Result.Error.empty())
         return false;
       return S.checkLoader(B.Result, "verification");
@@ -630,7 +627,7 @@ struct CompilerSession::BuildState {
     BuildState &B;
     explicit WpaStage(BuildState &B)
         : PipelineStage("wpa", "CMO set summaries, profile",
-                        "HLO plan, clone declarations, partitions"),
+                        "HLO plan, clone declarations"),
           B(B) {}
     bool run(bool &Skipped) override {
       CompilerSession &S = B.S;
@@ -652,8 +649,6 @@ struct CompilerSession::BuildState {
         for (RoutineId R : S.Prog->module(M).Routines)
           if (S.Prog->routine(R).IsDefined && S.Prog->routine(R).Owner == M)
             B.CmoSet.push_back(R);
-      B.HloCtx = std::make_unique<HloContext>(*S.Prog, *S.Ldr, S.Stats);
-      B.HloCtx->OpLimit = S.Opts.HloOpLimit;
       HloOptions HOpts;
       HOpts.Interprocedural = true;
       HOpts.WholeProgram = B.Result.Selectivity.DefaultModules.empty();
@@ -662,17 +657,19 @@ struct CompilerSession::BuildState {
       HOpts.EnableCloning = S.Opts.EnableCloning;
       HOpts.Inline = S.Opts.Inline;
       HOpts.Clone = S.Opts.Clone;
-      HOpts.Partitions = S.Opts.HloPartitions ? S.Opts.HloPartitions
-                                              : B.Pool.threadCount();
-      B.Plan = std::make_unique<HloPlan>(planHlo(*B.HloCtx, B.CmoSet, HOpts));
+      HloContext Ctx(*S.Prog, *S.Ldr, S.Stats);
+      Ctx.OpLimit = S.Opts.HloOpLimit;
+      B.Plan = std::make_unique<HloPlan>(planHlo(Ctx, B.CmoSet, HOpts));
       return S.checkHeap(B.Result, "WPA");
     }
   };
 
-  /// LTRANS: applies the WPA plan partition by partition on the worker
-  /// pool, then runs intraprocedural cleanup over the default-set modules
-  /// (the O2 pipeline, graded by tier when multi-layered selectivity is
-  /// active). The executable is byte-identical at any partitions x jobs.
+  /// LTRANS: one task per routine on the worker pool. CMO-set routines get
+  /// the WPA plan, default-set routines the O2 cleanup (graded by tier when
+  /// multi-layered selectivity is active), and with VerifyIl each emitted
+  /// routine is verified under the same acquire. Routines whose module came
+  /// out of the cache are left alone: their IL is never lowered. The
+  /// executable is byte-identical at any job count.
   struct LtransStage final : PipelineStage {
     BuildState &B;
     explicit LtransStage(BuildState &B)
@@ -685,52 +682,32 @@ struct CompilerSession::BuildState {
         Skipped = true;
         return true;
       }
-      bool RanAny = false;
-      if (B.Plan) {
-        runLtrans(*B.HloCtx, B.CmoSet, *B.Plan, &B.Pool);
-        B.Plan.reset(); // Snapshots are dead weight past this point.
-        B.HloCtx.reset();
-        if (!S.checkHeap(B.Result, "LTRANS"))
-          return false;
-        RanAny = true;
-      }
-      for (ModuleId M : B.Result.Selectivity.DefaultModules) {
-        if (B.moduleCached(M)) {
+      for (ModuleId M : B.Result.Selectivity.DefaultModules)
+        if (B.moduleCached(M))
           S.Stats.add("cache.skip.cleanup");
+      // Every defined routine (and every clone the plan declared) whose
+      // owner is compiled cold this build.
+      std::vector<RoutineId> Ids;
+      for (RoutineId R = 0; R != S.Prog->numRoutines(); ++R) {
+        const RoutineInfo &RI = S.Prog->routine(R);
+        if (RI.Owner == InvalidId || B.moduleCached(RI.Owner))
           continue;
-        }
-        for (RoutineId R : S.Prog->module(M).Routines) {
-          const RoutineInfo &RI = S.Prog->routine(R);
-          if (!RI.IsDefined || RI.Owner != M)
-            continue;
-          if (RI.Tier == OptTier::None)
-            continue; // Quick codegen only (Section 8 layering).
-          RoutineBody &Body = S.Ldr->acquire(R);
-          if (RI.Tier == OptTier::Basic)
-            runBasicCleanup(*S.Prog, Body, S.Stats);
-          else
-            runCleanupPipeline(*S.Prog, Body, S.Stats);
-          S.Ldr->release(R);
-          S.Tracker->takeHloSample();
-        }
-        RanAny = true;
-        if (!S.checkHeap(B.Result, "O2 cleanup"))
-          return false;
+        if (RI.IsDefined || (B.Plan && B.Plan->cloneFor(R)))
+          Ids.push_back(R);
       }
-      if (S.Opts.VerifyIl) {
-        // A cached module's bodies were never re-optimized; the post-HLO
-        // check has nothing new to see there.
-        std::string Err =
-            S.verifyRoutines(B.Pool, /*EmittedOnly=*/true,
-                             B.cacheOn() ? &B.ModuleCached : nullptr);
-        if (!Err.empty()) {
-          B.Result.Error = "after HLO: " + Err;
-          return false;
-        }
+      HloContext Ctx(*S.Prog, *S.Ldr, S.Stats);
+      std::string Err =
+          runLtrans(Ctx, Ids, B.Plan.get(), S.Opts.VerifyIl, &B.Pool);
+      B.Plan.reset(); // Snapshots are dead weight past this point.
+      if (!S.checkHeap(B.Result, "LTRANS"))
+        return false;
+      if (!Err.empty()) {
+        B.Result.Error = "after HLO: " + Err;
+        return false;
       }
       if (!S.checkLoader(B.Result, "LTRANS"))
         return false;
-      Skipped = B.cacheOn() && !RanAny;
+      Skipped = B.cacheOn() && Ids.empty();
       return true;
     }
   };

@@ -55,27 +55,19 @@ struct CompileOptions {
   bool MultiLayered = false;
 
   /// Parallel backend width (the scmoc --jobs=N knob). The per-routine
-  /// backend phases — IL verification, checksum computation, LTRANS plan
-  /// application and LLO lowering — fan out over this many threads; work is
-  /// written into slots indexed by routine so the linked executable is
-  /// bit-identical at any thread count. 0 = hardware concurrency; 1 = fully
-  /// serial, the exact pre-parallel behavior. Only the WPA planning phase
-  /// stays serial: it is the interprocedural sequential section, as in
-  /// GCC's WHOPR.
+  /// backend phases — IL verification, checksum computation, LTRANS (plan
+  /// application, default-set cleanup, post-HLO verify) and LLO lowering —
+  /// fan out over this many threads; work is written into slots indexed by
+  /// routine so the linked executable is bit-identical at any thread count.
+  /// 0 = hardware concurrency; 1 = fully serial, the exact pre-parallel
+  /// behavior. Only the WPA planning phase stays serial: it is the
+  /// interprocedural sequential section, as in GCC's WHOPR.
   unsigned Jobs = 0;
-
-  /// LTRANS partition count (the scmoc --hlo-partitions knob). The WPA
-  /// planner carves the CMO routine set into this many balanced partitions,
-  /// each applied independently on the worker pool. 0 = match the pool
-  /// width. Any value produces byte-identical executables — every
-  /// cross-partition decision is planned serially from summaries — so the
-  /// knob is resource-only and excluded from the fingerprint, like Jobs.
-  unsigned HloPartitions = 0;
 
   /// NAIM configuration (memory management). Everything in it — including
   /// the --naim-shards count, whose routine placement is a stable id hash —
   /// is resource-only and fingerprint-excluded: the executable is
-  /// byte-identical at every shards x partitions x jobs combination.
+  /// byte-identical at every shards x jobs combination.
   NaimConfig Naim;
 
   /// Deterministic fault-injection spec for the NAIM spill path (the scmoc
@@ -125,8 +117,8 @@ struct CompileOptions {
   /// sessions with equal fingerprints and equal IL produce byte-identical
   /// executables, so the fingerprint is cache-key material. Deliberately
   /// excludes knobs that only affect resource usage or diagnostics (Jobs,
-  /// HloPartitions, Naim, FaultInject, HeapCapBytes, VerifyIl,
-  /// ObjectDir/WriteObjects, Incremental/CacheDir themselves).
+  /// Naim, FaultInject, HeapCapBytes, VerifyIl, ObjectDir/WriteObjects,
+  /// Incremental/CacheDir themselves).
   uint64_t fingerprint() const;
 };
 

@@ -9,10 +9,11 @@
 
 #include "hlo/Interprocedural.h"
 #include "hlo/PassManager.h"
-#include "hlo/RoutinePasses.h"
+#include "ir/Verifier.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 using namespace scmo;
@@ -67,127 +68,109 @@ HloPlan scmo::planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
       },
       Opts.Interprocedural && Opts.WholeProgram);
 
-  // Carve the final set (clones included) for LTRANS. Runs even when the
-  // interprocedural phases are off: the partitions also drive the cleanup
-  // distribution.
-  PM.add("partition", [&planner, &Opts](HloContext &, std::vector<RoutineId> &) {
-    planner().partition(Opts.Partitions ? Opts.Partitions : 1);
-  });
-
   PM.run(Ctx, Set);
   return planner().take();
 }
 
 namespace {
 
-/// One LTRANS worker: applies the plan and runs cleanup for every member of
-/// a partition. Counters go to \p Stats (partition-private in parallel
-/// runs); every routine is handled under a single acquire/release so the
-/// loader sees one deterministic access per routine regardless of how many
-/// rewrites it receives.
-void runPartition(HloContext &Ctx, const std::vector<RoutineId> &Members,
-                  const HloPlan &Plan, Statistics &Stats) {
+/// One LTRANS task: everything the backend does to routine \p R before
+/// lowering, under a single loader acquire so the loader sees one
+/// deterministic access per routine however many rewrites it receives.
+/// Counters go to the task-private \p Stats. Returns the verify failure.
+std::string ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
+                          bool Verify, Statistics &Stats) {
   Program &P = Ctx.P;
-  MemoryTracker *Tracker = P.tracker();
-  // One node pool recycled across the per-routine caches below: each
-  // routine's map nodes bump-allocate here, and the reset at the top of
-  // the next iteration (after the previous cache is destroyed) reclaims
-  // them without returning the slab to the heap. Untracked — the bodies
-  // the cache points at carry their own tracked arenas; the map nodes are
-  // worker scratch.
-  Arena CacheArena(nullptr, MemCategory::HloDerived, /*SlabSize=*/8 * 1024);
-  for (RoutineId R : Members) {
-    CacheArena.reset();
-    // Versioned-callee memo, scoped per routine: one routine's directives
-    // reuse the same callee versions heavily, but holding every version for
-    // the partition's lifetime would break the Fig. 4 memory shape.
-    HloSnapshotCache Cache{
-        HloSnapshotCache::key_compare(),
-        ArenaAllocator<HloSnapshotCache::value_type>(&CacheArena)};
-    if (!P.routine(R).Emit)
-      continue; // Dead routines get no materialization and no cleanup.
-    if (Plan.cloneFor(R))
-      materializeClone(P, R, Plan, Cache);
-    const RoutineInfo &RI = P.routine(R);
-    if (!RI.IsDefined)
-      continue;
-    bool Optimize = RI.Selected;
-    if (!Optimize && !Plan.ipcpFor(R) && !Plan.opsFor(R))
-      continue;
-    RoutineBody &Body = Ctx.L.acquire(R);
-    applyRoutinePlan(P, Body, R, Plan, Cache);
-    if (Optimize) {
+  const RoutineInfo &RI = P.routine(R);
+  const bool Cmo = Plan && P.module(RI.Owner).InCmoSet;
+  if (Cmo && !RI.Emit)
+    return ""; // Dead routines get no materialization, cleanup or verify.
+  // Versioned-callee memo, scoped to this routine: its directives reuse the
+  // same callee versions heavily, but holding every version for the whole
+  // run would break the Fig. 4 memory shape.
+  HloSnapshotCache Cache;
+  if (Cmo && Plan->cloneFor(R))
+    materializeClone(P, R, *Plan, Cache);
+  if (!RI.IsDefined)
+    return "";
+  const bool Transform =
+      Cmo ? RI.Selected || Plan->ipcpFor(R) || Plan->opsFor(R)
+          : RI.Tier != OptTier::None; // None: quick codegen only (Section 8).
+  Verify = Verify && RI.Emit;
+  if (!Transform) {
+    if (!Verify)
+      return "";
+    std::string Err = verifyRoutine(P, R, Ctx.L.acquireRead(R));
+    Ctx.L.release(R);
+    return Err;
+  }
+  RoutineBody &Body = Ctx.L.acquire(R);
+  if (Cmo) {
+    applyRoutinePlan(P, Body, R, *Plan, Cache);
+    if (RI.Selected) {
       RoutinePassPipeline::cleanup().run(P, Body, Stats);
       Stats.add("hlo.routines_optimized");
     }
-    Ctx.L.release(R);
-    if (Tracker)
-      Tracker->takeHloSample();
+  } else if (RI.Tier == OptTier::Basic) {
+    RoutinePassPipeline::basicCleanup().run(P, Body, Stats);
+  } else {
+    RoutinePassPipeline::cleanup().run(P, Body, Stats);
   }
+  std::string Err = Verify ? verifyRoutine(P, R, Body) : std::string();
+  Ctx.L.release(R);
+  if (MemoryTracker *Tracker = P.tracker())
+    Tracker->takeHloSample();
+  return Err;
 }
 
 } // namespace
 
-void scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Set,
-                     const HloPlan &Plan, ThreadPool *Pool) {
+std::string scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
+                            const HloPlan *Plan, bool Verify,
+                            ThreadPool *Pool) {
   HloPassManager PM;
+  std::string FirstError;
 
-  PM.add("ltrans", [&Plan, Pool](HloContext &C, std::vector<RoutineId> &S) {
-    // The partition list; a plan without partitions (partitioning skipped)
-    // degenerates to one partition covering the whole set.
-    std::vector<std::vector<RoutineId>> Fallback;
-    const std::vector<std::vector<RoutineId>> *Parts =
-        &Plan.Partitions.Members;
-    if (Parts->empty()) {
-      Fallback.push_back(S);
-      std::sort(Fallback[0].begin(), Fallback[0].end());
-      Parts = &Fallback;
-    }
-
-    // Shard affinity: with a sharded loader, reorder each partition's
-    // members so routines on the same shard are visited consecutively
-    // (shard-major, id-ascending within a shard). runPartition handles
-    // members independently and work lands in routine-indexed slots, so
-    // the executable is byte-identical; what changes is lock locality —
-    // a worker stays on one shard's mutex for a run of routines instead
-    // of hopping shards every acquire.
-    std::vector<std::vector<RoutineId>> Affine;
-    if (C.L.shardCount() > 1) {
-      Affine = *Parts;
-      for (std::vector<RoutineId> &Members : Affine)
-        std::stable_sort(Members.begin(), Members.end(),
-                         [&C](RoutineId A, RoutineId B) {
-                           unsigned SA = C.L.shardOf(A), SB = C.L.shardOf(B);
-                           return SA != SB ? SA < SB : A < B;
-                         });
-      Parts = &Affine;
-    }
-
-    if (Pool && Pool->threadCount() > 1 && Parts->size() > 1) {
-      // Partition-private counters, merged in ascending partition order:
-      // totals are independent of completion order.
-      std::vector<Statistics> PartStats(Parts->size());
-      ThreadPool &TP = *Pool;
-      TP.parallelFor(Parts->size(), [&](size_t I) {
-        runPartition(C, (*Parts)[I], Plan, PartStats[I]);
-      });
-      for (const Statistics &St : PartStats)
-        C.Stats.merge(St);
-    } else {
-      for (const std::vector<RoutineId> &Members : *Parts)
-        runPartition(C, Members, Plan, C.Stats);
-    }
+  PM.add("ltrans", [&](HloContext &C, std::vector<RoutineId> &Ids) {
+    // Task-private counters and error slots, folded in ascending id order:
+    // totals and the reported failure are independent of completion order.
+    std::vector<Statistics> TaskStats(Ids.size());
+    std::vector<std::string> Errors(Ids.size());
+    MemoryTracker *Tracker = C.P.tracker();
+    std::atomic<bool> Stop{false};
+    auto Task = [&](size_t I) {
+      if (Stop.load(std::memory_order_relaxed))
+        return;
+      Errors[I] = ltransRoutine(C, Ids[I], Plan, Verify, TaskStats[I]);
+      if (Tracker && Tracker->heapExhausted())
+        Stop.store(true, std::memory_order_relaxed);
+    };
+    if (Pool)
+      Pool->parallelFor(Ids.size(), Task);
+    else
+      for (size_t I = 0; I != Ids.size(); ++I)
+        Task(I);
+    for (const Statistics &St : TaskStats)
+      C.Stats.merge(St);
+    for (std::string &Err : Errors)
+      if (!Err.empty()) {
+        FirstError = std::move(Err);
+        break;
+      }
   });
 
   PM.add("compact-symtabs", [](HloContext &C, std::vector<RoutineId> &) {
     C.L.maybeCompactSymtabs();
   });
 
-  PM.run(Ctx, Set);
+  PM.run(Ctx, Routines);
+  return FirstError;
 }
 
 void scmo::runHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
                   const HloOptions &Opts, ThreadPool *Pool) {
   HloPlan Plan = planHlo(Ctx, Set, Opts);
-  runLtrans(Ctx, Set, Plan, Pool);
+  std::vector<RoutineId> Ids = Set;
+  std::sort(Ids.begin(), Ids.end());
+  runLtrans(Ctx, Ids, &Plan, /*Verify=*/false, Pool);
 }

@@ -11,19 +11,17 @@
 ///  - planHlo (WPA): serial whole-program analysis over the loader's routine
 ///    summaries. Computes global variable summaries, then plans every
 ///    interprocedural decision — IPCP constants, specialization clones,
-///    inline selections, dead-routine marks — and carves the routine set
-///    into balanced partitions. No routine body is mutated.
+///    inline selections, dead-routine marks. No routine body is mutated.
 ///
-///  - runLtrans (LTRANS): applies the plan partition by partition, running
-///    each routine's rewrites plus per-routine cleanup (constant
-///    propagation, redundant branch elimination, DCE) under a single loader
-///    pin. Partitions are independent, so they fan out over a thread pool;
-///    the output bytes are identical at any partition count and any job
-///    count because the plan never depends on either.
+///  - runLtrans (LTRANS): one task per routine, in ascending RoutineId, on a
+///    thread pool. Under a single loader acquire each task applies the plan
+///    (CMO-set routines) or the tier's cleanup (default-set routines), then
+///    optionally verifies the body it still holds. Tasks read only the
+///    immutable plan and their own body, so the output bytes are identical
+///    at any job count.
 ///
-/// runHlo composes the two and is what tests and the driver's serial path
-/// call; the driver's parallel path runs the phases as separate pipeline
-/// stages for per-stage timing.
+/// runHlo composes the two and is what tests call; CompilerSession runs the
+/// phases as separate pipeline stages for per-stage timing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +33,7 @@
 #include "hlo/Inliner.h"
 #include "hlo/Wpa.h"
 
+#include <string>
 #include <vector>
 
 namespace scmo {
@@ -53,10 +52,6 @@ struct HloOptions {
   bool Pbo = true;
   bool EnableIpcp = true;
   bool EnableCloning = true;
-  /// LTRANS partition count (the scmoc --hlo-partitions knob; 0 is clamped
-  /// to 1). Never changes the output bytes — only how application work is
-  /// distributed.
-  uint32_t Partitions = 1;
   InlineParams Inline;
   CloneParams Clone;
 };
@@ -69,13 +64,19 @@ struct HloOptions {
 HloPlan planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
                 const HloOptions &Opts);
 
-/// LTRANS: applies \p Plan to every partition, one worker per partition
-/// when \p Pool is given (serial in ascending partition order otherwise).
-/// Per-partition statistics are accumulated privately and merged in
-/// ascending partition order, so counter totals match the serial run.
-/// Bodies end the run released to the loader.
-void runLtrans(HloContext &Ctx, std::vector<RoutineId> &Set,
-               const HloPlan &Plan, ThreadPool *Pool = nullptr);
+/// LTRANS: one task per routine of \p Routines (ascending RoutineId), fanned
+/// out over \p Pool (serial when null). A routine of a CMO-set module gets
+/// \p Plan's rewrites, plus full cleanup when Selected; dead ones are
+/// skipped. Any other routine gets the cleanup its Tier names. With \p
+/// Verify, each emitted routine is then verified on the body the task
+/// holds; emitted routines nothing transforms get a read-only acquire for
+/// it. Per-task counters merge in ascending id order, so totals match the
+/// serial run. Once the heap cap trips, remaining tasks are skipped; the
+/// caller checks the tracker after the join. Bodies end the run released
+/// to the loader. Returns the lowest-id verify failure ("" when none).
+std::string runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
+                      const HloPlan *Plan, bool Verify,
+                      ThreadPool *Pool = nullptr);
 
 /// Runs the full HLO pipeline: planHlo followed by runLtrans.
 void runHlo(HloContext &Ctx, std::vector<RoutineId> &Set,

@@ -8,6 +8,7 @@
 #include "hlo/Wpa.h"
 
 #include "bytecode/Compact.h"
+#include "support/ArenaAllocator.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -340,7 +341,6 @@ struct WpaPlanner::Impl {
   void planClones(const CloneParams &Params);
   void planInline(const InlineParams &Params);
   void planDeadRoutines();
-  void partition(uint32_t NumPartitions);
 };
 
 void WpaPlanner::Impl::planIpcp(bool WholeProgram) {
@@ -720,16 +720,6 @@ void WpaPlanner::Impl::planDeadRoutines() {
   }
 }
 
-void WpaPlanner::Impl::partition(uint32_t NumPartitions) {
-  // Weights are final virtual sizes — the LTRANS cost of each routine.
-  std::vector<uint64_t> Weights(Ctx.P.numRoutines(), 0);
-  for (const auto &[R, VC] : World)
-    Weights[R] = VC.Size;
-  CallGraph VG = virtualGraph();
-  Plan.Partitions = partitionRoutines(Set, VG, Weights, NumPartitions,
-                                      Ctx.P.numRoutines());
-}
-
 WpaPlanner::WpaPlanner(HloContext &Ctx, std::vector<RoutineId> &Set)
     : M(new Impl(Ctx, Set)) {}
 WpaPlanner::~WpaPlanner() = default;
@@ -742,9 +732,6 @@ void WpaPlanner::planInline(const InlineParams &Params) {
   M->planInline(Params);
 }
 void WpaPlanner::planDeadRoutines() { M->planDeadRoutines(); }
-void WpaPlanner::partition(uint32_t NumPartitions) {
-  M->partition(NumPartitions);
-}
 HloPlan WpaPlanner::take() { return std::move(M->Plan); }
 
 //===----------------------------------------------------------------------===//

@@ -11,9 +11,9 @@
 /// declarations, site redirects, inline selections, dead-routine marks — is
 /// made here, serially, from the loader's routine summaries, and recorded
 /// in an HloPlan. The LTRANS phase then applies the plan to each routine
-/// independently, which is what makes partitioned parallel application
-/// byte-identical at any partition count: the plan never depends on how the
-/// work is later split.
+/// independently, which is what makes the per-routine parallel application
+/// byte-identical at any job count: the plan never depends on which worker
+/// applies it, or when.
 ///
 /// The planner simulates the transformed program in a "virtual world": per
 /// caller, an ordered list of virtual blocks each holding an ordered list of
@@ -31,8 +31,8 @@
 /// that state by replaying its plan prefix (IPCP entry constants, then the
 /// first N directives) onto its snapshot, which the plan holds in the NAIM
 /// compact form (paper Section 4.2) and decodes per replay. The replay is
-/// purely plan-driven, so any partition can rebuild any callee version without
-/// looking at another partition's work — this preserves the serial
+/// purely plan-driven, so any task can rebuild any callee version without
+/// looking at another routine's live body — this preserves the serial
 /// optimizer's semantics (inlined copies carry the callee's redirects,
 /// entry constants and earlier inlines) while keeping LTRANS independent.
 ///
@@ -44,9 +44,7 @@
 #include "hlo/Cloner.h"
 #include "hlo/HloContext.h"
 #include "hlo/Inliner.h"
-#include "hlo/Partition.h"
 #include "support/Arena.h"
-#include "support/ArenaAllocator.h"
 
 #include <map>
 #include <memory>
@@ -117,10 +115,6 @@ struct HloPlan {
   /// across workers.
   std::map<RoutineId, TrackedBuffer> Snapshots;
 
-  /// The LTRANS carve-up. Clones are partitioned as ordinary graph nodes —
-  /// their call edges pull them toward their callers, not their origins.
-  RoutinePartitions Partitions;
-
   InlineResult InlineStats;
   CloneResult CloneStats;
 
@@ -170,10 +164,6 @@ public:
   /// (RoutineInfo flags are WPA-owned state, not body state).
   void planDeadRoutines();
 
-  /// Carves the final set (clones included) into \p NumPartitions balanced
-  /// partitions and stores the result in the plan.
-  void partition(uint32_t NumPartitions);
-
   /// Moves the finished plan out; the planner is dead afterwards.
   HloPlan take();
 
@@ -187,11 +177,8 @@ private:
 /// functions of the plan, so callers scope one wherever convenient —
 /// per routine keeps peak memory flat, per worker trades memory for fewer
 /// replays — without affecting the output, and nothing needs locking.
-/// Default-constructed caches are heap-backed; pass an arena allocator to
-/// pool the map nodes (the LTRANS worker recycles one arena across its
-/// per-routine caches). The bodies themselves own their storage either way.
 using HloSnapshotCache =
-    ArenaMap<std::pair<RoutineId, uint32_t>, std::unique_ptr<RoutineBody>>;
+    std::map<std::pair<RoutineId, uint32_t>, std::unique_ptr<RoutineBody>>;
 
 /// Applies the plan's rewrites for routine \p R to its acquired \p Body:
 /// IPCP entry constants first (they never shift call ordinals), then the

@@ -157,7 +157,11 @@ void Program::defineRoutine(RoutineId R, ModuleId M,
   RoutineInfo &RI = Routines[R];
   assert(!RI.IsDefined && "routine redefined");
   RI.IsDefined = true;
-  RI.NumParams = Body->NumParams;
+  // A planned clone was declared with its final arity. Skipping the
+  // same-value store lets LTRANS tasks verifying its callers read the arity
+  // while the clone is materialized on another worker.
+  if (RI.NumParams != Body->NumParams)
+    RI.NumParams = Body->NumParams;
   RI.SourceLines = Body->SourceLines;
   // The defining module owns the routine. An extern routine may have been
   // declared from a different module first; re-home it and make sure the

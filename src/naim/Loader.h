@@ -45,7 +45,7 @@
 /// Sharding (the PR-10 overhaul, DESIGN.md §5k): the loader is a facade over
 /// N LoaderShards (`--naim-shards=N`, 0 = one shard per worker). Every
 /// routine belongs to exactly one shard — placement is a stable hash of the
-/// RoutineId, independent of jobs/partitions/schedule — and each shard owns
+/// RoutineId, independent of jobs and schedule — and each shard owns
 /// its own mutex, LRU clock and Repository file, so acquire/release traffic
 /// from different workers only collides when two workers touch routines
 /// that genuinely hash together.
@@ -53,7 +53,7 @@
 /// LRU pools while the shards' summed cache bytes (relaxed atomics, read
 /// without any other shard's mutex) exceed it. Since placement is
 /// schedule-independent and residency never feeds codegen, executables are
-/// byte-identical at every shards x partitions x jobs combination.
+/// byte-identical at every shards x jobs combination.
 ///
 /// Failure model: the spill path is fallible by design and the loader never
 /// aborts the process. The degradation ladder, from cheapest to last resort:
@@ -290,7 +290,7 @@ public:
   unsigned shardCount() const { return NumShards; }
 
   /// The shard owning \p R: a stable hash of the id alone, so placement is
-  /// identical at every jobs x partitions combination.
+  /// identical at every jobs count.
   unsigned shardOf(RoutineId R) const {
     // splitmix64: id bits are sequential, and a weak mix would put every
     // routine of a module on one shard.

@@ -59,8 +59,8 @@ public:
   const CounterMap &all() const { return Counters; }
 
   /// Adds every counter of \p Other into this registry. Addition commutes,
-  /// but callers folding per-worker registries should still merge in a
-  /// deterministic order (ascending partition/slot index) so that any
+  /// but callers folding per-task registries should still merge in a
+  /// deterministic order (ascending routine/slot index) so that any
   /// future non-commutative accounting stays reproducible.
   void merge(const Statistics &Other) {
     for (const auto &KV : Other.Counters)

@@ -22,17 +22,11 @@
 ///                            mutex, LRU cache and repository file;
 ///                            placement is a stable hash of the
 ///                            routine id, so the executable is
-///                            byte-identical at any shards x partitions x
-///                            jobs combination
+///                            byte-identical at any shards x jobs
+///                            combination
 ///     --jobs <N>             backend worker threads (0 = every CPU in the
 ///                            affinity mask, 1 = serial; max 1024); output
 ///                            is identical at any width
-///     --hlo-partitions <N>   LTRANS partition count for the parallel HLO
-///                            phase (0 = match the --jobs pool width, the
-///                            default; max 4096). Output is byte-identical
-///                            at any partition count x --jobs combination —
-///                            the knob trades scheduling granularity against
-///                            per-partition overhead only
 ///     --run                  execute the result on the VM
 ///     --emit-il <routine>    print a routine's optimized IL
 ///     --disasm <routine>     print a routine's machine code
@@ -102,7 +96,7 @@ int usage(const char *Argv0) {
                "usage: %s [+O1|+O2|+O4] [+P] [+I] [--profile F] "
                "[--select PCT] [--multi-layered] [--machine-mem MIB] "
                "[--naim-shards N] "
-               "[--jobs N] [--hlo-partitions N] [--run] [--emit-il R] "
+               "[--jobs N] [--run] [--emit-il R] "
                "[--disasm R] [--stats] [--stats-format text|json] "
                "[--dump-dot PREFIX] "
                "[--analyze] [--analyze-filter CODES] "
@@ -262,16 +256,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--jobs")
       Opts.Jobs = static_cast<unsigned>(
           parseCount("--jobs", takeValue("--jobs"), 0, 1024));
-    else if (Arg == "--hlo-partitions") {
-      uint64_t N = parseCount("--hlo-partitions",
-                              takeValue("--hlo-partitions"), 0);
-      if (N > 4096)
-        optionError("--hlo-partitions",
-                    "must be at most 4096 (got " + std::to_string(N) +
-                        "); partitions beyond the routine count only add "
-                        "scheduling overhead");
-      Opts.HloPartitions = static_cast<unsigned>(N);
-    } else if (Arg == "--run")
+    else if (Arg == "--run")
       Run = true;
     else if (Arg == "--emit-il")
       EmitIlRoutine = takeValue("--emit-il");

@@ -19,7 +19,6 @@
 #include "hlo/Hlo.h"
 #include "hlo/Inliner.h"
 #include "hlo/Interprocedural.h"
-#include "hlo/Partition.h"
 #include "hlo/RoutinePasses.h"
 #include "hlo/Selectivity.h"
 #include "ir/CallGraph.h"
@@ -815,129 +814,4 @@ TEST(Wpa, CompactSnapshotsRoundTripOutsideTheNaimBudget) {
   uint64_t IrWithPlan = Tracker.liveBytes(MemCategory::HloIr);
   Plan.reset();
   EXPECT_EQ(IrWithPlan - Tracker.liveBytes(MemCategory::HloIr), Charged);
-}
-
-//===----------------------------------------------------------------------===//
-// LTRANS partitioner
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Source for a call chain f0 -> f1 -> ... -> f{N-1} (emitted callee-first so
-/// every call resolves). The chain is the partitioner's worst case for cut
-/// placement: every edge is a potential cut, and a balanced carve-up of equal
-/// weights has exactly one cheap cut per partition boundary.
-std::string chainSource(unsigned N) {
-  std::string Src;
-  for (unsigned I = N; I-- > 0;) {
-    if (I + 1 == N)
-      Src += "func f" + std::to_string(I) + "(x) { return x + 1; }\n";
-    else
-      Src += "func f" + std::to_string(I) + "(x) { return f" +
-             std::to_string(I + 1) + "(x) + 1; }\n";
-  }
-  Src += "func main() { print f0(3); return 0; }\n";
-  return Src;
-}
-
-/// Chain-call fixture exposing the routine set (chain members only, in id
-/// order), the resident call graph, and a weight table.
-struct ChainWorld {
-  HloFixture F;
-  std::vector<RoutineId> Set;
-  std::vector<uint64_t> Weights;
-  CallGraph Graph;
-
-  explicit ChainWorld(unsigned N)
-      : F({{"m", chainSource(N)}}), Graph(CallGraph::buildResident(F.P)) {
-    Weights.assign(F.P.numRoutines(), 1);
-    for (unsigned I = 0; I != N; ++I) {
-      RoutineId R = F.P.findRoutine(("f" + std::to_string(I)).c_str());
-      EXPECT_NE(R, InvalidId) << "f" << I;
-      Set.push_back(R);
-    }
-    std::sort(Set.begin(), Set.end());
-  }
-
-  RoutinePartitions carve(uint32_t K) {
-    return partitionRoutines(Set, Graph, Weights, K, F.P.numRoutines());
-  }
-};
-
-/// Structural invariants every carve-up must satisfy: each set member lands
-/// in exactly one partition, member lists are ascending, PartOf agrees with
-/// Members, and the per-partition weights sum to TotalWeight.
-void checkPartitionInvariants(const ChainWorld &W,
-                              const RoutinePartitions &Parts) {
-  std::vector<bool> Seen(W.F.P.numRoutines(), false);
-  uint64_t SummedWeight = 0;
-  for (uint32_t Part = 0; Part != Parts.Members.size(); ++Part) {
-    const std::vector<RoutineId> &M = Parts.Members[Part];
-    for (size_t I = 0; I != M.size(); ++I) {
-      if (I)
-        EXPECT_LT(M[I - 1], M[I]) << "members not ascending in " << Part;
-      EXPECT_FALSE(Seen[M[I]]) << "routine " << M[I] << " assigned twice";
-      Seen[M[I]] = true;
-      EXPECT_EQ(Parts.partitionOf(M[I]), Part);
-      SummedWeight += W.Weights[M[I]] ? W.Weights[M[I]] : 1;
-    }
-  }
-  for (RoutineId R : W.Set)
-    EXPECT_TRUE(Seen[R]) << "routine " << R << " never assigned";
-  EXPECT_EQ(SummedWeight, Parts.TotalWeight);
-}
-
-} // namespace
-
-TEST(Partition, BalanceBoundHoldsUnderSkewedWeights) {
-  ChainWorld W(24);
-  // Deterministic skew: weights spread over [1, 97] so the greedy growth has
-  // real choices to make and the bound is not trivially met.
-  for (size_t I = 0; I != W.Set.size(); ++I)
-    W.Weights[W.Set[I]] = (I * 7919) % 97 + 1;
-  for (uint32_t K : {1u, 2u, 3u, 4u, 8u}) {
-    RoutinePartitions Parts = W.carve(K);
-    checkPartitionInvariants(W, Parts);
-    EXPECT_LE(Parts.Members.size(), K);
-    // The documented greedy bound: every partition stops growing once it
-    // reaches Target = ceil(Total/K), so none exceeds Target by more than
-    // the node that pushed it over.
-    uint64_t Target = (Parts.TotalWeight + K - 1) / K;
-    EXPECT_LE(Parts.MaxPartWeight, Target + Parts.MaxNodeWeight)
-        << "K=" << K << " total=" << Parts.TotalWeight;
-  }
-}
-
-TEST(Partition, ChainCarvesIntoContiguousSegments) {
-  // Equal weights on a pure chain: greedy frontier growth must produce
-  // contiguous segments, i.e. exactly one cut edge per partition boundary.
-  ChainWorld W(24);
-  for (uint32_t K : {2u, 3u, 4u}) {
-    RoutinePartitions Parts = W.carve(K);
-    checkPartitionInvariants(W, Parts);
-    ASSERT_EQ(Parts.Members.size(), K);
-    EXPECT_EQ(Parts.CutEdges, uint64_t(K) - 1) << "K=" << K;
-  }
-}
-
-TEST(Partition, IdenticalInputsYieldIdenticalCarves) {
-  ChainWorld W(20);
-  for (size_t I = 0; I != W.Set.size(); ++I)
-    W.Weights[W.Set[I]] = (I * 31) % 13 + 1;
-  RoutinePartitions A = W.carve(4);
-  RoutinePartitions B = W.carve(4);
-  EXPECT_EQ(A.Members, B.Members);
-  EXPECT_EQ(A.PartOf, B.PartOf);
-  EXPECT_EQ(A.CutEdges, B.CutEdges);
-  EXPECT_EQ(A.CutWeight, B.CutWeight);
-  EXPECT_EQ(A.MaxPartWeight, B.MaxPartWeight);
-}
-
-TEST(Partition, NeverProducesMorePartitionsThanRoutines) {
-  ChainWorld W(8);
-  RoutinePartitions Parts = W.carve(64);
-  checkPartitionInvariants(W, Parts);
-  EXPECT_LE(Parts.Members.size(), W.Set.size());
-  for (const std::vector<RoutineId> &M : Parts.Members)
-    EXPECT_FALSE(M.empty()) << "empty partition emitted";
 }

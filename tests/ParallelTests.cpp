@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <sched.h>
 #include <thread>
 
@@ -49,10 +50,8 @@ struct JobsBuild {
 };
 
 JobsBuild buildAtJobs(const GeneratedProgram &GP, unsigned Jobs,
-                      CompileOptions Opts, const ProfileDb *Db = nullptr,
-                      unsigned Partitions = 0) {
+                      CompileOptions Opts, const ProfileDb *Db = nullptr) {
   Opts.Jobs = Jobs;
-  Opts.HloPartitions = Partitions;
   CompilerSession Session(Opts);
   EXPECT_TRUE(Session.addGenerated(GP)) << Session.firstError();
   if (Db)
@@ -314,14 +313,13 @@ TEST(Parallel, RunBehaviorMatchesSerialBuild) {
 }
 
 //===----------------------------------------------------------------------===//
-// LTRANS partition-count determinism
+// LTRANS: one task per routine
 //===----------------------------------------------------------------------===//
 
-TEST(Parallel, ExecutablesAreBitIdenticalAcrossPartitionMatrix) {
-  // The WHOPR contract: the partition count decides only which worker
-  // applies the plan, never what the plan says. The full matrix of
-  // --hlo-partitions x --jobs must produce one executable, clone bodies and
-  // all, profile-guided inlining included.
+TEST(Parallel, LtransJobMatrixIsBitIdentical) {
+  // The WHOPR contract: the job count decides only which worker applies the
+  // plan to a routine, never what the plan says. Every width must produce
+  // one executable, clone bodies and all, profile-guided inlining included.
   GeneratedProgram GP = testProgram(27);
   std::string Error;
   ProfileDb Db = trainProfile(GP, Error);
@@ -329,47 +327,114 @@ TEST(Parallel, ExecutablesAreBitIdenticalAcrossPartitionMatrix) {
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
   Opts.Pbo = true;
-  JobsBuild Ref = buildAtJobs(GP, 1, Opts, &Db, 1);
+  JobsBuild Ref = buildAtJobs(GP, 1, Opts, &Db);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Stats.get("inline.sites"), 0u)
       << "no inlining; the matrix would be vacuous";
-  for (unsigned Partitions : {1u, 2u, 4u, 8u}) {
-    for (unsigned Jobs : {1u, 2u, 8u}) {
-      if (Partitions == 1 && Jobs == 1)
-        continue; // The reference itself.
-      JobsBuild Out = buildAtJobs(GP, Jobs, Opts, &Db, Partitions);
-      ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
-      EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-          << "partitions=" << Partitions << " jobs=" << Jobs;
-      EXPECT_EQ(Ref.Checksums, Out.Checksums)
-          << "partitions=" << Partitions << " jobs=" << Jobs;
-    }
+  for (unsigned Jobs : {2u, 3u, 8u}) {
+    JobsBuild Out = buildAtJobs(GP, Jobs, Opts, &Db);
+    ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
+    EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
+        << "jobs=" << Jobs;
+    EXPECT_EQ(Ref.Checksums, Out.Checksums) << "jobs=" << Jobs;
   }
 }
 
-TEST(Parallel, PartitionMatrixHoldsUnderOffload) {
-  // Partitioning changes which worker touches which routine, so it reshapes
-  // the loader's acquire/release traffic; with pools spilling to the
-  // repository the bytes the optimizer reads back must still be exact.
+TEST(Parallel, LtransJobMatrixHoldsUnderOffload) {
+  // The job count changes which worker touches which routine, so it
+  // reshapes the loader's acquire/release traffic; with pools spilling to
+  // the repository the bytes the optimizer reads back must still be exact.
   GeneratedProgram GP = testProgram(28);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
   Opts.Naim.Mode = NaimMode::Offload;
   Opts.Naim.ExpandedCacheBytes = 16 << 10;
   Opts.Naim.CompactResidentBytes = 8 << 10;
-  JobsBuild Ref = buildAtJobs(GP, 1, Opts, nullptr, 1);
+  JobsBuild Ref = buildAtJobs(GP, 1, Opts);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
-  for (unsigned Partitions : {2u, 8u}) {
+  for (unsigned Jobs : {2u, 3u, 8u}) {
+    JobsBuild Out = buildAtJobs(GP, Jobs, Opts);
+    ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
+    EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
+        << "jobs=" << Jobs;
+    EXPECT_EQ(Ref.Checksums, Out.Checksums) << "jobs=" << Jobs;
+  }
+}
+
+TEST(Parallel, SelectiveBuildIsIdenticalAcrossJobCounts) {
+  // At 5% selectivity most modules take the default-set path, whose
+  // per-tier cleanup runs in the LTRANS fan-out beside the CMO-set work.
+  // Its output and its cleanup counters must not depend on the width, with
+  // and without the multi-layered Basic / None tiers.
+  GeneratedProgram GP = testProgram(32);
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  for (bool MultiLayered : {false, true}) {
+    CompileOptions Opts;
+    Opts.Level = OptLevel::O4;
+    Opts.Pbo = true;
+    Opts.SelectivityPercent = 5;
+    Opts.MultiLayered = MultiLayered;
+    JobsBuild Ref = buildAtJobs(GP, 1, Opts, &Db);
+    ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
+    ASSERT_FALSE(Ref.Build.Selectivity.DefaultModules.empty());
+    ASSERT_FALSE(Ref.Build.Selectivity.CmoModules.empty());
+    ASSERT_GT(Ref.Build.Stats.get("dce.instrs"), 0u);
+    auto Cleanup = [](const Statistics &St) {
+      std::map<std::string, uint64_t> Out;
+      for (const auto &[Name, Value] : St.all())
+        if (Name == "hlo.routines_optimized" ||
+            Name.rfind("constprop.", 0) == 0 ||
+            Name.rfind("simplify.", 0) == 0 || Name.rfind("dce.", 0) == 0)
+          Out[Name] = Value;
+      return Out;
+    };
     for (unsigned Jobs : {2u, 8u}) {
-      JobsBuild Out = buildAtJobs(GP, Jobs, Opts, nullptr, Partitions);
+      JobsBuild Out = buildAtJobs(GP, Jobs, Opts, &Db);
       ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
       EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-          << "partitions=" << Partitions << " jobs=" << Jobs;
+          << "multi-layered=" << MultiLayered << " jobs=" << Jobs;
       EXPECT_EQ(Ref.Checksums, Out.Checksums)
-          << "partitions=" << Partitions << " jobs=" << Jobs;
+          << "multi-layered=" << MultiLayered << " jobs=" << Jobs;
+      EXPECT_EQ(Cleanup(Ref.Build.Stats), Cleanup(Out.Build.Stats))
+          << "multi-layered=" << MultiLayered << " jobs=" << Jobs;
     }
   }
+}
+
+TEST(Parallel, PostHloVerifyReusesTheLtransAcquire) {
+  // The post-HLO verify runs inside each routine's LTRANS task, on the body
+  // that task already holds. Verifying therefore costs the frontend verify's
+  // one acquire per defined routine, plus one per emitted routine that
+  // LTRANS leaves untouched — strictly fewer than a separate walk over
+  // every emitted routine would add.
+  GeneratedProgram GP = testProgram(33);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.VerifyIl = false;
+  CompilerSession Off(Opts);
+  ASSERT_TRUE(Off.addGenerated(GP)) << Off.firstError();
+  BuildResult Plain = Off.build();
+  ASSERT_TRUE(Plain.Ok) << Plain.Error;
+  Opts.VerifyIl = true;
+  CompilerSession On(Opts);
+  ASSERT_TRUE(On.addGenerated(GP)) << On.firstError();
+  BuildResult Verified = On.build();
+  ASSERT_TRUE(Verified.Ok) << Verified.Error;
+  EXPECT_TRUE(exesIdentical(Plain.Exe, Verified.Exe));
+  uint64_t Defined = 0, Emitted = 0;
+  const Program &P = On.program();
+  for (RoutineId R = 0; R != P.numRoutines(); ++R)
+    if (P.routine(R).IsDefined) {
+      ++Defined;
+      Emitted += P.routine(R).Emit;
+    }
+  ASSERT_GT(Emitted, 0u);
+  ASSERT_GE(Verified.Loader.Acquires, Plain.Loader.Acquires);
+  EXPECT_LT(Verified.Loader.Acquires - Plain.Loader.Acquires,
+            Defined + Emitted);
 }
 
 //===----------------------------------------------------------------------===//
@@ -378,9 +443,9 @@ TEST(Parallel, PartitionMatrixHoldsUnderOffload) {
 
 TEST(Parallel, ExecutablesAreBitIdenticalAcrossShardMatrix) {
   // --naim-shards is resource-only: routine placement is a stable hash of
-  // the id and residency never feeds codegen, so the whole shards x jobs x
-  // partitions matrix must emit one executable — the PR-10 byte-identity
-  // guarantee the CI naim-shard job enforces on the real binary.
+  // the id and residency never feeds codegen, so the whole shards x jobs
+  // matrix must emit one executable — the byte-identity guarantee the CI
+  // naim-shard job enforces on the real binary.
   GeneratedProgram GP = testProgram(30);
   CompileOptions Opts;
   Opts.Level = OptLevel::O4;
@@ -388,25 +453,21 @@ TEST(Parallel, ExecutablesAreBitIdenticalAcrossShardMatrix) {
   Opts.Naim.ExpandedCacheBytes = 16 << 10;
   Opts.Naim.CompactResidentBytes = 8 << 10;
   Opts.Naim.Shards = 1;
-  JobsBuild Ref = buildAtJobs(GP, 1, Opts, nullptr, 1);
+  JobsBuild Ref = buildAtJobs(GP, 1, Opts);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
   EXPECT_EQ(Ref.Build.Loader.Shards, 1u);
   for (unsigned Shards : {2u, 4u, 8u}) {
     for (unsigned Jobs : {1u, 8u}) {
-      for (unsigned Partitions : {1u, 4u}) {
-        CompileOptions O = Opts;
-        O.Naim.Shards = Shards;
-        JobsBuild Out = buildAtJobs(GP, Jobs, O, nullptr, Partitions);
-        ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
-        EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-            << "shards=" << Shards << " jobs=" << Jobs
-            << " partitions=" << Partitions;
-        EXPECT_EQ(Ref.Checksums, Out.Checksums)
-            << "shards=" << Shards << " jobs=" << Jobs
-            << " partitions=" << Partitions;
-        EXPECT_EQ(Out.Build.Loader.Shards, uint64_t(Shards));
-      }
+      CompileOptions O = Opts;
+      O.Naim.Shards = Shards;
+      JobsBuild Out = buildAtJobs(GP, Jobs, O);
+      ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
+      EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
+          << "shards=" << Shards << " jobs=" << Jobs;
+      EXPECT_EQ(Ref.Checksums, Out.Checksums)
+          << "shards=" << Shards << " jobs=" << Jobs;
+      EXPECT_EQ(Out.Build.Loader.Shards, uint64_t(Shards));
     }
   }
 }
@@ -422,36 +483,13 @@ TEST(Parallel, ShardCountIsNotCacheKeyMaterial) {
   ASSERT_NE(mkdtemp(Dir), nullptr);
   Opts.CacheDir = Dir;
   Opts.Naim.Shards = 1;
-  JobsBuild Cold = buildAtJobs(GP, 1, Opts, nullptr, 1);
+  JobsBuild Cold = buildAtJobs(GP, 1, Opts);
   ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
   CompileOptions O = Opts;
   O.Naim.Shards = 8;
-  JobsBuild Warm = buildAtJobs(GP, 8, O, nullptr, 4);
+  JobsBuild Warm = buildAtJobs(GP, 8, O);
   ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
   EXPECT_TRUE(exesIdentical(Cold.Build.Exe, Warm.Build.Exe));
   EXPECT_GT(Warm.Build.Stats.get("cache.skip.hlo"), 0u)
       << "shard count invalidated the cache";
-}
-
-TEST(Parallel, PartitionCountIsNotCacheKeyMaterial) {
-  // --hlo-partitions is resource-only, so a warm incremental rebuild at a
-  // different partition count must hit the cache (same fingerprint) and
-  // still emit identical bytes.
-  GeneratedProgram GP = testProgram(29);
-  CompileOptions Opts;
-  Opts.Level = OptLevel::O4;
-  Opts.Incremental = true;
-  char Dir[] = "/tmp/scmo-part-cache-XXXXXX";
-  ASSERT_NE(mkdtemp(Dir), nullptr);
-  Opts.CacheDir = Dir;
-  JobsBuild Cold = buildAtJobs(GP, 1, Opts, nullptr, 1);
-  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
-  for (unsigned Partitions : {4u, 8u}) {
-    JobsBuild Warm = buildAtJobs(GP, 8, Opts, nullptr, Partitions);
-    ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
-    EXPECT_TRUE(exesIdentical(Cold.Build.Exe, Warm.Build.Exe))
-        << "partitions=" << Partitions;
-    EXPECT_GT(Warm.Build.Stats.get("cache.skip.hlo"), 0u)
-        << "partition count invalidated the cache at " << Partitions;
-  }
 }
