@@ -21,12 +21,12 @@ CloneResult scmo::runCloner(HloContext &Ctx, std::vector<RoutineId> &Set,
   HloPlan Plan = Planner.take();
   for (const auto &KV : Plan.Clones) {
     HloSnapshotCache Cache;
-    materializeClone(Ctx.P, KV.first, Plan, Cache);
+    materializeClone(Ctx, KV.first, Plan, Cache);
   }
   for (const auto &KV : Plan.CallerOps) {
     HloSnapshotCache Cache;
     RoutineBody &Body = Ctx.L.acquire(KV.first);
-    applyRoutinePlan(Ctx.P, Body, KV.first, Plan, Cache);
+    applyRoutinePlan(Ctx, Body, KV.first, Plan, Cache);
     Ctx.L.release(KV.first);
   }
   return Plan.CloneStats;

@@ -90,7 +90,7 @@ std::string ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
   // run would break the Fig. 4 memory shape.
   HloSnapshotCache Cache;
   if (Cmo && Plan->cloneFor(R))
-    materializeClone(P, R, *Plan, Cache);
+    materializeClone(Ctx, R, *Plan, Cache);
   if (!RI.IsDefined)
     return "";
   const bool Transform =
@@ -106,7 +106,7 @@ std::string ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
   }
   RoutineBody &Body = Ctx.L.acquire(R);
   if (Cmo) {
-    applyRoutinePlan(P, Body, R, *Plan, Cache);
+    applyRoutinePlan(Ctx, Body, R, *Plan, Cache);
     if (RI.Selected) {
       RoutinePassPipeline::cleanup().run(P, Body, Stats);
       Stats.add("hlo.routines_optimized");

@@ -146,7 +146,7 @@ InlineResult scmo::runInliner(HloContext &Ctx,
   for (const auto &KV : Plan.CallerOps) {
     HloSnapshotCache Cache;
     RoutineBody &Body = Ctx.L.acquire(KV.first);
-    applyRoutinePlan(Ctx.P, Body, KV.first, Plan, Cache);
+    applyRoutinePlan(Ctx, Body, KV.first, Plan, Cache);
     Ctx.L.release(KV.first);
   }
   return Plan.InlineStats;

@@ -79,7 +79,7 @@ void scmo::runIpcp(HloContext &Ctx, const std::vector<RoutineId> &Set,
   HloSnapshotCache Cache;
   for (const auto &KV : Plan.Ipcp) {
     RoutineBody &Body = Ctx.L.acquire(KV.first);
-    applyRoutinePlan(Ctx.P, Body, KV.first, Plan, Cache);
+    applyRoutinePlan(Ctx, Body, KV.first, Plan, Cache);
     Ctx.L.release(KV.first);
   }
 }

@@ -7,9 +7,7 @@
 
 #include "hlo/Wpa.h"
 
-#include "bytecode/Compact.h"
 #include "support/ArenaAllocator.h"
-#include "support/Debug.h"
 
 #include <algorithm>
 #include <cassert>
@@ -241,19 +239,18 @@ struct WpaPlanner::Impl {
     return F;
   }
 
-  /// Encodes \p R's pre-LTRANS body into the plan's snapshot table (a
-  /// clone resolves to its origin's body; versions are decoded and replayed
-  /// from these at application time). The identity-remap compact form is
-  /// the one the loader round-trips byte-identically. Serial phase only.
+  /// Records \p R's pre-LTRANS body in the plan's snapshot table (a clone
+  /// resolves to its origin's body; versions are decoded and replayed from
+  /// these at application time). A parked pool is never expanded for it
+  /// (Loader::snapshotPool). Serial phase only.
   void ensureSnapshot(RoutineId R) {
     if (const PlannedClone *PC = Plan.cloneFor(R))
       R = PC->Origin;
     if (Plan.Snapshots.count(R))
       return;
-    TrackedBuffer Snap(Ctx.P.tracker(), MemCategory::HloIr);
-    Snap.assign(compactRoutine(Ctx.L.acquireRead(R)));
-    Ctx.L.release(R);
-    Ctx.Stats.add("wpa.snapshot_bytes", Snap.size());
+    PoolSnapshot Snap = Ctx.L.snapshotPool(R);
+    Ctx.Stats.add("wpa.snapshot_bytes", Snap.Bytes.size());
+    Ctx.Stats.add("wpa.snapshot_refs", Snap.isRecord() ? 1 : 0);
     Plan.Snapshots.emplace(R, std::move(Snap));
   }
 
@@ -740,12 +737,14 @@ HloPlan WpaPlanner::take() { return std::move(M->Plan); }
 
 namespace {
 
-const RoutineBody &materializeVersion(Program &P, RoutineId R,
+const RoutineBody &materializeVersion(HloContext &Ctx, RoutineId R,
                                       uint32_t Version, const HloPlan &Plan,
                                       HloSnapshotCache &Cache);
 
-bool applyDirective(Program &P, RoutineBody &Body, const PlanDirective &D,
-                    const HloPlan &Plan, HloSnapshotCache &Cache) {
+bool applyDirective(HloContext &Ctx, RoutineBody &Body,
+                    const PlanDirective &D, const HloPlan &Plan,
+                    HloSnapshotCache &Cache) {
+  Program &P = Ctx.P;
   uint32_t Seen = 0;
   for (BlockId B = 0; B != Body.Blocks.size(); ++B) {
     std::vector<Instr *> &Instrs = Body.Blocks[B].Instrs;
@@ -761,20 +760,23 @@ bool applyDirective(Program &P, RoutineBody &Body, const PlanDirective &D,
         return true;
       }
       const RoutineBody &Snap =
-          materializeVersion(P, D.MatchCallee, D.CalleeVersion, Plan, Cache);
+          materializeVersion(Ctx, D.MatchCallee, D.CalleeVersion, Plan, Cache);
       return inlineCallSite(P, Body, Snap, B, I);
     }
   }
-  assert(false && "plan directive matched no call site");
+  // Only a stub standing in for an unreadable snapshot can hide the site;
+  // the loader has then latched the error that fails the build.
+  assert(!Ctx.L.firstError().ok() && "plan directive matched no call site");
   return false;
 }
 
 /// The shared application core: R's IPCP entry constants, then its first
 /// \p DirectiveCount directives in emission order. Full application passes
 /// UINT32_MAX; versioned replay passes the recorded prefix length.
-void applyPlanPrefix(Program &P, RoutineBody &Body, RoutineId R,
+void applyPlanPrefix(HloContext &Ctx, RoutineBody &Body, RoutineId R,
                      uint32_t DirectiveCount, const HloPlan &Plan,
                      HloSnapshotCache &Cache) {
+  Program &P = Ctx.P;
   if (const std::vector<PlannedConst> *Consts = Plan.ipcpFor(R)) {
     for (const PlannedConst &PC : *Consts) {
       Instr *MovI = Body.newInstr(Opcode::Mov);
@@ -788,7 +790,7 @@ void applyPlanPrefix(Program &P, RoutineBody &Body, RoutineId R,
   if (const std::vector<PlanDirective> *Ops = Plan.opsFor(R)) {
     size_t N = std::min<size_t>(DirectiveCount, Ops->size());
     for (size_t I = 0; I != N; ++I)
-      applyDirective(P, Body, (*Ops)[I], Plan, Cache);
+      applyDirective(Ctx, Body, (*Ops)[I], Plan, Cache);
   }
 }
 
@@ -798,9 +800,10 @@ void applyPlanPrefix(Program &P, RoutineBody &Body, RoutineId R,
 /// prefix. Purely plan-driven, so any worker rebuilds the identical body;
 /// the recursion is well-founded because a directive can only record callee
 /// versions that were planned before it.
-const RoutineBody &materializeVersion(Program &P, RoutineId R,
+const RoutineBody &materializeVersion(HloContext &Ctx, RoutineId R,
                                       uint32_t Version, const HloPlan &Plan,
                                       HloSnapshotCache &Cache) {
+  Program &P = Ctx.P;
   auto Key = std::make_pair(R, Version);
   auto It = Cache.find(Key);
   if (It != Cache.end())
@@ -808,7 +811,7 @@ const RoutineBody &materializeVersion(Program &P, RoutineId R,
   std::unique_ptr<RoutineBody> Body;
   if (const PlannedClone *PC = Plan.cloneFor(R)) {
     const RoutineBody &Base =
-        materializeVersion(P, PC->Origin, PC->OriginVersion, Plan, Cache);
+        materializeVersion(Ctx, PC->Origin, PC->OriginVersion, Plan, Cache);
     Body = copyRoutineBody(Base, P.tracker());
     for (const auto &[Param, Value] : PC->Key) {
       Instr *MovI = Body->newInstr(Opcode::Mov);
@@ -817,11 +820,10 @@ const RoutineBody &materializeVersion(Program &P, RoutineId R,
       Body->Blocks[0].Instrs.insert(Body->Blocks[0].Instrs.begin(), MovI);
     }
   } else {
-    Body = expandRoutine(Plan.Snapshots.at(R).bytes(), P.tracker());
-    if (!Body)
-      reportFatalError("WPA snapshot failed to decode");
+    // An unreadable snapshot comes back as a stub, with the error latched.
+    Body = Ctx.L.expandSnapshot(R, Plan.Snapshots.at(R));
   }
-  applyPlanPrefix(P, *Body, R, Version, Plan, Cache);
+  applyPlanPrefix(Ctx, *Body, R, Version, Plan, Cache);
   // Insert after the recursive calls above: they may not invalidate the
   // reference a std::map hands out, but they can insert their own entries,
   // so the slot is claimed only once the body is final.
@@ -832,13 +834,14 @@ const RoutineBody &materializeVersion(Program &P, RoutineId R,
 
 } // namespace
 
-void scmo::applyRoutinePlan(Program &P, RoutineBody &Body, RoutineId R,
+void scmo::applyRoutinePlan(HloContext &Ctx, RoutineBody &Body, RoutineId R,
                             const HloPlan &Plan, HloSnapshotCache &Cache) {
-  applyPlanPrefix(P, Body, R, UINT32_MAX, Plan, Cache);
+  applyPlanPrefix(Ctx, Body, R, UINT32_MAX, Plan, Cache);
 }
 
-void scmo::materializeClone(Program &P, RoutineId R, const HloPlan &Plan,
+void scmo::materializeClone(HloContext &Ctx, RoutineId R, const HloPlan &Plan,
                             HloSnapshotCache &Cache) {
+  Program &P = Ctx.P;
   const PlannedClone *PC = Plan.cloneFor(R);
   assert(PC && "routine is not a planned clone");
   if (!PC)
@@ -847,6 +850,6 @@ void scmo::materializeClone(Program &P, RoutineId R, const HloPlan &Plan,
   // The clone's own directives (if any) are applied afterwards through
   // applyRoutinePlan on the defined body, like any other routine's.
   auto Body =
-      copyRoutineBody(materializeVersion(P, R, 0, Plan, Cache), P.tracker());
+      copyRoutineBody(materializeVersion(Ctx, R, 0, Plan, Cache), P.tracker());
   P.defineRoutine(R, P.routine(R).Owner, std::move(Body));
 }

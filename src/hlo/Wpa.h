@@ -29,8 +29,9 @@
 /// records how many of the callee's own directives had been planned when
 /// the inline was decided; application reconstructs the callee at exactly
 /// that state by replaying its plan prefix (IPCP entry constants, then the
-/// first N directives) onto its snapshot, which the plan holds in the NAIM
-/// compact form (paper Section 4.2) and decodes per replay. The replay is
+/// first N directives) onto its snapshot, which the plan holds as the NAIM
+/// compact form (paper Section 4.2) or as a reference to the callee's
+/// repository record, and decodes per replay. The replay is
 /// purely plan-driven, so any task can rebuild any callee version without
 /// looking at another routine's live body — this preserves the serial
 /// optimizer's semantics (inlined copies carry the callee's redirects,
@@ -44,7 +45,6 @@
 #include "hlo/Cloner.h"
 #include "hlo/HloContext.h"
 #include "hlo/Inliner.h"
-#include "support/Arena.h"
 
 #include <map>
 #include <memory>
@@ -108,12 +108,21 @@ struct HloPlan {
 
   /// The pre-LTRANS body of every routine the plan inlines or clones from,
   /// keyed by callee id (clone callees resolve through their origin's
-  /// snapshot), in the loader's compact encoding and charged to
-  /// MemCategory::HloIr — plan state the NAIM budget cannot evict, so it
-  /// must not count as HloCompact. Versioned callee bodies are decoded and
-  /// replayed from these on demand. Read-only during LTRANS — safe to share
-  /// across workers.
-  std::map<RoutineId, TrackedBuffer> Snapshots;
+  /// snapshot). WPA never expands a parked pool for one
+  /// (Loader::snapshotPool):
+  ///  - an offloaded callee, or one expanded but unchanged since its record,
+  ///    is a reference to that repository record. The record cannot change
+  ///    under the plan: the repository is append-only,
+  ///    so when LTRANS mutates the callee and offloads it again, the new
+  ///    body goes to a new record and the referenced one keeps its bytes;
+  ///  - any other callee is its compact encoding, charged to
+  ///    MemCategory::HloIr — plan state the NAIM budget cannot evict, so it
+  ///    must not count as HloCompact.
+  /// Versioned callee bodies are decoded (a record read back first) and
+  /// replayed from these on demand; an unreadable record yields a stub and
+  /// a latched loader error that fails the build after LTRANS. Read-only
+  /// during LTRANS — safe to share across workers.
+  std::map<RoutineId, PoolSnapshot> Snapshots;
 
   InlineResult InlineStats;
   CloneResult CloneStats;
@@ -185,8 +194,8 @@ using HloSnapshotCache =
 /// caller directives in emission order. Cleanup is the caller's business.
 /// Thread-safe across distinct routines: reads only plan state and
 /// snapshots, writes only \p Body and \p Cache (plus the atomic call-graph
-/// invalidation).
-void applyRoutinePlan(Program &P, RoutineBody &Body, RoutineId R,
+/// invalidation; snapshot records are read through \p Ctx's loader).
+void applyRoutinePlan(HloContext &Ctx, RoutineBody &Body, RoutineId R,
                       const HloPlan &Plan, HloSnapshotCache &Cache);
 
 /// Defines clone \p R from the plan (origin at OriginVersion + key Movs).
@@ -194,7 +203,7 @@ void applyRoutinePlan(Program &P, RoutineBody &Body, RoutineId R,
 /// body defined here, so materialization order is independent of every
 /// other routine's application. Thread-safe for distinct clone ids
 /// (defineRoutine touches only the clone's own slot).
-void materializeClone(Program &P, RoutineId R, const HloPlan &Plan,
+void materializeClone(HloContext &Ctx, RoutineId R, const HloPlan &Plan,
                       HloSnapshotCache &Cache);
 
 } // namespace scmo

@@ -75,6 +75,19 @@ std::string shardRepoPath(const std::string &Base, unsigned NumShards,
     return Base;
   return Base + "." + std::to_string(Idx) + ".naim";
 }
+
+/// A minimal valid body for \p R (one Ret), handed out in place of bytes
+/// that cannot be read back, so the phase holding it runs to completion.
+std::unique_ptr<RoutineBody> stubBody(Program &P, RoutineId R) {
+  auto Stub = std::make_unique<RoutineBody>(P.tracker());
+  Stub->NumParams = P.routine(R).NumParams;
+  Stub->NextReg = Stub->NumParams + 1;
+  Stub->newBlock();
+  Instr *Ret = Stub->newInstr(Opcode::Ret);
+  Ret->A = Operand::imm(0);
+  Stub->Blocks[0].Instrs.push_back(Ret);
+  return Stub;
+}
 } // namespace
 
 namespace scmo {
@@ -100,6 +113,9 @@ public:
   void releaseAllShard();
   void enforceBudgetShard(bool Everything);
   const RoutineIlSummary *routineSummary(RoutineId R);
+  PoolSnapshot snapshotPool(RoutineId R);
+  std::unique_ptr<RoutineBody> expandSnapshot(RoutineId R,
+                                              const PoolSnapshot &Snap);
 
   uint64_t cacheBytes() const { return CachedBytes.load(Relaxed); }
   size_t cachedPoolCount() const {
@@ -184,6 +200,9 @@ private:
   Status recoverPoolLocked(RoutineId R, Status Cause);
   void installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body);
   void poisonPoolLocked(RoutineId R, Status Cause);
+  /// Counts an unrecoverable body, records its PoolPoisoned event and
+  /// latches the shard's first error.
+  void latchPoisonLocked(RoutineId R, Status Cause);
 
   Loader &F;
   Program &P;
@@ -628,25 +647,92 @@ void LoaderShard::installBodyLocked(RoutineId R,
   S.LastRepoHash = 0;
 }
 
-void LoaderShard::poisonPoolLocked(RoutineId R, Status Cause) {
+void LoaderShard::latchPoisonLocked(RoutineId R, Status Cause) {
   Stats.PoisonedPools.fetch_add(1, Relaxed);
   Events.push_back({LoaderEvent::Kind::PoolPoisoned, R, Cause.toString()});
   if (FirstErr.ok())
     FirstErr = std::move(Cause);
-  // Install a minimal valid stub (one Ret) so the acquiring phase can run
-  // to completion without dereferencing a dead pool; the latched FirstErr
-  // guarantees the driver discards the results.
-  const RoutineInfo &RI = P.routine(R);
-  auto Stub = std::make_unique<RoutineBody>(P.tracker());
-  Stub->NumParams = RI.NumParams;
-  Stub->NextReg = RI.NumParams + 1;
-  Stub->newBlock();
-  Instr *Ret = Stub->newInstr(Opcode::Ret);
-  Ret->A = Operand::imm(0);
-  Stub->Blocks[0].Instrs.push_back(Ret);
-  installBodyLocked(R, std::move(Stub));
+}
+
+void LoaderShard::poisonPoolLocked(RoutineId R, Status Cause) {
+  latchPoisonLocked(R, std::move(Cause));
+  // Install a stub so the acquiring phase can run to completion without
+  // dereferencing a dead pool; the latched FirstErr guarantees the driver
+  // discards the results.
+  installBodyLocked(R, stubBody(P, R));
   P.routine(R).Slot.Summary.reset();
   P.routine(R).Slot.ResummarizeOnRelease = false;
+}
+
+PoolSnapshot LoaderShard::snapshotPool(RoutineId R) {
+  PoolSnapshot Snap;
+  Snap.Bytes = TrackedBuffer(P.tracker(), MemCategory::HloIr);
+  {
+    std::unique_lock<std::mutex> L(M);
+    RoutineSlot &S = P.routine(R).Slot;
+    while (S.InTransition)
+      TransitionCv.wait(L);
+    if (S.State == PoolState::Offloaded) {
+      Snap.RecordOffset = S.RepoOffset;
+      Snap.RecordSize = S.RepoSize;
+      return Snap;
+    }
+    if (S.State == PoolState::Expanded && S.CleanSinceRepo &&
+        S.LastRepoSize != 0) {
+      Snap.RecordOffset = S.LastRepoOffset;
+      Snap.RecordSize = S.LastRepoSize;
+      return Snap;
+    }
+    if (S.State == PoolState::Compact) {
+      Snap.Bytes.assign(S.CompactBytes.bytes());
+      return Snap;
+    }
+  }
+  Snap.Bytes.assign(compactRoutine(acquireImpl(R, /*Mutable=*/false)));
+  release(R);
+  return Snap;
+}
+
+std::unique_ptr<RoutineBody>
+LoaderShard::expandSnapshot(RoutineId R, const PoolSnapshot &Snap) {
+  Status Err;
+  std::unique_ptr<RoutineBody> Body;
+  std::string RetryDetail;
+  if (Snap.isRecord()) {
+    // The record is immutable and the pread runs unlocked, so workers read
+    // snapshots while others append to the same file.
+    std::vector<uint8_t> Raw;
+    Err = fetchRecord(Snap.RecordOffset, Snap.RecordSize, Raw, RetryDetail);
+    if (Err.ok()) {
+      Stats.Fetches.fetch_add(1, Relaxed);
+      TrackedBuffer Bytes(P.tracker(), MemCategory::HloIr);
+      Bytes.assign(std::move(Raw));
+      Body = expandRoutine(Bytes.bytes(), P.tracker());
+    }
+  } else {
+    Body = expandRoutine(Snap.Bytes.bytes(), P.tracker());
+  }
+  if (!Err.ok())
+    Err = Status::error(Err.code(), "snapshot record of " + P.displayName(R) +
+                                        ": " + Err.message());
+  else if (!Body)
+    Err = Status::error(StatusCode::Corruption,
+                        "corrupt snapshot of " + P.displayName(R));
+  if (RetryDetail.empty() && Err.ok())
+    return Body;
+  std::lock_guard<std::mutex> L(M);
+  if (!RetryDetail.empty()) {
+    Stats.FetchRetries.fetch_add(1, Relaxed);
+    Events.push_back({LoaderEvent::Kind::FetchRetried, R,
+                      "snapshot record of " + P.displayName(R) + ": " +
+                          RetryDetail});
+  }
+  if (Err.ok())
+    return Body;
+  // No object-file fallback: the snapshot is the body as WPA planned it,
+  // which a rebuilt body need not match.
+  latchPoisonLocked(R, std::move(Err));
+  return stubBody(P, R);
 }
 
 LoaderStats LoaderShard::snapshot() const {
@@ -767,6 +853,15 @@ void Loader::enforceBudget(bool Everything) {
 
 const RoutineIlSummary *Loader::routineSummary(RoutineId R) {
   return ShardList[shardOf(R)]->routineSummary(R);
+}
+
+PoolSnapshot Loader::snapshotPool(RoutineId R) {
+  return ShardList[shardOf(R)]->snapshotPool(R);
+}
+
+std::unique_ptr<RoutineBody> Loader::expandSnapshot(RoutineId R,
+                                                    const PoolSnapshot &Snap) {
+  return ShardList[shardOf(R)]->expandSnapshot(R, Snap);
 }
 
 void Loader::maybeCompactSymtabs() {

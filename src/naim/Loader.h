@@ -73,7 +73,9 @@
 ///   4. an unrecoverable pool is "poisoned": acquire() returns a trivial
 ///      stub body (so in-flight phases finish safely), the first such error
 ///      is latched, and the driver fails the build with a structured
-///      diagnostic at its next checkpoint — an exit code, not an abort.
+///      diagnostic at its next checkpoint — an exit code, not an abort. A
+///      snapshot record that stays corrupt after its re-read ends the same
+///      way (expandSnapshot), without the object-file rung.
 ///
 /// Concurrency: the loader is safe to call from the parallel backend's
 /// worker threads. Each shard's mutex M guards its pool metadata,
@@ -195,7 +197,25 @@ struct LoaderStats {
   uint64_t SpillFailures = 0; ///< Failed offload stores (degraded shards).
   uint64_t FetchRetries = 0;  ///< Corrupt fetches re-read.
   uint64_t Recoveries = 0;    ///< Pools rebuilt from their object file.
-  uint64_t PoisonedPools = 0; ///< Unrecoverable pools replaced by stubs.
+  uint64_t PoisonedPools = 0; ///< Unrecoverable pools or snapshots replaced
+                              ///< by stubs.
+};
+
+/// A routine body captured without expanding its pool (Loader::snapshotPool),
+/// in one of two kinds:
+///
+///  - a record reference (RecordSize != 0; records are never empty): the
+///    pool's repository record in its own shard's file. Records are
+///    immutable and the file is append-only for the session's life, so the
+///    bytes at RecordOffset stay the body captured here even after the pool
+///    is mutated and re-offloaded to a new record;
+///  - resident bytes: the compact encoding, charged to MemCategory::HloIr.
+struct PoolSnapshot {
+  TrackedBuffer Bytes;
+  uint64_t RecordOffset = 0;
+  uint64_t RecordSize = 0;
+
+  bool isRecord() const { return RecordSize != 0; }
 };
 
 /// One notable fault-path occurrence, for the driver to surface as a
@@ -263,6 +283,25 @@ public:
   /// null for undefined routines. The pointer stays valid until the next
   /// mutable acquire of \p R; single-threaded phases only.
   const RoutineIlSummary *routineSummary(RoutineId R);
+
+  /// Captures \p R's current body (must be defined and not mutably pinned)
+  /// without expanding a parked pool: an offloaded pool yields a reference
+  /// to its repository record, and so does an expanded pool still clean
+  /// since the record it was expanded from; a compact pool yields a copy of
+  /// its resident bytes. Only a dirty expanded pool is encoded, under a
+  /// read acquire. Resident bytes are charged to MemCategory::HloIr: they
+  /// are optimizer state the NAIM budget cannot evict.
+  PoolSnapshot snapshotPool(RoutineId R);
+
+  /// Decodes \p Snap (taken of \p R) into a fresh body charged to the
+  /// program's tracker. A record is read with the fetch path's one re-read
+  /// on corruption, counts as a fetch, and its buffer is charged to
+  /// MemCategory::HloIr while it lives. Snapshot bytes that cannot be read
+  /// or decoded latch the first error with a PoolPoisoned event and yield a
+  /// stub body, as an unrecoverable pool does; R's own pool is untouched.
+  /// Safe to call from concurrent workers.
+  std::unique_ptr<RoutineBody> expandSnapshot(RoutineId R,
+                                              const PoolSnapshot &Snap);
 
   /// Enforces budgets immediately; with \p Everything, compacts all
   /// unpinned pools regardless of budget (end-of-phase cleanup in tests).

@@ -200,6 +200,77 @@ TEST(FaultDriver, CorruptionWithoutObjectsFailsStructurally) {
       << Build.WarningsText;
 }
 
+/// O4 over a spilling loader with no verify pass: nothing reads a pool's
+/// frontend record before WPA, which references the records of the callees
+/// it plans to inline instead of expanding them.
+CompileOptions snapshotRecordOptions() {
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Naim = spillEverything();
+  Opts.Jobs = 1;
+  Opts.VerifyIl = false;
+  return Opts;
+}
+
+bool warnsAboutSnapshotRecord(const BuildResult &B) {
+  return B.WarningsText.find("snapshot record") != std::string::npos;
+}
+
+TEST(FaultDriver, CorruptSnapshotRecordFailsLtransStructurally) {
+  // Persistent corruption of a record WPA referenced: LTRANS's read of the
+  // snapshot fails twice, and the build must end in a structured LTRANS
+  // error — not an abort. Which store holds such a record depends on the
+  // program, so corrupt each frontend store in turn; every build must
+  // return, and at least one must fail on a snapshot read.
+  GeneratedProgram GP = testProgram();
+  CompileOptions Opts = snapshotRecordOptions();
+  BuildResult Clean = buildGP(GP, Opts);
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_GT(Clean.Stats.get("wpa.snapshot_refs"), 0u);
+  size_t N = countDefinedRoutines(GP, Opts);
+  bool SnapshotFailure = false;
+  for (size_t K = 1; K <= N; ++K) {
+    Opts.FaultInject = "store:corrupt-nth=" + std::to_string(K);
+    BuildResult Build = buildGP(GP, Opts);
+    if (Build.Ok)
+      continue; // The corrupted record was never read back.
+    EXPECT_EQ(Build.Error.rfind("repository failure during ", 0), 0u)
+        << Build.Error;
+    EXPECT_GE(Build.Loader.PoisonedPools, 1u);
+    EXPECT_TRUE(hasWarning(Build, CheckCode::RepoCorruption))
+        << Build.WarningsText;
+    if (warnsAboutSnapshotRecord(Build)) {
+      SnapshotFailure = true;
+      EXPECT_EQ(Build.Error.rfind("repository failure during LTRANS", 0), 0u)
+          << Build.Error;
+    }
+  }
+  EXPECT_TRUE(SnapshotFailure) << "no corrupted record was a snapshot";
+}
+
+TEST(FaultDriver, TransientSnapshotReadCorruptionHeals) {
+  // A snapshot record read back flipped in memory heals on the re-read:
+  // the build succeeds with a warning and the identical executable. Flip
+  // the fetches in order until one of them is a snapshot read.
+  GeneratedProgram GP = testProgram();
+  CompileOptions Opts = snapshotRecordOptions();
+  BuildResult Clean = buildGP(GP, Opts);
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_GT(Clean.Loader.Fetches, 0u);
+  bool SnapshotRetried = false;
+  for (uint64_t K = 1; K <= Clean.Loader.Fetches && !SnapshotRetried; ++K) {
+    Opts.FaultInject = "read:flip-nth=" + std::to_string(K);
+    BuildResult Build = buildGP(GP, Opts);
+    ASSERT_TRUE(Build.Ok) << "fetch " << K << ": " << Build.Error;
+    EXPECT_EQ(Build.Loader.FetchRetries, 1u) << "fetch " << K;
+    EXPECT_TRUE(hasWarning(Build, CheckCode::RepoCorruption))
+        << Build.WarningsText;
+    EXPECT_TRUE(exesIdentical(Clean.Exe, Build.Exe)) << "fetch " << K;
+    SnapshotRetried = warnsAboutSnapshotRecord(Build);
+  }
+  EXPECT_TRUE(SnapshotRetried) << "no fetch was a snapshot read";
+}
+
 TEST(FaultDriver, MalformedInjectSpecFailsTheBuildUpFront) {
   GeneratedProgram GP = testProgram();
   CompileOptions Opts;

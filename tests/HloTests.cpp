@@ -770,7 +770,8 @@ TEST(Wpa, CompactSnapshotsRoundTripOutsideTheNaimBudget) {
   // A tight budget with spilling on: parked pools compact and offload
   // throughout planning. A zero compact budget spills every parked pool, so
   // any HloCompact byte left behind by planning would be plan state the
-  // loader can never evict.
+  // loader can never evict. Offloaded callees become record references,
+  // the rest compact bytes; both kinds must decode to the planned body.
   GeneratedProgram GP = generateProgram(mcadLikeParams(20000, 1));
   MemoryTracker Tracker;
   Program P(&Tracker);
@@ -802,16 +803,90 @@ TEST(Wpa, CompactSnapshotsRoundTripOutsideTheNaimBudget) {
   EXPECT_EQ(Tracker.liveBytes(MemCategory::HloCompact), CompactBefore);
   ASSERT_GT(Plan->Snapshots.size(), 10u) << "too few inlines to test";
 
-  uint64_t Bytes = 0, Charged = 0;
+  uint64_t Bytes = 0, Charged = 0, Records = 0, InMemory = 0;
   for (const auto &[R, Snap] : Plan->Snapshots) {
-    std::unique_ptr<RoutineBody> Body = expandRoutine(Snap.bytes(), nullptr);
+    std::unique_ptr<RoutineBody> Body = L.expandSnapshot(R, Snap);
     ASSERT_TRUE(Body) << P.displayName(R);
     EXPECT_EQ(printRoutine(P, R, *Body), Before.at(R)) << P.displayName(R);
-    Bytes += Snap.size();
-    Charged += Snap.bytes().capacity(); // What TrackedBuffer charges.
+    if (Snap.isRecord()) {
+      EXPECT_TRUE(Snap.Bytes.empty()) << P.displayName(R);
+      ++Records;
+      continue;
+    }
+    ++InMemory;
+    Bytes += Snap.Bytes.size();
+    Charged += Snap.Bytes.bytes().capacity(); // What TrackedBuffer charges.
   }
+  EXPECT_TRUE(L.firstError().ok()) << L.firstError().toString();
+  EXPECT_GT(Records, 0u) << "no offloaded callee was referenced";
+  EXPECT_GT(InMemory, 0u) << "no resident callee was snapshotted";
   EXPECT_EQ(Stats.get("wpa.snapshot_bytes"), Bytes);
+  EXPECT_EQ(Stats.get("wpa.snapshot_refs"), Records);
   uint64_t IrWithPlan = Tracker.liveBytes(MemCategory::HloIr);
   Plan.reset();
   EXPECT_EQ(IrWithPlan - Tracker.liveBytes(MemCategory::HloIr), Charged);
+}
+
+TEST(Wpa, PlanningExpandsNoParkedCallee) {
+  // Every pool is parked before planning: offloaded under Offload, compact
+  // under CompactIr. Snapshotting them must neither expand nor re-compact
+  // anything, and LTRANS must rebuild from the snapshots exactly the IL a
+  // build with every body resident produces.
+  GeneratedProgram GP = generateProgram(mcadLikeParams(8000, 3));
+  auto Optimized = [&GP](NaimMode Mode, uint64_t *Expansions,
+                         uint64_t *Compactions, uint64_t *Refs) {
+    MemoryTracker Tracker; // The offload budget is measured against it.
+    Program P(&Tracker);
+    for (const GeneratedModule &GM : GP.Modules) {
+      FrontendResult FR = compileSource(P, GM.Name, GM.Source);
+      EXPECT_TRUE(FR.Ok) << FR.Error;
+    }
+    NaimConfig C;
+    C.Mode = Mode;
+    C.ExpandedCacheBytes = 0;
+    C.CompactResidentBytes = Mode == NaimMode::Offload ? 0 : 64ull << 20;
+    Loader L(P, C);
+    Statistics Stats;
+    HloContext Ctx(P, L, Stats);
+    std::vector<RoutineId> Set;
+    for (RoutineId R = 0; R != P.numRoutines(); ++R)
+      if (P.routine(R).IsDefined)
+        Set.push_back(R);
+    L.releaseAll();
+    selectEverything(P);
+    HloOptions Opts;
+    Opts.Pbo = false;
+    LoaderStats Start = L.stats();
+    HloPlan Plan = planHlo(Ctx, Set, Opts);
+    LoaderStats Planned = L.stats();
+    *Expansions = Planned.Expansions - Start.Expansions;
+    *Compactions = Planned.Compactions - Start.Compactions;
+    *Refs = Stats.get("wpa.snapshot_refs");
+    EXPECT_GT(Plan.Snapshots.size(), 10u) << "too few inlines to test";
+    std::sort(Set.begin(), Set.end());
+    EXPECT_EQ(runLtrans(Ctx, Set, &Plan, /*Verify=*/true), "");
+    EXPECT_TRUE(L.firstError().ok()) << L.firstError().toString();
+    std::string Il;
+    for (RoutineId R : Set) {
+      if (!P.routine(R).IsDefined || !P.routine(R).Emit)
+        continue;
+      Il += printRoutine(P, R, L.acquireRead(R));
+      L.release(R);
+    }
+    return Il;
+  };
+  uint64_t Expansions = 0, Compactions = 0, Refs = 0;
+  std::string Resident =
+      Optimized(NaimMode::Off, &Expansions, &Compactions, &Refs);
+  EXPECT_EQ(Refs, 0u);
+  for (NaimMode Mode : {NaimMode::Offload, NaimMode::CompactIr}) {
+    std::string Parked = Optimized(Mode, &Expansions, &Compactions, &Refs);
+    EXPECT_EQ(Expansions, 0u) << int(Mode);
+    EXPECT_EQ(Compactions, 0u) << int(Mode);
+    if (Mode == NaimMode::Offload)
+      EXPECT_GT(Refs, 0u);
+    else
+      EXPECT_EQ(Refs, 0u);
+    EXPECT_EQ(Parked, Resident) << int(Mode);
+  }
 }

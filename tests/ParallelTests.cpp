@@ -353,6 +353,10 @@ TEST(Parallel, LtransJobMatrixHoldsUnderOffload) {
   JobsBuild Ref = buildAtJobs(GP, 1, Opts);
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
+  // LTRANS workers then read WPA's referenced snapshot records while other
+  // workers append to the same shard files.
+  ASSERT_GT(Ref.Build.Stats.get("wpa.snapshot_refs"), 0u)
+      << "no snapshot record referenced";
   for (unsigned Jobs : {2u, 3u, 8u}) {
     JobsBuild Out = buildAtJobs(GP, Jobs, Opts);
     ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
