@@ -116,6 +116,12 @@ std::string ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
   } else {
     RoutinePassPipeline::cleanup().run(P, Body, Stats);
   }
+  // Copy-collect what the rewrites left behind: a roomy NAIM budget never
+  // compacts this body, so without this its garbage would live to the end
+  // of the build. The verify below checks the repacked copy.
+  const uint64_t Before = Body.irBytes();
+  Body.repack();
+  Stats.add("hlo.reclaimed_bytes", Before - Body.irBytes());
   std::string Err = Verify ? verifyRoutine(P, R, Body) : std::string();
   Ctx.L.release(R);
   if (MemoryTracker *Tracker = P.tracker())

@@ -28,24 +28,10 @@ std::unique_ptr<RoutineBody> copyRoutineBody(const RoutineBody &Src,
   Out->NextReg = Src.NextReg;
   Out->SourceLines = Src.SourceLines;
   Out->HasProfile = Src.HasProfile;
-  Out->Blocks.resize(Src.Blocks.size());
-  for (BlockId B = 0; B != Src.Blocks.size(); ++B) {
-    const BasicBlock &SB = Src.Blocks[B];
-    BasicBlock &DB = Out->Blocks[B];
-    DB.Freq = SB.Freq;
-    DB.TakenFreq = SB.TakenFreq;
-    DB.Instrs.reserve(SB.Instrs.size());
-    for (const Instr *SI : SB.Instrs) {
-      Instr *NI = Out->newInstr(SI->Op);
-      *NI = *SI;
-      if (SI->NumArgs) {
-        NI->Args = Out->newArgArray(SI->NumArgs);
-        for (unsigned A = 0; A != SI->NumArgs; ++A)
-          NI->Args[A] = SI->Args[A];
-      }
-      DB.Instrs.push_back(NI);
-    }
-  }
+  // The copied block lists still name Src's instructions; the repack copies
+  // them into Out's own arena.
+  Out->Blocks = Src.Blocks;
+  Out->repack();
   return Out;
 }
 

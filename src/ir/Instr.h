@@ -164,7 +164,8 @@ struct Operand {
 /// An IL instruction. Instances live in their routine's arena; transforms
 /// mutate them in place or splice them out of block instruction lists, and
 /// the garbage is reclaimed at the next compaction round trip (paper
-/// Section 4.2.2: compaction doubles as garbage collection).
+/// Section 4.2.2: compaction doubles as garbage collection) or, for a body
+/// LTRANS rewrote, when its task ends (RoutineBody::repack).
 struct Instr {
   Opcode Op = Opcode::Nop;
   uint16_t NumArgs = 0;   ///< Call: number of arguments.

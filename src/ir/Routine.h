@@ -19,6 +19,7 @@
 #include "ir/Instr.h"
 #include "support/Arena.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +50,7 @@ class RoutineBody {
 public:
   /// Creates an empty body charging IR bytes to \p Tracker (may be null).
   explicit RoutineBody(MemoryTracker *Tracker = nullptr)
-      : IrArena(Tracker, MemCategory::HloIr, /*SlabSize=*/8 * 1024) {}
+      : IrArena(Tracker, MemCategory::HloIr, SlabSize) {}
 
   std::vector<BasicBlock> Blocks;
 
@@ -93,6 +94,36 @@ public:
   /// Bytes of expanded IR held by this body's arena.
   uint64_t irBytes() const { return IrArena.bytesAllocated(); }
 
+  /// Copy-collects the body (paper Section 4.2.2's garbage collection,
+  /// without the codec round trip): copies every instruction the block
+  /// lists name, with its call argument array, into one exact-size slab of
+  /// a fresh arena, repoints the block lists in place, and drops the old
+  /// arena with its garbage — instructions transforms spliced out and the
+  /// tails of grown slabs. The instructions may live in another body's
+  /// arena (a deep copy). Any other Instr pointer into this body dangles
+  /// afterwards.
+  void repack() {
+    static_assert(sizeof(Instr) % alignof(Operand) == 0 &&
+                      sizeof(Operand) % alignof(Instr) == 0,
+                  "an exact-size slab needs padding-free packing");
+    size_t Bytes = 0;
+    for (const BasicBlock &B : Blocks)
+      for (const Instr *I : B.Instrs)
+        Bytes += sizeof(Instr) + I->NumArgs * sizeof(Operand);
+    Arena Fresh(IrArena.tracker(), MemCategory::HloIr, SlabSize);
+    Fresh.reserveExact(Bytes);
+    for (BasicBlock &B : Blocks)
+      for (Instr *&I : B.Instrs) {
+        Instr *Copy = Fresh.create<Instr>(*I);
+        if (I->NumArgs) {
+          Copy->Args = Fresh.allocateArray<Operand>(I->NumArgs);
+          std::copy_n(I->Args, I->NumArgs, Copy->Args);
+        }
+        I = Copy;
+      }
+    IrArena = std::move(Fresh);
+  }
+
   /// Total instruction count across all blocks.
   uint32_t instrCount() const {
     uint32_t N = 0;
@@ -105,6 +136,8 @@ public:
   uint64_t entryFreq() const { return Blocks.empty() ? 0 : Blocks[0].Freq; }
 
 private:
+  static constexpr size_t SlabSize = 8 * 1024;
+
   Arena IrArena;
 };
 

@@ -11,7 +11,9 @@
 /// IR routine — into a dense set of pages so that locality is explicit and a
 /// whole pool can be returned to the allocator at once. The arena does not
 /// support per-object deallocation; compaction reclaims garbage by copying
-/// the reachable objects out and dropping the pool (Section 4.2.2).
+/// the reachable objects out and dropping the pool (Section 4.2.2), and so
+/// does RoutineBody::repack when an LTRANS task ends, for the bodies a
+/// roomy budget never compacts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,6 +127,18 @@ public:
   /// Number of slabs currently held.
   size_t slabCount() const { return Slabs.size(); }
 
+  /// The tracker this arena charges (null for untracked arenas).
+  MemoryTracker *tracker() const { return Tracker; }
+
+  /// Makes one new slab of exactly \p Bytes current, skipping the growth
+  /// policy's first-slab minimum and 1.5x steps. A caller that knows its
+  /// total up front (RoutineBody::repack) fills it with no tail; any later
+  /// overflow falls back to the normal growth policy. No-op for 0.
+  void reserveExact(size_t Bytes) {
+    if (Bytes)
+      addSlab(Bytes);
+  }
+
   /// Upper bound for one slab: doubling stops here so long-lived arenas
   /// never over-reserve more than this in one step (requests larger than
   /// the cap still get a dedicated exact-size slab).
@@ -146,6 +160,10 @@ private:
     }
     if (Size < MinBytes)
       Size = MinBytes;
+    addSlab(Size);
+  }
+
+  void addSlab(size_t Size) {
     void *Mem = std::malloc(Size);
     if (!Mem) {
       // Out of host memory: nothing sensible to do in a no-exceptions

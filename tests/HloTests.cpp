@@ -890,3 +890,46 @@ TEST(Wpa, PlanningExpandsNoParkedCallee) {
     EXPECT_EQ(Parked, Resident) << int(Mode);
   }
 }
+
+TEST(Ltrans, EveryTransformedBodyIsRepackedToItsLiveSize) {
+  // NaimMode::Off never compacts, so LTRANS's repack is the only thing
+  // that reclaims the instructions inlining copied in and cleanup deleted.
+  GeneratedProgram GP = generateProgram(mcadLikeParams(8000, 3));
+  MemoryTracker Tracker;
+  Program P(&Tracker);
+  for (const GeneratedModule &GM : GP.Modules) {
+    FrontendResult FR = compileSource(P, GM.Name, GM.Source);
+    ASSERT_TRUE(FR.Ok) << FR.Error;
+  }
+  NaimConfig C;
+  C.Mode = NaimMode::Off;
+  Loader L(P, C);
+  Statistics Stats;
+  HloContext Ctx(P, L, Stats);
+  std::vector<RoutineId> Set;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R)
+    if (P.routine(R).IsDefined)
+      Set.push_back(R);
+  selectEverything(P);
+  HloOptions Opts;
+  Opts.Pbo = false;
+  HloPlan Plan = planHlo(Ctx, Set, Opts);
+  std::sort(Set.begin(), Set.end());
+  ASSERT_EQ(runLtrans(Ctx, Set, &Plan, /*Verify=*/true), "");
+  EXPECT_GT(Stats.get("hlo.reclaimed_bytes"), 0u);
+  unsigned Checked = 0;
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    const RoutineInfo &RI = P.routine(R);
+    if (!RI.IsDefined || !RI.Emit || !RI.Selected)
+      continue;
+    const RoutineBody &Body = L.acquireRead(R);
+    uint64_t Live = 0;
+    for (const BasicBlock &BB : Body.Blocks)
+      for (const Instr *I : BB.Instrs)
+        Live += sizeof(Instr) + I->NumArgs * sizeof(Operand);
+    EXPECT_EQ(Body.irBytes(), Live) << P.displayName(R);
+    L.release(R);
+    ++Checked;
+  }
+  EXPECT_GT(Checked, 50u);
+}

@@ -339,6 +339,119 @@ TEST(Printer, RendersInstructionsReadably) {
 }
 
 //===----------------------------------------------------------------------===//
+// RoutineBody::repack
+//===----------------------------------------------------------------------===//
+
+TEST(RoutineBody, RepackKeepsLiveIlInOneExactSlab) {
+  MemoryTracker T;
+  Program P;
+  ModuleId M = P.addModule("m");
+  RoutineId G = P.declareRoutine(M, "g", 3, false);
+  RoutineId R = P.declareRoutine(M, "f", 1, false);
+  RoutineBody Body(&T);
+  Body.NumParams = 1;
+  Body.NextReg = 2;
+  Body.newBlock();
+  Body.newBlock();
+  auto call = [&](RegId Dst, int64_t Salt) {
+    Instr *C = Body.newInstr(Opcode::Call);
+    C->Sym = G;
+    C->Dst = Dst;
+    C->NumArgs = 3;
+    C->Args = Body.newArgArray(3);
+    C->Args[0] = Operand::reg(0);
+    C->Args[1] = Operand::imm(-7 - Salt);
+    C->Args[2] = Operand::imm(int64_t(1) << 40);
+    return C;
+  };
+  // Garbage a rewrite leaves behind: instructions and argument arrays that
+  // were allocated, then spliced out of (or never linked into) a block.
+  for (int I = 0; I != 200; ++I) {
+    Instr *Dead = call(1, I);
+    auto &Ins = Body.Blocks[0].Instrs;
+    Ins.push_back(Dead);
+    Ins.pop_back();
+  }
+  Body.Blocks[0].Instrs.push_back(call(1, 0));
+  Body.Blocks[0].Instrs.push_back(call(NoReg, 1));
+  Instr *Jmp = Body.newInstr(Opcode::Jmp);
+  Jmp->T1 = 1;
+  Body.Blocks[0].Instrs.push_back(Jmp);
+  Instr *Ret = Body.newInstr(Opcode::Ret);
+  Ret->A = Operand::reg(1);
+  Body.Blocks[1].Instrs.push_back(Ret);
+  Body.Blocks[1].Freq = 9;
+
+  const std::string Before = printRoutine(P, R, Body);
+  const uint64_t OldBytes = Body.irBytes();
+  ASSERT_EQ(T.liveBytes(MemCategory::HloIr), OldBytes);
+  const Instr *OldCall = Body.Blocks[0].Instrs[0];
+
+  const uint64_t Live = 4 * sizeof(Instr) + 6 * sizeof(Operand);
+  Body.repack();
+  EXPECT_LT(Live, OldBytes);
+  EXPECT_EQ(Body.irBytes(), Live);
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Live);
+  EXPECT_EQ(printRoutine(P, R, Body), Before);
+  EXPECT_EQ(verifyRoutine(P, R, Body), "");
+
+  const Instr *NewCall = Body.Blocks[0].Instrs[0];
+  EXPECT_NE(NewCall, OldCall);
+  ASSERT_EQ(NewCall->NumArgs, 3u);
+  EXPECT_EQ(NewCall->Args[0], Operand::reg(0));
+  EXPECT_EQ(NewCall->Args[1], Operand::imm(-7));
+  EXPECT_EQ(NewCall->Args[2], Operand::imm(int64_t(1) << 40));
+  EXPECT_EQ(Body.Blocks[0].Instrs[1]->Args[1], Operand::imm(-8));
+  EXPECT_EQ(Body.Blocks[1].Freq, 9u);
+
+  // Repacking a packed body reclaims nothing, and the body can grow again.
+  Body.repack();
+  EXPECT_EQ(Body.irBytes(), Live);
+  Body.newInstr(Opcode::Nop);
+  EXPECT_GT(Body.irBytes(), Live);
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Body.irBytes());
+}
+
+TEST(RoutineBody, RepackDeepCopiesAnotherBodysInstructions) {
+  MemoryTracker T;
+  Program P;
+  ModuleId M = P.addModule("m");
+  RoutineId G = P.declareRoutine(M, "g", 2, false);
+  RoutineId R = P.declareRoutine(M, "f", 0, false);
+  auto Src = trivialBody(7);
+  insertCall(*Src, G, 2);
+  const std::string Want = printRoutine(P, R, *Src);
+  RoutineBody Copy(&T);
+  Copy.Blocks = Src->Blocks; // Still names Src's instructions.
+  Copy.repack();
+  Src.reset();
+  EXPECT_EQ(printRoutine(P, R, Copy), Want);
+  EXPECT_EQ(Copy.irBytes(), 2 * sizeof(Instr) + 2 * sizeof(Operand));
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Copy.irBytes());
+}
+
+TEST(RoutineBody, RepackOfAnEmptyBodyStaysValid) {
+  MemoryTracker T;
+  RoutineBody Empty(&T);
+  Empty.repack();
+  EXPECT_EQ(Empty.irBytes(), 0u);
+
+  // Every instruction spliced out: the whole arena is garbage.
+  RoutineBody Body(&T);
+  Body.newBlock();
+  Body.Blocks[0].Instrs.push_back(Body.newInstr(Opcode::Ret));
+  Body.Blocks[0].Instrs.clear();
+  ASSERT_GT(Body.irBytes(), 0u);
+  Body.repack();
+  EXPECT_EQ(Body.irBytes(), 0u);
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), 0u);
+  ASSERT_EQ(Body.Blocks.size(), 1u);
+  Body.Blocks[0].Instrs.push_back(Body.newInstr(Opcode::Ret));
+  EXPECT_EQ(Body.Blocks[0].Instrs[0]->Op, Opcode::Ret);
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Body.irBytes());
+}
+
+//===----------------------------------------------------------------------===//
 // Call graph
 //===----------------------------------------------------------------------===//
 

@@ -369,8 +369,9 @@ TEST(Parallel, LtransJobMatrixHoldsUnderOffload) {
 TEST(Parallel, SelectiveBuildIsIdenticalAcrossJobCounts) {
   // At 5% selectivity most modules take the default-set path, whose
   // per-tier cleanup runs in the LTRANS fan-out beside the CMO-set work.
-  // Its output and its cleanup counters must not depend on the width, with
-  // and without the multi-layered Basic / None tiers.
+  // Its output, its cleanup counters and the bytes the end-of-task repack
+  // reclaims must not depend on the width, with and without the
+  // multi-layered Basic / None tiers.
   GeneratedProgram GP = testProgram(32);
   std::string Error;
   ProfileDb Db = trainProfile(GP, Error);
@@ -386,10 +387,12 @@ TEST(Parallel, SelectiveBuildIsIdenticalAcrossJobCounts) {
     ASSERT_FALSE(Ref.Build.Selectivity.DefaultModules.empty());
     ASSERT_FALSE(Ref.Build.Selectivity.CmoModules.empty());
     ASSERT_GT(Ref.Build.Stats.get("dce.instrs"), 0u);
+    ASSERT_GT(Ref.Build.Stats.get("hlo.reclaimed_bytes"), 0u);
     auto Cleanup = [](const Statistics &St) {
       std::map<std::string, uint64_t> Out;
       for (const auto &[Name, Value] : St.all())
         if (Name == "hlo.routines_optimized" ||
+            Name == "hlo.reclaimed_bytes" ||
             Name.rfind("constprop.", 0) == 0 ||
             Name.rfind("simplify.", 0) == 0 || Name.rfind("dce.", 0) == 0)
           Out[Name] = Value;

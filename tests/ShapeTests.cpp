@@ -91,6 +91,7 @@ TEST(Shape, Fig5NaimMemoryStaircase) {
     CompileOptions Opts;
     Opts.Level = OptLevel::O4;
     Opts.Naim.Mode = Mode;
+    Opts.Jobs = 1; // The sampled HLO peak moves with worker interleaving.
     Opts.Naim.ExpandedCacheBytes = 512 << 10;
     Opts.Naim.CompactResidentBytes = 256 << 10;
     return buildAndRunGP(GP, Opts, nullptr, false).Build.HloPeakBytes;
