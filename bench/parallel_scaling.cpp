@@ -139,78 +139,6 @@ int main() {
               "with jobs; wpa stays serial.\n\n",
               HW, Speedup);
 
-  // Part 4: sharded vs monolithic NAIM loader under memory pressure — the
-  // paper's Mcad1 shape scaled down (60k lines, 4 MiB machine memory) so the
-  // loader is the bottleneck: every worker round-trips bodies through
-  // compact/offload and, monolithic, they all serialize on one mutex. The
-  // sharded loader splits the lock, the LRU clock and the repository file
-  // per shard; placement is a stable hash of RoutineId, so the executable
-  // is byte-identical and only the wall clock and the lock-wait column move.
-  // Jobs 8 when the machine has it; never below 2, or the auto shard count
-  // degenerates to the monolith and the comparison measures nothing.
-  unsigned ShardJobs = HW >= 8 ? 8 : (HW >= 2 ? HW : 2);
-  uint64_t NaimLines = static_cast<uint64_t>(60000 * Scale);
-  uint64_t MachineMem = static_cast<uint64_t>(4.0 * Scale * (1 << 20));
-  if (MachineMem < (256u << 10))
-    MachineMem = 256u << 10;
-  GeneratedProgram NaimGP = generateProgram(mcadLikeParams(NaimLines, 2));
-  ProfileDb NaimDb = trainProfile(NaimGP, Error);
-  if (!Error.empty()) {
-    std::fprintf(stderr, "naim training failed: %s\n", Error.c_str());
-    return 1;
-  }
-  auto buildSharded = [&](unsigned Shards) {
-    CompileOptions Opts = optionsFor(OptLevel::O4, true);
-    Opts.Jobs = ShardJobs;
-    Opts.Naim = NaimConfig::autoFor(MachineMem);
-    Opts.Naim.Shards = Shards;
-    return measure(NaimGP, Opts, &NaimDb, /*RunIt=*/true);
-  };
-  Measured Mono = buildSharded(1);
-  if (!Mono.Ok) {
-    std::fprintf(stderr, "monolithic naim build failed: %s\n",
-                 Mono.Error.c_str());
-    return 1;
-  }
-  Measured Sharded = buildSharded(0); // auto = pool width
-  if (!Sharded.Ok) {
-    std::fprintf(stderr, "sharded naim build failed: %s\n",
-                 Sharded.Error.c_str());
-    return 1;
-  }
-  if (Sharded.OutputChecksum != Mono.OutputChecksum) {
-    std::fprintf(stderr, "output checksum diverged between --naim-shards=1 "
-                 "and sharded (shard placement changed generated code!)\n");
-    return 1;
-  }
-  double ShardSpeedup = Mono.CompileSeconds / Sharded.CompileSeconds;
-  double MonoWaitMs = double(Mono.Build.Loader.LockWaitNanos) / 1e6;
-  double ShardWaitMs = double(Sharded.Build.Loader.LockWaitNanos) / 1e6;
-  double WaitCut = ShardWaitMs > 0 ? MonoWaitMs / ShardWaitMs : MonoWaitMs;
-  std::printf("Sharded vs monolithic NAIM loader (%llu lines, %.1f MiB "
-              "machine memory,\njobs=%u):\n",
-              (unsigned long long)NaimLines,
-              double(MachineMem) / (1024.0 * 1024.0), ShardJobs);
-  std::printf("%12s %8s %10s %12s %12s %12s\n", "loader", "shards", "total s",
-              "lock-wait ms", "contentions", "offloads");
-  std::printf("%12s %8llu %10.3f %12.3f %12llu %12llu\n", "monolithic",
-              (unsigned long long)Mono.Build.Loader.Shards,
-              Mono.CompileSeconds, MonoWaitMs,
-              (unsigned long long)Mono.Build.Loader.Contentions,
-              (unsigned long long)Mono.Build.Loader.Offloads);
-  std::printf("%12s %8llu %10.3f %12.3f %12llu %12llu\n", "sharded",
-              (unsigned long long)Sharded.Build.Loader.Shards,
-              Sharded.CompileSeconds, ShardWaitMs,
-              (unsigned long long)Sharded.Build.Loader.Contentions,
-              (unsigned long long)Sharded.Build.Loader.Offloads);
-  std::printf("\nSharded speedup %.2fx, lock-wait cut %.1fx (checksums "
-              "identical). Expected at\nfull scale: >= 1.2x end-to-end and "
-              ">= 5x less lock-wait at jobs=8; at small\nSCMO_SCALE the "
-              "loader sees too little traffic for the ratios to be "
-              "meaningful\nand only the byte-identity check is load-"
-              "bearing.\n\n",
-              ShardSpeedup, WaitCut);
-
   for (const Cell &C : Cells)
     std::printf("{\"bench\":\"parallel_scaling\",\"lines\":%llu,"
                 "\"jobs\":%u,\"total_seconds\":%.6f,"
@@ -223,18 +151,5 @@ int main() {
               (unsigned long long)Lines,
               stageSeconds(Wide.Build, "wpa"),
               stageSeconds(Wide.Build, "ltrans"), Speedup);
-  std::printf("{\"bench\":\"parallel_scaling\",\"naim_lines\":%llu,"
-              "\"machine_mem_bytes\":%llu,\"jobs\":%u,"
-              "\"mono_seconds\":%.6f,\"sharded_seconds\":%.6f,"
-              "\"shards\":%llu,\"sharded_speedup\":%.3f,"
-              "\"mono_lock_wait_ns\":%llu,\"sharded_lock_wait_ns\":%llu,"
-              "\"mono_contentions\":%llu,\"sharded_contentions\":%llu}\n",
-              (unsigned long long)NaimLines, (unsigned long long)MachineMem,
-              ShardJobs, Mono.CompileSeconds, Sharded.CompileSeconds,
-              (unsigned long long)Sharded.Build.Loader.Shards, ShardSpeedup,
-              (unsigned long long)Mono.Build.Loader.LockWaitNanos,
-              (unsigned long long)Sharded.Build.Loader.LockWaitNanos,
-              (unsigned long long)Mono.Build.Loader.Contentions,
-              (unsigned long long)Sharded.Build.Loader.Contentions);
   return 0;
 }

@@ -33,14 +33,6 @@ CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
       FirstError = "invalid --fault-inject spec '" + this->Opts.FaultInject +
                    "': " + Err;
   }
-  // Resolve --naim-shards=0 (auto) to the worker-pool width before any
-  // Loader exists, so the session's loaders (including the object-rebuild
-  // replacement) all agree on the count. Placement is a stable hash of the
-  // routine id, so the resolved count never changes the executable — only
-  // how much loader traffic contends.
-  if (this->Opts.Naim.Shards == 0)
-    this->Opts.Naim.Shards =
-        this->Opts.Jobs ? this->Opts.Jobs : ThreadPool::hardwareThreads();
   Tracker = std::make_unique<MemoryTracker>();
   Tracker->setHeapCap(this->Opts.HeapCapBytes);
   Prog = std::make_unique<Program>(Tracker.get());

@@ -64,10 +64,9 @@ struct CompileOptions {
   /// interprocedural sequential section, as in GCC's WHOPR.
   unsigned Jobs = 0;
 
-  /// NAIM configuration (memory management). Everything in it — including
-  /// the --naim-shards count, whose routine placement is a stable id hash —
-  /// is resource-only and fingerprint-excluded: the executable is
-  /// byte-identical at every shards x jobs combination.
+  /// NAIM configuration (memory management). Everything in it is
+  /// resource-only and fingerprint-excluded: the executable is
+  /// byte-identical at every NAIM budget and jobs count.
   NaimConfig Naim;
 
   /// Deterministic fault-injection spec for the NAIM spill path (the scmoc

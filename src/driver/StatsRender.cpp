@@ -54,8 +54,7 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
           (unsigned long long)Build.Loader.Offloads,
           (unsigned long long)Build.Loader.CacheHits);
   appendf(Out,
-          "; loader locks: %llu shards, %llu contentions, %.3f ms waited\n",
-          (unsigned long long)Build.Loader.Shards,
+          "; loader locks: %llu contentions, %.3f ms waited\n",
           (unsigned long long)Build.Loader.Contentions,
           double(Build.Loader.LockWaitNanos) / 1e6);
   appendf(Out, "; naim io: %llu elided stores, %llu stored bytes\n",
@@ -172,17 +171,16 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
           (unsigned long long)Build.HloPeakBytes);
   appendf(Out, "\"total_peak_bytes\":%llu,",
           (unsigned long long)Build.TotalPeakBytes);
-  // Documented key order: compactions, offloads, cache_hits, shards,
-  // contentions, lock_wait_nanos. Consumers (CI, bench harnesses) parse
+  // Documented key order: compactions, offloads, cache_hits, contentions,
+  // lock_wait_nanos. Consumers (CI, bench harnesses) parse
   // positionally as well as by name; append new keys at the end only.
   appendf(Out,
           "\"loader\":{\"compactions\":%llu,\"offloads\":%llu,"
-          "\"cache_hits\":%llu,\"shards\":%llu,\"contentions\":%llu,"
+          "\"cache_hits\":%llu,\"contentions\":%llu,"
           "\"lock_wait_nanos\":%llu},",
           (unsigned long long)Build.Loader.Compactions,
           (unsigned long long)Build.Loader.Offloads,
           (unsigned long long)Build.Loader.CacheHits,
-          (unsigned long long)Build.Loader.Shards,
           (unsigned long long)Build.Loader.Contentions,
           (unsigned long long)Build.Loader.LockWaitNanos);
   appendf(Out, "\"naim_io\":{\"elided_stores\":%llu,\"stored_bytes\":%llu},",

@@ -10,17 +10,15 @@
 /// Section 3). When a hot call site passes constant arguments to a callee
 /// too large to inline, the cloner specializes a private copy of the callee
 /// for those constants and redirects the site; constant propagation then
-/// simplifies the clone.
+/// simplifies the clone. The WPA planner (hlo/Wpa.h) plans clones with these
+/// parameters and LTRANS materializes them.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCMO_HLO_CLONER_H
 #define SCMO_HLO_CLONER_H
 
-#include "hlo/HloContext.h"
-#include "ir/CallGraph.h"
-
-#include <vector>
+#include <cstdint>
 
 namespace scmo {
 
@@ -43,13 +41,6 @@ struct CloneResult {
   uint64_t ClonesCreated = 0;
   uint64_t SitesRedirected = 0;
 };
-
-/// Creates constant-specialized clones for hot constant-argument call sites
-/// in \p Set. New clone routines are appended to the program (static,
-/// owned by the callee's module) and added to \p Set so later phases see
-/// them.
-CloneResult runCloner(HloContext &Ctx, std::vector<RoutineId> &Set,
-                      const CloneParams &Params);
 
 } // namespace scmo
 

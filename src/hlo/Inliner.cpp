@@ -7,8 +7,6 @@
 
 #include "hlo/Inliner.h"
 
-#include "hlo/Wpa.h"
-
 using namespace scmo;
 
 bool scmo::inlineCallSite(Program &P, RoutineBody &CallerBody,
@@ -130,24 +128,4 @@ bool scmo::inlineCallSite(Program &P, RoutineBody &CallerBody,
   }
   P.invalidateCallGraph(); // A call edge was consumed; shared graphs are stale.
   return true;
-}
-
-InlineResult scmo::runInliner(HloContext &Ctx,
-                              const std::vector<RoutineId> &Set,
-                              const InlineParams &Params) {
-  // Plan the multi-round inline walk over the WPA planner's virtual world
-  // (same heuristics, same operation gating), then apply each caller's
-  // directives under its own pin, inlining from the plan's pristine callee
-  // snapshots.
-  std::vector<RoutineId> Mutable(Set);
-  WpaPlanner Planner(Ctx, Mutable);
-  Planner.planInline(Params);
-  HloPlan Plan = Planner.take();
-  for (const auto &KV : Plan.CallerOps) {
-    HloSnapshotCache Cache;
-    RoutineBody &Body = Ctx.L.acquire(KV.first);
-    applyRoutinePlan(Ctx, Body, KV.first, Plan, Cache);
-    Ctx.L.release(KV.first);
-  }
-  return Plan.InlineStats;
 }

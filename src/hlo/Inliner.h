@@ -65,13 +65,6 @@ struct InlineResult {
   uint64_t InstrsAdded = 0;
 };
 
-/// Runs inlining over \p Set (module order / hotness order per params).
-/// Bodies are acquired and released through the loader; only routines with
-/// Selected set are transformed as callers, and only Selected callees are
-/// inlined (fine-grained selectivity).
-InlineResult runInliner(HloContext &Ctx, const std::vector<RoutineId> &Set,
-                        const InlineParams &Params);
-
 /// The core transformation, exposed for unit tests: inlines the call at
 /// (\p Block, \p InstrIdx) of \p Caller. Returns false when the site is not
 /// a call to a defined routine. Profile counts in the inlined copy are

@@ -7,8 +7,6 @@
 
 #include "hlo/Interprocedural.h"
 
-#include "hlo/Wpa.h"
-
 #include <set>
 
 using namespace scmo;
@@ -62,24 +60,5 @@ void scmo::computeGlobalSummaries(HloContext &Ctx,
       GV.SummaryValid = WholeProgram;
     if (GV.SummaryValid && !GV.EverStored)
       Ctx.Stats.add("summary.readonly_globals");
-  }
-}
-
-void scmo::runIpcp(HloContext &Ctx, const std::vector<RoutineId> &Set,
-                   const CallGraph & /*Graph*/, bool WholeProgram) {
-  // Plan from summaries (the WPA planner reads call-site constants off
-  // RoutineIlSummary::ConstArgs, so no caller body is expanded), then apply
-  // each routine's entry constants under its own pin. The Graph parameter
-  // is retained for source compatibility; sites now come from the summary
-  // cache.
-  std::vector<RoutineId> Mutable(Set);
-  WpaPlanner Planner(Ctx, Mutable);
-  Planner.planIpcp(WholeProgram);
-  HloPlan Plan = Planner.take();
-  HloSnapshotCache Cache;
-  for (const auto &KV : Plan.Ipcp) {
-    RoutineBody &Body = Ctx.L.acquire(KV.first);
-    applyRoutinePlan(Ctx, Body, KV.first, Plan, Cache);
-    Ctx.L.release(KV.first);
   }
 }

@@ -6,14 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interprocedural analyses: global variable usage summaries and
-/// interprocedural constant propagation. Both illustrate the paper's
-/// fine-grained selectivity complication (Section 5): "information about
-/// routines not selected for optimization can influence the optimization of
-/// selected routines... HLO addresses this by reading in all of the code and
-/// data within the set of modules compiled in CMO mode" — the summary scan
-/// reads every body in the set (then lets the loader unload it), even bodies
-/// that will never be individually optimized.
+/// Global variable usage summaries, the analysis in front of the WPA
+/// planner's interprocedural constant propagation (hlo/Wpa.h). It
+/// illustrates the paper's fine-grained selectivity complication
+/// (Section 5): "information about routines not selected for optimization
+/// can influence the optimization of selected routines... HLO addresses
+/// this by reading in all of the code and data within the set of modules
+/// compiled in CMO mode" — the summary scan reads every body in the set
+/// (then lets the loader unload it), even bodies that will never be
+/// individually optimized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,6 @@
 #define SCMO_HLO_INTERPROCEDURAL_H
 
 #include "hlo/HloContext.h"
-#include "ir/CallGraph.h"
 
 #include <vector>
 
@@ -34,13 +34,6 @@ namespace scmo {
 /// covers every defined routine).
 void computeGlobalSummaries(HloContext &Ctx, const std::vector<RoutineId> &Set,
                             bool WholeProgram);
-
-/// Interprocedural constant propagation: when every call site of a routine
-/// passes the same constant for a parameter, materializes that constant at
-/// the routine entry (local constprop then specializes the body). Externs
-/// are only eligible under \p WholeProgram visibility.
-void runIpcp(HloContext &Ctx, const std::vector<RoutineId> &Set,
-             const CallGraph &Graph, bool WholeProgram);
 
 } // namespace scmo
 

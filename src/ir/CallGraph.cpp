@@ -136,74 +136,20 @@ uint64_t CallGraph::totalCallsTo(RoutineId R) const {
 }
 
 std::vector<RoutineId> CallGraph::recursiveRoutines() const {
-  // Iterative Tarjan over the routines that appear in any site.
-  std::set<RoutineId> Nodes;
+  std::set<RoutineId> NodeSet;
   for (const CallSite &S : Sites) {
-    Nodes.insert(S.Caller);
-    Nodes.insert(S.Callee);
+    NodeSet.insert(S.Caller);
+    NodeSet.insert(S.Callee);
   }
-  std::map<RoutineId, uint32_t> Index;   // Discovery index, 0 = unvisited.
-  std::map<RoutineId, uint32_t> LowLink;
-  std::map<RoutineId, bool> OnStack;
-  std::vector<RoutineId> SccStack;
-  std::set<RoutineId> Recursive;
-  uint32_t NextIndex = 1;
-
-  struct Frame {
-    RoutineId Node;
-    size_t NextEdge;
-  };
-  for (RoutineId Root : Nodes) {
-    if (Index.count(Root))
-      continue;
-    std::vector<Frame> Work;
-    Work.push_back({Root, 0});
-    Index[Root] = LowLink[Root] = NextIndex++;
-    SccStack.push_back(Root);
-    OnStack[Root] = true;
-    while (!Work.empty()) {
-      Frame &F = Work.back();
-      const auto &Edges = sitesOf(F.Node);
-      if (F.NextEdge < Edges.size()) {
-        RoutineId Callee = Sites[Edges[F.NextEdge++]].Callee;
-        if (Callee == F.Node) {
-          Recursive.insert(F.Node); // Direct self call.
-          continue;
-        }
-        auto It = Index.find(Callee);
-        if (It == Index.end()) {
-          Index[Callee] = LowLink[Callee] = NextIndex++;
-          SccStack.push_back(Callee);
-          OnStack[Callee] = true;
-          Work.push_back({Callee, 0});
-        } else if (OnStack[Callee]) {
-          LowLink[F.Node] = std::min(LowLink[F.Node], It->second);
-        }
-        continue;
-      }
-      // Finished this node: pop SCC if it is a root.
-      RoutineId Done = F.Node;
-      Work.pop_back();
-      if (!Work.empty())
-        LowLink[Work.back().Node] =
-            std::min(LowLink[Work.back().Node], LowLink[Done]);
-      if (LowLink[Done] == Index[Done]) {
-        std::vector<RoutineId> Scc;
-        while (true) {
-          RoutineId Member = SccStack.back();
-          SccStack.pop_back();
-          OnStack[Member] = false;
-          Scc.push_back(Member);
-          if (Member == Done)
-            break;
-        }
-        if (Scc.size() > 1)
-          for (RoutineId Member : Scc)
-            Recursive.insert(Member);
-      }
-    }
-  }
-  return std::vector<RoutineId>(Recursive.begin(), Recursive.end());
+  Condensation C =
+      condense(std::vector<RoutineId>(NodeSet.begin(), NodeSet.end()));
+  std::vector<RoutineId> Recursive;
+  for (uint32_t SccIdx = 0; SccIdx != C.Members.size(); ++SccIdx)
+    if (C.Cyclic[SccIdx])
+      Recursive.insert(Recursive.end(), C.Members[SccIdx].begin(),
+                       C.Members[SccIdx].end());
+  std::sort(Recursive.begin(), Recursive.end());
+  return Recursive;
 }
 
 CallGraph CallGraph::fromSites(std::vector<CallSite> AllSites) {
@@ -329,23 +275,4 @@ CallGraph::condense(const std::vector<RoutineId> &Nodes,
   for (uint32_t SccIdx = 0; SccIdx != C.Members.size(); ++SccIdx)
     C.Levels[Level[SccIdx]].push_back(SccIdx);
   return C;
-}
-
-bool CallGraph::isRecursive(RoutineId R) const {
-  // DFS from R over call edges looking for a path back to R.
-  std::set<RoutineId> Visited;
-  std::vector<RoutineId> Stack;
-  Stack.push_back(R);
-  while (!Stack.empty()) {
-    RoutineId Cur = Stack.back();
-    Stack.pop_back();
-    for (uint32_t SiteIdx : sitesOf(Cur)) {
-      RoutineId Callee = Sites[SiteIdx].Callee;
-      if (Callee == R)
-        return true;
-      if (Visited.insert(Callee).second)
-        Stack.push_back(Callee);
-    }
-  }
-  return false;
 }

@@ -125,14 +125,9 @@ public:
   /// Total dynamic calls to \p R across all known sites.
   uint64_t totalCallsTo(RoutineId R) const;
 
-  /// True if \p R can reach itself through call edges (recursion guard for
-  /// the inliner and cloner). O(edges) per query; batch callers should use
-  /// recursiveRoutines().
-  bool isRecursive(RoutineId R) const;
-
-  /// All routines on call-graph cycles (members of a non-trivial SCC, or
-  /// with a self edge), computed once in O(V + E) by Tarjan's algorithm.
-  /// Returned sorted ascending so membership is a binary search and batch
+  /// All routines on call-graph cycles: the members of the cyclic SCCs of
+  /// condense() over every routine that appears in a call site. Returned
+  /// sorted ascending so membership is a binary search and batch
   /// consumers (the WPA inline planner) can intersect without allocating a
   /// node-keyed set.
   std::vector<RoutineId> recursiveRoutines() const;

@@ -96,7 +96,7 @@ struct RoutineSlot {
   TrackedBuffer CompactBytes;          ///< Valid when State == Compact.
   uint64_t RepoOffset = 0;             ///< Valid when State == Offloaded.
   uint64_t RepoSize = 0;
-  /// Links in the owning loader shard's LRU list of parked pools (valid
+  /// Links in the loader's LRU list of parked pools (valid
   /// while UnloadPending; InvalidId at either end).
   RoutineId LruPrev = InvalidId;
   RoutineId LruNext = InvalidId;

@@ -89,6 +89,10 @@ std::string scmo::printMInstr(const MInstr &I, uint32_t Base) {
   case MOp::Probe:
     OS << " " << I.Probe;
     break;
+  case MOp::Print:
+    OS << " ";
+    printMOperand(OS, I.A);
+    break;
   case MOp::Ret:
   case MOp::Halt:
   case MOp::Nop:

@@ -30,7 +30,7 @@
 /// thread:
 ///
 ///  - An offload stores its compact bytes as one repository record in the
-///    releasing call, under the shard mutex; an acquire fetches and expands
+///    releasing call, under the loader mutex; an acquire fetches and expands
 ///    on the acquiring thread.
 ///  - Store elision: a pool whose compact bytes hash-match its most recent
 ///    repository record reuses that record instead of storing a duplicate;
@@ -42,30 +42,16 @@
 ///    *outside* the loader mutex on per-pool transition states; the mutex
 ///    keeps guarding metadata, the LRU cache, budgets and the store.
 ///
-/// Sharding (the PR-10 overhaul, DESIGN.md §5k): the loader is a facade over
-/// N LoaderShards (`--naim-shards=N`, 0 = one shard per worker). Every
-/// routine belongs to exactly one shard — placement is a stable hash of the
-/// RoutineId, independent of jobs and schedule — and each shard owns
-/// its own mutex, LRU clock and Repository file, so acquire/release traffic
-/// from different workers only collides when two workers touch routines
-/// that genuinely hash together.
-/// The memory budget stays the paper's one soft cap: a shard evicts its own
-/// LRU pools while the shards' summed cache bytes (relaxed atomics, read
-/// without any other shard's mutex) exceed it. Since placement is
-/// schedule-independent and residency never feeds codegen, executables are
-/// byte-identical at every shards x jobs combination.
-///
 /// Failure model: the spill path is fallible by design and the loader never
 /// aborts the process. The degradation ladder, from cheapest to last resort:
 ///
 ///   1. transient store/fetch faults (EINTR/EAGAIN, short transfers) are
 ///      retried inside the Repository and never surface;
-///   2. a failed spill (ENOSPC, EIO) permanently disables offloading for
-///      the affected *shard* — its pools stay compact-resident, its compact
-///      budget is lifted, and a warning event records the slower-but-alive
-///      outcome; the other shards keep offloading to their own healthy
-///      files. The failing store happens inside the releasing call, so the
-///      event and the degraded state are visible when that call returns;
+///   2. a failed spill (ENOSPC, EIO) permanently disables offloading — pools
+///      stay compact-resident, the compact budget is lifted, and a warning
+///      event records the slower-but-alive outcome. The failing store
+///      happens inside the releasing call, so the event and the degraded
+///      state are visible when that call returns;
 ///   3. a corrupt fetch (checksum/magic/bounds mismatch) is re-read once —
 ///      transient corruption between disk and memory heals, bit-rot does
 ///      not — then falls back to re-expanding the routine from its source
@@ -77,11 +63,10 @@
 ///      snapshot record that stays corrupt after its re-read ends the same
 ///      way (expandSnapshot), without the object-file rung.
 ///
-/// Concurrency: the loader is safe to call from the parallel backend's
-/// worker threads. Each shard's mutex M guards its pool metadata,
-/// transitions and repository stores; it is the only loader lock on the
-/// acquire/release path, and no thread ever holds two shard mutexes at
-/// once. The loader starts no threads of its own. The returned
+/// Concurrency (DESIGN.md §5k): the loader is safe to call from the parallel
+/// backend's worker threads. One mutex guards pool metadata, transitions,
+/// the LRU cache, symbol-table compaction and repository stores; it is the
+/// only loader lock. The loader starts no threads of its own. The returned
 /// RoutineBody references are NOT guarded — the backend's fan-out gives
 /// each routine to exactly one worker, which is what makes unsynchronized
 /// body access safe.
@@ -96,16 +81,16 @@
 #include "support/Status.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace scmo {
-
-class LoaderShard;
 
 /// How much NAIM machinery is enabled (the x-axis of paper Figure 5).
 enum class NaimMode : uint8_t {
@@ -120,9 +105,8 @@ enum class NaimMode : uint8_t {
 struct NaimConfig {
   NaimMode Mode = NaimMode::Auto;
 
-  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes, summed
-  /// over every shard. While the total exceeds it, the shard enforcing the
-  /// budget compacts its least-recently-used pools.
+  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes. While the
+  /// cache exceeds it, the loader compacts its least-recently-used pools.
   uint64_t ExpandedCacheBytes = 64ull << 20;
 
   /// Cap on in-memory compact bytes; beyond it, compact pools are offloaded
@@ -132,22 +116,17 @@ struct NaimConfig {
   /// For Auto mode: the machine's memory size from which thresholds derive.
   uint64_t MachineMemoryBytes = 512ull << 20;
 
-  /// Repository path ("" = a private anonymous temp file per shard). With
-  /// more than one shard, shard S stores to "<path>.<S>.naim".
+  /// Repository path ("" = a private anonymous temp file).
   std::string RepositoryPath;
 
-  /// Loader shard count (the scmoc --naim-shards knob). 0 = auto: the
-  /// driver resolves it to the worker-pool width before constructing the
-  /// loader; a bare Loader treats 0 as 1 (the monolithic pre-shard
-  /// behavior, which every exact-count test relies on). Placement is a
-  /// stable hash of RoutineId, so the executable is byte-identical at any
-  /// shard count; the knob is resource-only and fingerprint-excluded.
+  /// Ignored. The loader has one lock and one repository; the field stays
+  /// only because scmobench/scmobench.cpp still assigns it, and goes with
+  /// the benchmark change that drops cmo-mem4's pin of it.
   unsigned Shards = 0;
 
-  /// Fault injector for the repositories (tests / --fault-inject). When
-  /// null, the loader arms one from SCMO_FAULT_INJECT if that is set, so
-  /// whole test suites can run under injection without code changes. All
-  /// shards share one injector; `site@N` clauses address shard N's file.
+  /// Fault injector for the repository (tests / --fault-inject). When null,
+  /// the loader arms one from SCMO_FAULT_INJECT if that is set, so whole
+  /// test suites can run under injection without code changes.
   std::shared_ptr<FaultInjector> Injector;
 
   /// Derives staged thresholds from MachineMemoryBytes (Auto mode).
@@ -162,9 +141,8 @@ struct NaimConfig {
 };
 
 /// Loader activity counters (reported by the driver's diagnostics). stats()
-/// returns a snapshot of the loader's internal relaxed-atomic counters,
-/// summed over every shard: safe to read while workers are active, exact
-/// once they have joined.
+/// returns a snapshot of the loader's internal relaxed-atomic counters:
+/// safe to read while workers are active, exact once they have joined.
 struct LoaderStats {
   uint64_t Acquires = 0;
   uint64_t CacheHits = 0;     ///< Acquire found the pool still expanded.
@@ -181,20 +159,19 @@ struct LoaderStats {
   uint64_t SpillQueueHits = 0;
   uint64_t PrefetchHits = 0;
   uint64_t PrefetchWasted = 0;
-  // Payload bytes stored in the repositories. Records are never compressed,
-  // so both fields equal Repository::bytesStored() summed over shards.
+  // Payload bytes stored in the repository. Records are never compressed,
+  // so both fields equal Repository::bytesStored().
   uint64_t RawBytes = 0;
   uint64_t CompressedBytes = 0;
 
   // Contention telemetry (DESIGN.md §5k): time workers spent blocked on
-  // shard mutexes, sampled try_lock-then-lock on the acquire/release hot
-  // paths. This pair is the before/after axis of the sharding win.
+  // the loader mutex, sampled try_lock-then-lock on the acquire/release
+  // hot paths.
   uint64_t LockWaitNanos = 0; ///< Nanoseconds spent in contended locks.
   uint64_t Contentions = 0;   ///< Hot-path lock attempts that had to wait.
-  uint64_t Shards = 0;        ///< Shard count the counters are summed over.
 
   // Fault-path activity (all zero on a healthy disk).
-  uint64_t SpillFailures = 0; ///< Failed offload stores (degraded shards).
+  uint64_t SpillFailures = 0; ///< Failed offload stores (at most 1).
   uint64_t FetchRetries = 0;  ///< Corrupt fetches re-read.
   uint64_t Recoveries = 0;    ///< Pools rebuilt from their object file.
   uint64_t PoisonedPools = 0; ///< Unrecoverable pools or snapshots replaced
@@ -205,7 +182,7 @@ struct LoaderStats {
 /// in one of two kinds:
 ///
 ///  - a record reference (RecordSize != 0; records are never empty): the
-///    pool's repository record in its own shard's file. Records are
+///    pool's repository record. Records are
 ///    immutable and the file is append-only for the session's life, so the
 ///    bytes at RecordOffset stay the body captured here even after the pool
 ///    is mutated and re-offloaded to a new record;
@@ -223,8 +200,7 @@ struct PoolSnapshot {
 /// poisoned pool).
 struct LoaderEvent {
   enum class Kind : uint8_t {
-    SpillDegraded, ///< Offloading disabled for a shard; its pools stay
-                   ///< resident.
+    SpillDegraded, ///< Offloading disabled; pools stay resident.
     FetchRetried,  ///< A corrupt fetch healed on immediate re-read.
     Recovered,     ///< A corrupt pool was re-expanded from its object file.
     PoolPoisoned,  ///< Unrecoverable; the build must fail structurally.
@@ -234,10 +210,7 @@ struct LoaderEvent {
   std::string Detail;
 };
 
-/// Manages residency for every transitory pool in a Program. A facade over
-/// NaimConfig::Shards independent LoaderShards; the public surface is
-/// unchanged from the monolithic loader, and with one shard the behavior is
-/// bit-for-bit the monolith's.
+/// Manages residency for every transitory pool in a Program.
 class Loader {
 public:
   /// Re-materializes the compact/expanded body of a routine from outside
@@ -265,9 +238,8 @@ public:
   RoutineBody *acquireIfDefined(RoutineId R);
 
   /// Drops one pin from \p R. When the last pin drops, the pool becomes
-  /// unload-pending and joins its shard's cache; while the summed cache is
-  /// over budget the shard then lazily compacts (and offloads) its own LRU
-  /// pools.
+  /// unload-pending and joins the cache; while the cache is over budget the
+  /// loader then lazily compacts (and offloads) its LRU pools.
   void release(RoutineId R);
 
   /// Releases every pinned routine (phase boundaries).
@@ -310,66 +282,39 @@ public:
   /// Compacts module symbol tables if the mode/thresholds call for it.
   void maybeCompactSymtabs();
 
-  /// Bytes of expanded IR currently sitting unpinned in the caches (summed
-  /// over shards).
+  /// Bytes of expanded IR currently sitting unpinned in the cache.
   uint64_t cacheBytes() const;
 
   /// Number of unpinned expanded pools resident (paper: "cache fullness is
   /// based on the number of expanded pools resident in memory").
   size_t cachedPoolCount() const;
 
-  /// Activity counters, summed over every shard. Returns a snapshot: safe
-  /// to call while workers are active, exact once they have joined.
+  /// Activity counters. Returns a snapshot: safe to call while workers are
+  /// active, exact once they have joined.
   LoaderStats stats() const;
 
-  /// One shard's counters (tests, the per-shard --stats breakdown).
-  LoaderStats shardStats(unsigned Shard) const;
-
-  /// The number of shards (>= 1).
-  unsigned shardCount() const { return NumShards; }
-
-  /// The shard owning \p R: a stable hash of the id alone, so placement is
-  /// identical at every jobs count.
-  unsigned shardOf(RoutineId R) const {
-    // splitmix64: id bits are sequential, and a weak mix would put every
-    // routine of a module on one shard.
-    uint64_t X = uint64_t(R) + 0x9e3779b97f4a7c15ull;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-    X ^= X >> 31;
-    return static_cast<unsigned>(X % NumShards);
-  }
-
-  /// Shard \p Shard's repository file.
-  Repository &repository(unsigned Shard = 0);
+  /// The repository file offloaded pools are stored to.
+  Repository &repository() { return Repo; }
 
   /// The session's effective fault injector (Config.Injector or the one
   /// armed from SCMO_FAULT_INJECT at construction; may be null). Every
-  /// durable-I/O path in the session — and every shard repository — reuses
-  /// this instance so per-site op counters stay deterministic across the
-  /// whole build.
+  /// durable-I/O path in the session reuses this instance so per-site op
+  /// counters stay deterministic across the whole build.
   std::shared_ptr<FaultInjector> faultInjector() { return Faults; }
 
-  /// Installs the corruption fallback (degradation rung 3) on every shard.
-  /// The handler is invoked under a shard mutex and must not call back into
-  /// the loader.
+  /// Installs the corruption fallback (degradation rung 3). The handler is
+  /// invoked under the loader mutex and must not call back into the loader.
   void setRecoveryHandler(RecoverFn F);
 
-  /// True once a spill failure has switched any shard to resident mode.
+  /// True once a spill failure has switched the loader to resident mode.
   bool degraded() const;
 
-  /// How many shards have degraded to resident mode (0 = fully healthy).
-  /// One failing repository file degrades only its own shard.
-  unsigned degradedShardCount() const;
-
   /// The first unrecoverable spill-path error (Ok while the loader is
-  /// healthy), scanned in shard order. Once set, some acquired bodies are
-  /// stubs: the compilation's results are invalid and the driver must fail
-  /// the build with this.
+  /// healthy). Once set, some acquired bodies are stubs: the compilation's
+  /// results are invalid and the driver must fail the build with this.
   Status firstError() const;
 
-  /// Drains the accumulated fault-path events (per shard oldest first, in
-  /// shard order).
+  /// Drains the accumulated fault-path events, oldest first.
   std::vector<LoaderEvent> takeEvents();
 
   /// True if the effective mode compacts IR at all.
@@ -380,17 +325,86 @@ public:
   bool offloadEnabled() const;
 
 private:
-  friend class LoaderShard;
+  /// Counter block. Relaxed atomics: the counters are statistics, not
+  /// synchronization, and the workers must not serialize on them.
+  struct AtomicStats {
+    std::atomic<uint64_t> Acquires{0};
+    std::atomic<uint64_t> CacheHits{0};
+    std::atomic<uint64_t> Expansions{0};
+    std::atomic<uint64_t> Compactions{0};
+    std::atomic<uint64_t> Offloads{0};
+    std::atomic<uint64_t> Fetches{0};
+    std::atomic<uint64_t> SymtabCompactions{0};
+    std::atomic<uint64_t> SpillElisions{0};
+    std::atomic<uint64_t> LockWaitNanos{0};
+    std::atomic<uint64_t> Contentions{0};
+    std::atomic<uint64_t> SpillFailures{0};
+    std::atomic<uint64_t> FetchRetries{0};
+    std::atomic<uint64_t> Recoveries{0};
+    std::atomic<uint64_t> PoisonedPools{0};
+  };
+
+  /// Locks M, sampling contention: a failed try_lock counts once and the
+  /// blocked wait is timed. Sampled on the hot paths (acquire/release)
+  /// only — slow paths would just add noise.
+  std::unique_lock<std::mutex> lockM();
+
+  RoutineBody &acquireImpl(RoutineId R, bool Mutable);
+  /// The last pin on R dropped: summarize its body, then park it.
+  void unpinLocked(RoutineId R);
+  /// Places the unpinned expanded pool R at the MRU end of the cache.
+  void parkLocked(RoutineId R);
+  void unlinkLruLocked(RoutineId R);
+  void enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
+  void evictOneLocked(std::unique_lock<std::mutex> &L);
+  void offloadOverBudgetLocked();
+
+  void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  void setCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
+                        uint64_t Hash);
+  void offloadPool(RoutineId R);
+  void storeSyncLocked(RoutineId R, std::vector<uint8_t> Bytes, uint64_t Hash);
+  void degradeSpillsLocked(RoutineId R, const Status &Cause);
+  /// Decodes a parked (compact or offloaded) pool and installs its body,
+  /// walking the full degradation ladder; returns the unrecoverable error.
+  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  Status fetchRecord(uint64_t Offset, uint64_t Size,
+                     std::vector<uint8_t> &Bytes, std::string &RetryDetail);
+  Status recoverPoolLocked(RoutineId R, Status Cause);
+  void installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body);
+  void poisonPoolLocked(RoutineId R, Status Cause);
+  /// Counts an unrecoverable body, records its PoolPoisoned event and
+  /// latches the first error.
+  void latchPoisonLocked(RoutineId R, Status Cause);
 
   Program &P;
   NaimConfig Config;
-  unsigned NumShards;
   std::shared_ptr<FaultInjector> Faults;
-  std::vector<std::unique_ptr<LoaderShard>> ShardList;
+  Repository Repo;
 
-  /// Symtabs are program-wide, not per-routine, so they stay facade state.
-  std::mutex SymtabM;
-  std::atomic<uint64_t> SymtabCompactions{0};
+  AtomicStats Stats;
+
+  /// Guards pool metadata, the cache, symbol-table compaction, fault state
+  /// and repository stores.
+  mutable std::mutex M;
+  std::condition_variable TransitionCv;
+
+  /// Unpinned expanded pools in park order, least recently used at the
+  /// head: a doubly-linked list threaded through RoutineSlot::LruPrev /
+  /// LruNext, so parking and unparking allocate nothing.
+  RoutineId LruHead = InvalidId;
+  RoutineId LruTail = InvalidId;
+  size_t LruCount = 0;
+  /// Sum of irBytes over the LRU list.
+  uint64_t CachedBytes = 0;
+  /// Compact pools in id order: the offload victims, so the budget check
+  /// need not rescan every routine id.
+  std::set<RoutineId> CompactIds;
+
+  bool SpillDisabled = false;
+  std::vector<LoaderEvent> Events;
+  Status FirstErr;
+  RecoverFn Recover;
 };
 
 } // namespace scmo

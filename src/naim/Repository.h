@@ -70,12 +70,9 @@ public:
   /// storage never has a name a SIGKILLed builder could leak, and path()
   /// stays "". A caller-supplied path that already exists is NOT clobbered:
   /// the first store fails with StatusCode::Exists. \p Faults, when
-  /// non-null, is consulted on every store/fetch; \p Shard is the owning
-  /// loader shard's index, matched by shard-addressed fault clauses
-  /// ('store@2:...').
+  /// non-null, is consulted on every store/fetch.
   explicit Repository(std::string Path = "",
-                      std::shared_ptr<FaultInjector> Faults = nullptr,
-                      unsigned Shard = 0);
+                      std::shared_ptr<FaultInjector> Faults = nullptr);
 
   Repository(const Repository &) = delete;
   Repository &operator=(const Repository &) = delete;
@@ -133,9 +130,6 @@ public:
   /// path to return).
   const std::string &path() const { return FilePath; }
 
-  /// The owning loader shard's index (0 for an unsharded repository).
-  unsigned shard() const { return unsigned(Shard); }
-
 private:
   Status ensureOpenLocked();
   /// pwrite/pread loops with EINTR/EAGAIN retry (bounded, with backoff) and
@@ -153,7 +147,6 @@ private:
   mutable std::mutex M;
   std::string FilePath;
   std::shared_ptr<FaultInjector> Faults;
-  int Shard = 0;
   int Fd = -1;
   /// True when the path came from the caller: such a file must not be
   /// silently truncated if it already exists.

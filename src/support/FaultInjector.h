@@ -19,12 +19,9 @@
 ///
 ///   spec   := clause (',' clause)*
 ///   clause := 'seed=' N
-///           | addr ':' action '-nth='  N   ; fire on the Nth op (1-based)
-///           | addr ':' action '-rate=' F   ; fire with probability F (PRNG
+///           | site ':' action '-nth='  N   ; fire on the Nth op (1-based)
+///           | site ':' action '-rate=' F   ; fire with probability F (PRNG
 ///                                          ; seeded by seed=, deterministic)
-///   addr   := site                ; any instance of the site
-///           | site '@' shard      ; only that loader shard's repository
-///                                 ; (shard := non-negative decimal index)
 ///   site   := 'store'         ; NAIM repository record append
 ///           | 'read'          ; NAIM repository record fetch
 ///           | 'cache-store'   ; artifact/summary cache entry store
@@ -44,13 +41,10 @@
 ///                       ; torn partial write is on disk (torture harness)
 ///
 /// Examples: `store:fail-nth=3`, `seed=7,read:flip-rate=0.1,store:eintr-nth=2`,
-/// `cache-store:crash-nth=2`, `store@2:enospc-nth=1` (shard 2's spill file is
-/// full; the other shards' repositories stay healthy).
+/// `cache-store:crash-nth=2`, `store:enospc-nth=1`.
 ///
-/// Determinism: nth-clauses depend only on the per-site operation counter —
-/// shard-addressed clauses count against a private per-(site, shard) counter,
-/// so `store@2:fail-nth=3` means "shard 2's third store", independent of how
-/// the other shards' traffic interleaves. Rate-clauses draw from a splitmix
+/// Determinism: nth-clauses depend only on the per-site operation counter.
+/// Rate-clauses draw from a splitmix
 /// PRNG seeded by `seed=` (default 1), so the same spec over the same
 /// operation sequence injects the same faults.
 ///
@@ -62,11 +56,9 @@
 #include "support/Prng.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace scmo {
@@ -109,12 +101,9 @@ public:
   /// once on stderr rather than silently armed).
   static std::shared_ptr<FaultInjector> fromEnv();
 
-  /// Advances the operation counters and returns the action to apply to
-  /// this operation. \p Shard identifies which loader shard's repository is
-  /// operating (-1 = not shard-scoped): shard-addressed clauses match only
-  /// their shard and count against its private per-(site, shard) counter;
-  /// plain clauses keep matching every caller on the global site counter.
-  Action next(Site S, int Shard = -1);
+  /// Advances \p S's operation counter and returns the action to apply to
+  /// this operation.
+  Action next(Site S);
 
   /// Deterministically flips 1-4 bytes of \p Data (no-op on empty input).
   void corruptBytes(uint8_t *Data, size_t Size);
@@ -138,7 +127,6 @@ private:
   struct Clause {
     Site S = Site::Store;
     Action A = Action::None;
-    int Shard = -1;   ///< -1 = any caller; >= 0 = only that shard's ops.
     uint64_t Nth = 0; ///< 1-based op index; 0 = rate-based.
     double Rate = 0;
   };
@@ -149,9 +137,6 @@ private:
   std::vector<Clause> Clauses;
   Prng Rng;
   uint64_t Ops[size_t(Site::NumSites)] = {};
-  /// Per-(site, shard) op counters backing shard-addressed clauses. A map,
-  /// not an array: shard counts are unbounded and only addressed shards pay.
-  std::map<std::pair<uint8_t, int>, uint64_t> ShardOps;
   uint64_t Injected = 0;
 };
 

@@ -17,13 +17,6 @@
 ///     --select <percent>     coarse selectivity percentage (with +O4 +P)
 ///     --multi-layered        Section 8 tiered optimization
 ///     --machine-mem <MiB>    NAIM thresholds for this much memory
-///     --naim-shards <N>      loader shard count (0 = one per worker, the
-///                            default; max 1024). Each shard owns its own
-///                            mutex, LRU cache and repository file;
-///                            placement is a stable hash of the
-///                            routine id, so the executable is
-///                            byte-identical at any shards x jobs
-///                            combination
 ///     --jobs <N>             backend worker threads (0 = every CPU in the
 ///                            affinity mask, 1 = serial; max 1024); output
 ///                            is identical at any width
@@ -95,7 +88,6 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [+O1|+O2|+O4] [+P] [+I] [--profile F] "
                "[--select PCT] [--multi-layered] [--machine-mem MIB] "
-               "[--naim-shards N] "
                "[--jobs N] [--run] [--emit-il R] "
                "[--disasm R] [--stats] [--stats-format text|json] "
                "[--dump-dot PREFIX] "
@@ -194,11 +186,6 @@ int main(int argc, char **argv) {
   bool CacheGc = false;
   uint64_t CacheMaxBytes = cachedir::NoBudget;
   std::vector<CheckCode> AnalyzeFilter;
-  // --naim-shards is collected here and applied after the loop:
-  // --machine-mem replaces Opts.Naim wholesale, so applying it in flag
-  // order would make the outcome depend on flag position.
-  unsigned NaimShards = 0;
-  bool SawShards = false;
 
   for (int A = 1; A < argc; ++A) {
     std::string Arg = argv[A];
@@ -244,16 +231,7 @@ int main(int argc, char **argv) {
           parseCount("--machine-mem", takeValue("--machine-mem"), 1,
                      std::numeric_limits<uint64_t>::max() >> 20)
           << 20);
-    else if (Arg == "--naim-shards") {
-      uint64_t N = parseCount("--naim-shards", takeValue("--naim-shards"), 0);
-      if (N > 1024)
-        optionError("--naim-shards",
-                    "must be at most 1024 (got " + std::to_string(N) +
-                        "); shards beyond the worker count only add "
-                        "per-shard overhead");
-      NaimShards = static_cast<unsigned>(N);
-      SawShards = true;
-    } else if (Arg == "--jobs")
+    else if (Arg == "--jobs")
       Opts.Jobs = static_cast<unsigned>(
           parseCount("--jobs", takeValue("--jobs"), 0, 1024));
     else if (Arg == "--run")
@@ -341,8 +319,6 @@ int main(int argc, char **argv) {
     if (HasInline && !TookValue)
       optionError(Arg, "does not take a value");
   }
-  if (SawShards)
-    Opts.Naim.Shards = NaimShards;
   if (Opts.Incremental && Opts.CacheDir.empty())
     optionError("--incremental", "needs --cache-dir <dir>");
   if (CacheMaxBytes != cachedir::NoBudget && !CacheGc)

@@ -877,10 +877,12 @@ TEST(DecoderFuzz, MachineCodeMutantsFailOrReencodeExactly) {
       ASSERT_LT(Instr.Rd, NumPhysRegs);
       ASSERT_LT(Instr.A.Reg, NumPhysRegs);
       ASSERT_LT(Instr.B.Reg, NumPhysRegs);
-      if (Instr.Op == MOp::Jmp || Instr.Op == MOp::Br || Instr.Op == MOp::Brz)
+      if (Instr.Op == MOp::Jmp || Instr.Op == MOp::Br || Instr.Op == MOp::Brz) {
         ASSERT_LT(Instr.Target, NumInstrs);
-      if (Instr.Op == MOp::LoadSpill || Instr.Op == MOp::StoreSpill)
+      }
+      if (Instr.Op == MOp::LoadSpill || Instr.Op == MOp::StoreSpill) {
         ASSERT_LT(Instr.Slot, Slots);
+      }
     }
   }
   EXPECT_GT(Decoded, 0u); // Some flips land in immediates and survive.

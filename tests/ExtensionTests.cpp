@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+
 using namespace scmo;
 using namespace scmo::test;
 
@@ -175,6 +177,8 @@ TEST(MachinePrinter, DisassemblesRoutines) {
 global g;
 func f(a, b) {
   if (a > b) { g = a; }
+  print a;
+  print 7;
   return a + b;
 }
 func main() { return f(2, 1); }
@@ -186,6 +190,11 @@ func main() { return f(2, 1); }
   EXPECT_NE(Text.find("machine f"), std::string::npos);
   EXPECT_NE(Text.find("cmpgt"), std::string::npos);
   EXPECT_NE(Text.find("ret"), std::string::npos);
+  // print names its operand: a register or an immediate.
+  EXPECT_TRUE(std::regex_search(Text, std::regex(R"(\tprint r\d+\n)")))
+      << Text;
+  EXPECT_TRUE(std::regex_search(Text, std::regex(R"(\tprint #7\n)")))
+      << Text;
   // Every instruction appears on its own numbered line.
   size_t Lines = std::count(Text.begin(), Text.end(), '\n');
   EXPECT_EQ(Lines, MR.NumInstrs + 1);

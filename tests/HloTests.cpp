@@ -285,8 +285,9 @@ func main() {
   // But the unused call result register is dropped.
   for (const BasicBlock &BB : F.body("main").Blocks)
     for (const Instr *I : BB.Instrs)
-      if (I->Op == Opcode::Call)
+      if (I->Op == Opcode::Call) {
         EXPECT_EQ(I->Dst, NoReg);
+      }
 }
 
 TEST(Dce, LoopCarriedValuesStayLive) {
@@ -449,6 +450,35 @@ TEST(Dce, RemovesNopsAndKeepsOrder) {
 
 namespace {
 
+// Each interprocedural phase in isolation, driven through the pipeline the
+// driver runs: planHlo plans it over the whole set, runLtrans applies it.
+
+/// Static-heuristic inlining; IPCP (which spends operations) stays off.
+HloOptions inlineOnly() {
+  HloOptions Opts;
+  Opts.Pbo = false;
+  Opts.EnableIpcp = false;
+  return Opts;
+}
+
+/// IPCP alone: no profile, so no clones, and no inline rounds.
+HloOptions ipcpOnly(bool WholeProgram) {
+  HloOptions Opts;
+  Opts.Pbo = false;
+  Opts.WholeProgram = WholeProgram;
+  Opts.Inline.Rounds = 0;
+  return Opts;
+}
+
+/// Profile-driven cloning alone: no IPCP and no inline rounds, so the
+/// planned clone is neither preempted nor inlined away.
+HloOptions cloneOnly() {
+  HloOptions Opts;
+  Opts.EnableIpcp = false;
+  Opts.Inline.Rounds = 0;
+  return Opts;
+}
+
 const char *InlineSrc = R"(
 global g;
 func leaf(a, b) {
@@ -494,14 +524,12 @@ TEST(Inliner, InlineCallSitePreservesBehaviour) {
   EXPECT_EQ(F.interpret(), Before);
 }
 
-TEST(Inliner, RunInlinerCollapsesStaticChains) {
+TEST(Inliner, CollapsesStaticChains) {
   HloFixture F({{"m", InlineSrc}});
   uint64_t Before = F.interpret();
   std::vector<RoutineId> Set = F.allDefined();
-  InlineParams Params;
-  Params.UseProfile = false;
-  InlineResult Res = runInliner(*F.Ctx, Set, Params);
-  EXPECT_GE(Res.SitesInlined, 2u);
+  runHlo(*F.Ctx, Set, inlineOnly());
+  EXPECT_GE(F.Stats.get("inline.sites"), 2u);
   EXPECT_EQ(countOps(F.body("main"), Opcode::Call), 0u);
   EXPECT_EQ(F.interpret(), Before);
   EXPECT_EQ(verifyProgram(F.P), "");
@@ -517,9 +545,7 @@ func main() { print fact(6); return 0; }
 )"}});
   uint64_t Before = F.interpret();
   std::vector<RoutineId> Set = F.allDefined();
-  InlineParams Params;
-  Params.UseProfile = false;
-  runInliner(*F.Ctx, Set, Params);
+  runHlo(*F.Ctx, Set, inlineOnly());
   // fact itself is recursive: calls to it stay put.
   EXPECT_GE(countOps(F.body("main"), Opcode::Call), 1u);
   EXPECT_EQ(F.interpret(), Before);
@@ -529,10 +555,8 @@ TEST(Inliner, RespectsOperationLimit) {
   HloFixture F({{"m", InlineSrc}});
   F.Ctx->OpLimit = 1;
   std::vector<RoutineId> Set = F.allDefined();
-  InlineParams Params;
-  Params.UseProfile = false;
-  InlineResult Res = runInliner(*F.Ctx, Set, Params);
-  EXPECT_EQ(Res.SitesInlined, 1u);
+  runHlo(*F.Ctx, Set, inlineOnly());
+  EXPECT_EQ(F.Stats.get("inline.sites"), 1u);
 }
 
 TEST(Inliner, IntraModuleOnlyModeSkipsCrossModuleSites) {
@@ -541,10 +565,9 @@ TEST(Inliner, IntraModuleOnlyModeSkipsCrossModuleSites) {
                 {"b", "func main() { print helper(5); print local(); "
                       "return 0; }"}});
   std::vector<RoutineId> Set = F.allDefined();
-  InlineParams Params;
-  Params.UseProfile = false;
-  Params.IntraModuleOnly = true;
-  runInliner(*F.Ctx, Set, Params);
+  HloOptions Opts = inlineOnly();
+  Opts.Inline.IntraModuleOnly = true;
+  runHlo(*F.Ctx, Set, Opts);
   // b's cross-module calls survive; a's intra-module call was inlined.
   EXPECT_EQ(countOps(F.body("main"), Opcode::Call), 2u);
   EXPECT_EQ(countOps(F.body("local"), Opcode::Call), 0u);
@@ -595,8 +618,7 @@ func main() {
 )"}});
   uint64_t Before = F.interpret();
   std::vector<RoutineId> Set = F.allDefined();
-  CallGraph G = CallGraph::buildResident(F.P);
-  runIpcp(*F.Ctx, Set, G, /*WholeProgram=*/true);
+  runHlo(*F.Ctx, Set, ipcpOnly(/*WholeProgram=*/true));
   EXPECT_EQ(F.Stats.get("ipcp.params_propagated"), 1u); // factor only.
   EXPECT_EQ(F.interpret(), Before);
 }
@@ -611,8 +633,7 @@ func main() {
 }
 )"}});
   std::vector<RoutineId> Set = F.allDefined();
-  CallGraph G = CallGraph::buildResident(F.P);
-  runIpcp(*F.Ctx, Set, G, true);
+  runHlo(*F.Ctx, Set, ipcpOnly(true));
   EXPECT_EQ(F.Stats.get("ipcp.params_propagated"), 0u);
 }
 
@@ -622,8 +643,7 @@ func scaled(x) { return x * 2; }
 func main() { print scaled(7); return 0; }
 )"}});
   std::vector<RoutineId> Set = F.allDefined();
-  CallGraph G = CallGraph::buildResident(F.P);
-  runIpcp(*F.Ctx, Set, G, /*WholeProgram=*/false);
+  runHlo(*F.Ctx, Set, ipcpOnly(/*WholeProgram=*/false));
   EXPECT_EQ(F.Stats.get("ipcp.params_propagated"), 0u);
 }
 
@@ -658,11 +678,11 @@ func main() {
   F.body("bulky").HasProfile = true;
   F.body("bulky").Blocks[0].Freq = 50;
   std::vector<RoutineId> Set = F.allDefined();
-  CloneParams Params;
-  Params.MinCalleeInstrs = 10;
-  CloneResult Res = runCloner(*F.Ctx, Set, Params);
-  EXPECT_EQ(Res.ClonesCreated, 1u);
-  EXPECT_EQ(Res.SitesRedirected, 1u);
+  HloOptions Opts = cloneOnly();
+  Opts.Clone.MinCalleeInstrs = 10;
+  runHlo(*F.Ctx, Set, Opts);
+  EXPECT_EQ(F.Stats.get("clone.created"), 1u);
+  EXPECT_EQ(F.Stats.get("clone.sites_redirected"), 1u);
   EXPECT_EQ(Set.size(), F.allDefined().size()); // Clone joined the set.
   EXPECT_EQ(F.interpret(), Before);
   EXPECT_EQ(verifyProgram(F.P), "");
@@ -674,8 +694,8 @@ func f(k) { return k * 3; }
 func main() { print f(7); return 0; }
 )"}});
   std::vector<RoutineId> Set = F.allDefined();
-  CloneResult Res = runCloner(*F.Ctx, Set, CloneParams());
-  EXPECT_EQ(Res.ClonesCreated, 0u);
+  runHlo(*F.Ctx, Set, cloneOnly());
+  EXPECT_EQ(F.Stats.get("clone.created"), 0u);
 }
 
 //===----------------------------------------------------------------------===//

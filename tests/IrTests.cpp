@@ -502,33 +502,23 @@ TEST(CallGraph, DetectsSelfRecursion) {
   Program P;
   auto Ids = graphProgram(P, 2, {{0, 0}, {0, 1}});
   CallGraph G = CallGraph::buildResident(P);
-  EXPECT_TRUE(G.isRecursive(Ids[0]));
-  EXPECT_FALSE(G.isRecursive(Ids[1]));
-  auto Rec = G.recursiveRoutines();
-  EXPECT_TRUE(std::binary_search(Rec.begin(), Rec.end(), Ids[0]));
-  EXPECT_FALSE(std::binary_search(Rec.begin(), Rec.end(), Ids[1]));
+  EXPECT_EQ(G.recursiveRoutines(), std::vector<RoutineId>({Ids[0]}));
 }
 
 TEST(CallGraph, DetectsMutualRecursion) {
   Program P;
   auto Ids = graphProgram(P, 4, {{0, 1}, {1, 2}, {2, 0}, {0, 3}});
   CallGraph G = CallGraph::buildResident(P);
-  auto Rec = G.recursiveRoutines();
-  EXPECT_TRUE(std::binary_search(Rec.begin(), Rec.end(), Ids[0]));
-  EXPECT_TRUE(std::binary_search(Rec.begin(), Rec.end(), Ids[1]));
-  EXPECT_TRUE(std::binary_search(Rec.begin(), Rec.end(), Ids[2]));
-  EXPECT_FALSE(std::binary_search(Rec.begin(), Rec.end(), Ids[3]));
-  EXPECT_TRUE(G.isRecursive(Ids[1]));
-  EXPECT_FALSE(G.isRecursive(Ids[3]));
+  // Every member of the cycle, sorted ascending; the callee off it is not.
+  EXPECT_EQ(G.recursiveRoutines(),
+            std::vector<RoutineId>({Ids[0], Ids[1], Ids[2]}));
 }
 
 TEST(CallGraph, AcyclicChainIsNotRecursive) {
   Program P;
-  auto Ids = graphProgram(P, 5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
+  graphProgram(P, 5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
   CallGraph G = CallGraph::buildResident(P);
   EXPECT_TRUE(G.recursiveRoutines().empty());
-  for (RoutineId R : Ids)
-    EXPECT_FALSE(G.isRecursive(R));
 }
 
 //===----------------------------------------------------------------------===//

@@ -341,8 +341,9 @@ func main() { return f(4); }
   Executable Exe = linkProgram(F.P, std::move(F.Machines), Opts, Err);
   ASSERT_TRUE(Err.empty());
   for (const MInstr &I : Exe.Code)
-    if (I.Op == MOp::Jmp || I.Op == MOp::Br || I.Op == MOp::Brz)
+    if (I.Op == MOp::Jmp || I.Op == MOp::Br || I.Op == MOp::Brz) {
       EXPECT_LT(I.Target, Exe.Code.size());
+    }
   RunResult Run = runExecutable(Exe);
   EXPECT_EQ(Run.ExitValue, 10);
 }

@@ -62,10 +62,12 @@ void verifyMachine(const MachineRoutine &MR, size_t NumRoutines,
     }
     if (I.Op != MOp::Nop) {
       EXPECT_LT(I.Rd, NumPhysRegs);
-      if (!I.A.IsImm)
+      if (!I.A.IsImm) {
         EXPECT_LT(I.A.Reg, NumPhysRegs);
-      if (!I.B.IsImm)
+      }
+      if (!I.B.IsImm) {
         EXPECT_LT(I.B.Reg, NumPhysRegs);
+      }
     }
   }
   // The last instruction must be a control transfer (no fall-off).

@@ -61,7 +61,7 @@ TEST(Repository, FetchBeforeAnyStoreFails) {
 TEST(Repository, AnonymousBackingStorageHasNoName) {
   // Anonymous repositories never expose a path: the backing file is
   // O_TMPFILE (or created-and-unlinked where that is unsupported), so a
-  // builder SIGKILLed mid-build cannot leave shard files littering /tmp.
+  // builder SIGKILLed mid-build cannot leave repository files littering /tmp.
   Repository Repo;
   std::vector<uint8_t> Payload = {1, 2, 3};
   uint64_t Off = *Repo.store(Payload);
@@ -170,7 +170,6 @@ TEST(Loader, EvictsLeastRecentlyUsedFirst) {
   LoaderFixture F(8);
   NaimConfig C;
   C.Mode = NaimMode::CompactIr;
-  C.Shards = 1;
   C.ExpandedCacheBytes = 0;
   for (unsigned I = 0; I != 4; ++I)
     C.ExpandedCacheBytes += F.P.routine(F.Routines[I]).Slot.Body->irBytes();
@@ -341,59 +340,16 @@ TEST(FaultInjector, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultInjector::fromSpec("store:flip-nth=1", Error));
   EXPECT_FALSE(FaultInjector::fromSpec("store:fail-nth=0", Error));
   EXPECT_FALSE(FaultInjector::fromSpec("store:fail-rate=2.0", Error));
+  // A clause names a site, never one instance of it: the loader has one
+  // repository, so 'store@2' is an unknown site rather than a silent no-op.
+  EXPECT_FALSE(FaultInjector::fromSpec("store@2:fail-nth=1", Error));
+  EXPECT_NE(Error.find("unknown fault site"), std::string::npos) << Error;
   EXPECT_TRUE(FaultInjector::fromSpec(
       "seed=7,store:fail-nth=3,read:flip-rate=0.25", Error))
       << Error;
   // An empty spec means "no injection", not an error.
   EXPECT_FALSE(FaultInjector::fromSpec("", Error));
   EXPECT_TRUE(Error.empty());
-}
-
-TEST(FaultInjector, RejectsMalformedShardAddresses) {
-  std::string Error;
-  EXPECT_FALSE(FaultInjector::fromSpec("store@:fail-nth=1", Error));
-  EXPECT_FALSE(Error.empty());
-  EXPECT_FALSE(FaultInjector::fromSpec("store@x:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@-1:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@1@2:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@9999999999:fail-nth=1", Error));
-  EXPECT_TRUE(FaultInjector::fromSpec("store@2:fail-nth=3", Error)) << Error;
-  EXPECT_TRUE(
-      FaultInjector::fromSpec("store@0:enospc-nth=1,read@7:flip-rate=0.5",
-                              Error))
-      << Error;
-}
-
-TEST(FaultInjector, ShardAddressedClausesCountPerShard) {
-  std::string Error;
-  auto FI = FaultInjector::fromSpec("store@2:fail-nth=2", Error);
-  ASSERT_TRUE(FI) << Error;
-  // Ops on other shards never advance shard 2's counter.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 0),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 1),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::None); // Shard 2's op #1.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 3),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::FailIo); // Shard 2's op #2 fires.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::None); // nth fires exactly once.
-}
-
-TEST(FaultInjector, UnaddressedClausesKeepTheGlobalCounter) {
-  std::string Error;
-  auto FI = FaultInjector::fromSpec("store:fail-nth=3", Error);
-  ASSERT_TRUE(FI) << Error;
-  // The global site counter advances regardless of which shard operates.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 0),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 5),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 1),
-            FaultInjector::Action::FailIo);
 }
 
 TEST(Repository, ChecksumDetectsOnDiskBitRot) {
@@ -648,7 +604,7 @@ TEST(Loader, SpillOutcomesAreVisibleWhenTheReleaseReturns) {
     EXPECT_EQ(L.repository().storeCount(), 8u);
     EXPECT_EQ(L.stats().SpillElisions, 8u);
   }
-  // A failing store degrades the shard before the release returns.
+  // A failing store degrades the loader before the release returns.
   LoaderFixture G(4);
   C.Injector = injector("store:fail-nth=1");
   Loader L(G.P, C);
@@ -688,192 +644,17 @@ TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
   EXPECT_TRUE(SawPoison);
 }
 
-//===----------------------------------------------------------------------===//
-// Sharding: placement, per-shard state, the shared budget, degradation
-//===----------------------------------------------------------------------===//
-
-TEST(Loader, ShardPlacementIsStableAndUsesEveryShard) {
-  LoaderFixture F(32);
-  NaimConfig C;
-  C.Mode = NaimMode::Off;
-  C.Shards = 4;
-  Loader L(F.P, C);
-  EXPECT_EQ(L.shardCount(), 4u);
-  std::vector<unsigned> PerShard(4, 0);
-  for (RoutineId R : F.Routines) {
-    unsigned S = L.shardOf(R);
-    ASSERT_LT(S, 4u);
-    EXPECT_EQ(L.shardOf(R), S); // Placement is a pure function of the id.
-    ++PerShard[S];
-  }
-  // splitmix64 over 32 sequential ids must not leave a shard empty; an
-  // empty shard here would mean the mix degenerated to id % N clustering.
-  for (unsigned S = 0; S != 4; ++S)
-    EXPECT_GT(PerShard[S], 0u) << "shard " << S << " got no routines";
-  // Each shard owns a distinct repository object.
-  EXPECT_NE(&L.repository(0), &L.repository(1));
-  EXPECT_NE(&L.repository(1), &L.repository(3));
-}
-
-TEST(Loader, ShardedOffloadRoundTripsAndStatsSum) {
-  LoaderFixture F(24);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Shards = 4;
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  for (RoutineId R : F.Routines)
-    EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  LoaderStats Total = L.stats();
-  EXPECT_EQ(Total.Offloads, 24u);
-  EXPECT_EQ(Total.Shards, 4u);
-  // The facade totals are exactly the per-shard sums: no routine is
-  // double-counted and none is lost to a shard the facade forgot.
-  uint64_t Acq = 0, Off = 0, Comp = 0;
-  for (unsigned S = 0; S != 4; ++S) {
-    LoaderStats Sh = L.shardStats(S);
-    EXPECT_EQ(Sh.Shards, 1u);
-    Acq += Sh.Acquires;
-    Off += Sh.Offloads;
-    Comp += Sh.Compactions;
-  }
-  EXPECT_EQ(Acq, Total.Acquires);
-  EXPECT_EQ(Off, Total.Offloads);
-  EXPECT_EQ(Comp, Total.Compactions);
-  // Every body survives the round trip through its shard's file.
-  for (unsigned I = 0; I != 24; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, OneShardIsTheMonolith) {
-  // --naim-shards=1 must be behaviorally identical to the pre-shard
-  // loader: same compaction count on the same fixed workload (the
-  // TightBudgetCompactsLruFirst scenario), and Shards=0 on a bare Loader
-  // means the same thing.
-  for (unsigned ShardKnob : {0u, 1u}) {
-    LoaderFixture F(8);
-    NaimConfig C;
-    C.Mode = NaimMode::CompactIr;
-    C.ExpandedCacheBytes = 0;
-    C.Shards = ShardKnob;
-    Loader L(F.P, C);
-    EXPECT_EQ(L.shardCount(), 1u);
-    for (RoutineId R : F.Routines) {
-      L.acquire(R);
-      L.release(R);
-    }
-    EXPECT_EQ(L.stats().Compactions, 8u) << "shards=" << ShardKnob;
-    for (RoutineId R : F.Routines)
-      EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Compact);
-  }
-}
-
-TEST(Loader, SingleShardEnospcDegradesOnlyThatShard) {
-  const unsigned N = 24, Shards = 4;
-  // Probe placement first: the injected clause must address a shard that
-  // actually receives routines.
-  unsigned Target = 0;
-  std::vector<unsigned> PerShard(Shards, 0);
-  {
-    LoaderFixture Probe(N);
-    NaimConfig PC;
-    PC.Mode = NaimMode::Off;
-    PC.Shards = Shards;
-    Loader PL(Probe.P, PC);
-    for (RoutineId R : Probe.Routines)
-      ++PerShard[PL.shardOf(R)];
-    Target = PL.shardOf(Probe.Routines[0]);
-  }
-  ASSERT_GT(PerShard[Target], 1u);
-
-  LoaderFixture F(N);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Shards = Shards;
-  C.Injector = injector("store@" + std::to_string(Target) + ":enospc-nth=1");
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  // Only the target shard degraded: its pools stay resident, every other
-  // shard kept offloading to its own healthy file.
-  EXPECT_TRUE(L.degraded());
-  EXPECT_EQ(L.degradedShardCount(), 1u);
-  EXPECT_EQ(L.shardStats(Target).SpillFailures, 1u);
-  EXPECT_EQ(L.shardStats(Target).Offloads, 0u);
-  for (unsigned S = 0; S != Shards; ++S) {
-    if (S == Target)
-      continue;
-    EXPECT_EQ(L.shardStats(S).SpillFailures, 0u) << "shard " << S;
-    EXPECT_EQ(L.shardStats(S).Offloads, uint64_t(PerShard[S]))
-        << "shard " << S;
-  }
-  EXPECT_TRUE(L.firstError().ok()); // Degradation is not an error.
-  bool SawDegrade = false;
-  for (const LoaderEvent &E : L.takeEvents())
-    SawDegrade |= E.K == LoaderEvent::Kind::SpillDegraded;
-  EXPECT_TRUE(SawDegrade);
-  // Every body — resident on the sick shard, offloaded elsewhere — intact.
-  for (unsigned I = 0; I != N; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-}
-
-TEST(Loader, ShardedEvictionIsDeterministic) {
-  // Two identical runs over a sharded loader with a budget tight enough to
-  // force eviction must make identical residency decisions: the releasing
-  // shard evicts its own LRU pools while the summed cache is over budget,
-  // so with one thread the decisions are a pure function of the acquire /
-  // release sequence, never of timing.
-  auto Run = [](std::vector<uint64_t> &PerShardCompactions) {
-    LoaderFixture F(24);
-    NaimConfig C;
-    C.Mode = NaimMode::CompactIr;
-    // Room for about three bodies across all four shards.
-    C.ExpandedCacheBytes = 3 * F.P.routine(F.Routines[0]).Slot.Body->irBytes();
-    C.Shards = 4;
-    Loader L(F.P, C);
-    for (RoutineId R : F.Routines) {
-      L.acquire(R);
-      L.release(R);
-    }
-    for (unsigned S = 0; S != 4; ++S)
-      PerShardCompactions.push_back(L.shardStats(S).Compactions);
-  };
-  std::vector<uint64_t> A, B;
-  Run(A);
-  Run(B);
-  EXPECT_EQ(A, B);
-  uint64_t Sum = 0;
-  for (uint64_t X : A)
-    Sum += X;
-  EXPECT_GT(Sum, 0u); // The budget really was under pressure.
-}
-
-TEST(Loader, ConcurrentShardedTrafficKeepsTheBudget) {
-  // The race oracle for the shared budget check (run under TSan in CI):
-  // eight threads acquire and release random routines on a four-shard
-  // offloading loader whose budget holds only a few bodies, so evictions,
-  // spills and fetches interleave across shards.
+TEST(Loader, ConcurrentTrafficKeepsTheBudget) {
+  // The race oracle for the budget check (run under TSan in CI): eight
+  // threads acquire and release random routines on one offloading loader
+  // whose budget holds only a few bodies, so evictions, spills and fetches
+  // interleave under its one lock.
   constexpr unsigned N = 48, NumThreads = 8;
   LoaderFixture F(N);
   NaimConfig C;
   C.Mode = NaimMode::Offload;
   C.ExpandedCacheBytes = 3 * F.P.routine(F.Routines[0]).Slot.Body->irBytes();
   C.CompactResidentBytes = 2048;
-  C.Shards = 4;
   Loader L(F.P, C);
   L.releaseAll();
   std::atomic<unsigned> Mismatches{0};

@@ -354,7 +354,7 @@ TEST(Parallel, LtransJobMatrixHoldsUnderOffload) {
   ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
   ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
   // LTRANS workers then read WPA's referenced snapshot records while other
-  // workers append to the same shard files.
+  // workers append to the same repository file.
   ASSERT_GT(Ref.Build.Stats.get("wpa.snapshot_refs"), 0u)
       << "no snapshot record referenced";
   for (unsigned Jobs : {2u, 3u, 8u}) {
@@ -442,61 +442,4 @@ TEST(Parallel, PostHloVerifyReusesTheLtransAcquire) {
   ASSERT_GE(Verified.Loader.Acquires, Plain.Loader.Acquires);
   EXPECT_LT(Verified.Loader.Acquires - Plain.Loader.Acquires,
             Defined + Emitted);
-}
-
-//===----------------------------------------------------------------------===//
-// NAIM shard-count determinism
-//===----------------------------------------------------------------------===//
-
-TEST(Parallel, ExecutablesAreBitIdenticalAcrossShardMatrix) {
-  // --naim-shards is resource-only: routine placement is a stable hash of
-  // the id and residency never feeds codegen, so the whole shards x jobs
-  // matrix must emit one executable — the byte-identity guarantee the CI
-  // naim-shard job enforces on the real binary.
-  GeneratedProgram GP = testProgram(30);
-  CompileOptions Opts;
-  Opts.Level = OptLevel::O4;
-  Opts.Naim.Mode = NaimMode::Offload;
-  Opts.Naim.ExpandedCacheBytes = 16 << 10;
-  Opts.Naim.CompactResidentBytes = 8 << 10;
-  Opts.Naim.Shards = 1;
-  JobsBuild Ref = buildAtJobs(GP, 1, Opts);
-  ASSERT_TRUE(Ref.Build.Ok) << Ref.Build.Error;
-  ASSERT_GT(Ref.Build.Loader.Offloads, 0u) << "spill path never exercised";
-  EXPECT_EQ(Ref.Build.Loader.Shards, 1u);
-  for (unsigned Shards : {2u, 4u, 8u}) {
-    for (unsigned Jobs : {1u, 8u}) {
-      CompileOptions O = Opts;
-      O.Naim.Shards = Shards;
-      JobsBuild Out = buildAtJobs(GP, Jobs, O);
-      ASSERT_TRUE(Out.Build.Ok) << Out.Build.Error;
-      EXPECT_TRUE(exesIdentical(Ref.Build.Exe, Out.Build.Exe))
-          << "shards=" << Shards << " jobs=" << Jobs;
-      EXPECT_EQ(Ref.Checksums, Out.Checksums)
-          << "shards=" << Shards << " jobs=" << Jobs;
-      EXPECT_EQ(Out.Build.Loader.Shards, uint64_t(Shards));
-    }
-  }
-}
-
-TEST(Parallel, ShardCountIsNotCacheKeyMaterial) {
-  // --naim-shards is excluded from the option fingerprint, so a warm
-  // incremental rebuild at a different shard count must hit the cache.
-  GeneratedProgram GP = testProgram(31);
-  CompileOptions Opts;
-  Opts.Level = OptLevel::O4;
-  Opts.Incremental = true;
-  char Dir[] = "/tmp/scmo-shard-cache-XXXXXX";
-  ASSERT_NE(mkdtemp(Dir), nullptr);
-  Opts.CacheDir = Dir;
-  Opts.Naim.Shards = 1;
-  JobsBuild Cold = buildAtJobs(GP, 1, Opts);
-  ASSERT_TRUE(Cold.Build.Ok) << Cold.Build.Error;
-  CompileOptions O = Opts;
-  O.Naim.Shards = 8;
-  JobsBuild Warm = buildAtJobs(GP, 8, O);
-  ASSERT_TRUE(Warm.Build.Ok) << Warm.Build.Error;
-  EXPECT_TRUE(exesIdentical(Cold.Build.Exe, Warm.Build.Exe));
-  EXPECT_GT(Warm.Build.Stats.get("cache.skip.hlo"), 0u)
-      << "shard count invalidated the cache";
 }

@@ -479,8 +479,9 @@ TEST(Arena, SlabGrowthIsCappedAndUsedIsTracked) {
   for (int I = 0; I != 64; ++I) {
     A.allocate(1 << 20); // 1 MiB requests force repeated slab growth
     uint64_t Grew = A.bytesAllocated() - PrevAllocated;
-    if (Grew)
+    if (Grew) {
       EXPECT_LE(Grew, Arena::MaxSlabBytes);
+    }
     PrevAllocated = A.bytesAllocated();
   }
   EXPECT_EQ(A.usedBytes(), 64u << 20);

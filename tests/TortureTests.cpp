@@ -687,14 +687,14 @@ TEST(CacheTorture, SummaryCacheSigkillMidStoreThenWarmMatchesCold) {
 }
 
 //===----------------------------------------------------------------------===//
-// NAIM shard torture
+// NAIM repository torture
 //===----------------------------------------------------------------------===//
 
-/// A builder SIGKILLed mid-spill must leave no shard repository files
-/// behind: the backing storage is anonymous (O_TMPFILE, or a pid-unique
-/// name unlinked at creation), so the kernel reclaims every shard's file
-/// the instant the process dies — there is nothing for a sweeper to find.
-TEST(NaimTorture, SigkilledBuilderLeavesNoShardRepositoryLitter) {
+/// A builder SIGKILLed mid-spill must leave no repository file behind: the
+/// backing storage is anonymous (O_TMPFILE, or a pid-unique name unlinked
+/// at creation), so the kernel reclaims it the instant the process dies —
+/// there is nothing for a sweeper to find.
+TEST(NaimTorture, SigkilledBuilderLeavesNoRepositoryLitter) {
 #if SCMO_UNDER_TSAN
   GTEST_SKIP() << "fork-based torture is not TSan-compatible";
 #else
@@ -703,16 +703,15 @@ TEST(NaimTorture, SigkilledBuilderLeavesNoShardRepositoryLitter) {
   pid_t Pid = ::fork();
   ASSERT_GE(Pid, 0);
   if (Pid == 0) {
-    // Sharded offload-everything configuration: zero budgets force every
-    // release through compact + store, so the third store (on whichever
-    // shard's file it lands) tears a half-frame and SIGKILLs the process.
+    // Offload-everything configuration: zero budgets force every release
+    // through compact + store, so the third store tears a half-frame and
+    // SIGKILLs the process.
     CompileOptions Opts;
     Opts.Level = OptLevel::O2;
     Opts.Jobs = 2;
     Opts.Naim.Mode = NaimMode::Offload;
     Opts.Naim.ExpandedCacheBytes = 0;
     Opts.Naim.CompactResidentBytes = 0;
-    Opts.Naim.Shards = 4;
     Opts.FaultInject = "store:crash-nth=3";
     CompilerSession Session(Opts);
     if (!Session.addGenerated(GP))
@@ -727,7 +726,7 @@ TEST(NaimTorture, SigkilledBuilderLeavesNoShardRepositoryLitter) {
       << (WIFEXITED(Status) ? WEXITSTATUS(Status) : -1) << ")";
   EXPECT_EQ(WTERMSIG(Status), SIGKILL);
 
-  // Post-mortem sweep of /tmp: no shard repository file of the dead child
+  // Post-mortem sweep of /tmp: no repository file of the dead child
   // may remain. The O_TMPFILE path never had a name; the fallback path
   // ("scmo-repo-<pid>-<n>.bin") unlinked its name before the first byte
   // was written. Either way the litter check is the same.
@@ -736,60 +735,6 @@ TEST(NaimTorture, SigkilledBuilderLeavesNoShardRepositoryLitter) {
   for (const std::string &Name : listDir("/tmp"))
     if (Name.compare(0, ChildPrefix.size(), ChildPrefix) == 0)
       Litter += Name + " ";
-  EXPECT_EQ(Litter, "") << "dead builder leaked shard repository files";
+  EXPECT_EQ(Litter, "") << "dead builder leaked repository files";
 #endif
-}
-
-/// ENOSPC on one shard's repository file degrades that shard alone: the
-/// build completes with a degradation warning, every other shard keeps
-/// offloading, and the executable is byte-identical to a healthy build.
-TEST(NaimTorture, SingleShardEnospcDegradesOnlyItsShard) {
-  GeneratedProgram GP = testProgram(61);
-  CompileOptions Base;
-  Base.Level = OptLevel::O2;
-  Base.Jobs = 1; // Serial: per-shard offload counts are exactly reproducible.
-  Base.Naim.Mode = NaimMode::Offload;
-  Base.Naim.ExpandedCacheBytes = 0;
-  Base.Naim.CompactResidentBytes = 0;
-  Base.Naim.Shards = 4;
-
-  // Healthy reference run; pick the first shard that actually stores as
-  // the fault target and remember every shard's offload count.
-  CompilerSession Clean(Base);
-  ASSERT_TRUE(Clean.addGenerated(GP)) << Clean.firstError();
-  BuildResult Healthy = Clean.build();
-  ASSERT_TRUE(Healthy.Ok) << Healthy.Error;
-  unsigned Target = 4;
-  uint64_t CleanOffloads[4];
-  for (unsigned S = 0; S != 4; ++S) {
-    CleanOffloads[S] = Clean.loader().shardStats(S).Offloads;
-    if (Target == 4 && CleanOffloads[S] > 0)
-      Target = S;
-  }
-  ASSERT_LT(Target, 4u) << "offload-everything build never stored";
-
-  // Same build with the target shard's very first store hitting ENOSPC.
-  CompileOptions Faulty = Base;
-  Faulty.FaultInject = "store@" + std::to_string(Target) + ":enospc-nth=1";
-  CompilerSession Session(Faulty);
-  ASSERT_TRUE(Session.addGenerated(GP)) << Session.firstError();
-  BuildResult B = Session.build();
-  ASSERT_TRUE(B.Ok) << B.Error;
-  EXPECT_TRUE(exesIdentical(B.Exe, Healthy.Exe));
-  EXPECT_TRUE(hasWarning(B, CheckCode::SpillDegraded));
-
-  // The ladder is per-shard: exactly one shard degraded, and it is the
-  // addressed one — it recorded the failure and stopped offloading while
-  // every healthy shard's activity matches the reference run exactly.
-  EXPECT_EQ(Session.loader().degradedShardCount(), 1u);
-  for (unsigned S = 0; S != 4; ++S) {
-    LoaderStats St = Session.loader().shardStats(S);
-    if (S == Target) {
-      EXPECT_EQ(St.SpillFailures, 1u);
-      EXPECT_EQ(St.Offloads, 0u);
-    } else {
-      EXPECT_EQ(St.SpillFailures, 0u);
-      EXPECT_EQ(St.Offloads, CleanOffloads[S]);
-    }
-  }
 }
