@@ -64,6 +64,20 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
     appendf(Out, "; stage %-12s %8.3fs  cpu %8.3fs  live %8.2f MiB%s\n",
             M.Name.c_str(), M.Seconds, M.CpuSeconds, mib(M.LiveBytesAfter),
             M.Skipped ? "  (skipped)" : "");
+  const LloStats &Llo = Build.Llo;
+  appendf(Out,
+          "; llo: %llu routines lowered, %llu spills, %llu regs, "
+          "%llu schedule moves, peak routine %.2f KiB\n",
+          (unsigned long long)Llo.RoutinesLowered,
+          (unsigned long long)Llo.SpillsAllocated,
+          (unsigned long long)Llo.RegsAllocated,
+          (unsigned long long)Llo.ScheduleMoves,
+          double(Llo.PeakRoutineBytes) / 1024.0);
+  Out += "; llo phases (s):";
+  for (unsigned P = 0; P != NumLloPhases; ++P)
+    appendf(Out, " %s %.3f", lloPhaseName(static_cast<LloPhase>(P)),
+            double(Llo.PhaseNanos[P]) * 1e-9);
+  Out += "\n";
 
   // The allocation profile: one row per active (stage, category) cell,
   // with the arena-waste column, then the worst pairs by alloc volume —
@@ -247,8 +261,21 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
     appendf(Out, "\"%s\":%llu", Name.c_str(), (unsigned long long)Value);
   }
   Out += "},";
-  appendf(Out, "\"exe_xxh64\":\"%016llx\"",
+  appendf(Out, "\"exe_xxh64\":\"%016llx\",",
           (unsigned long long)hashExecutable(Build.Exe));
-  Out += "}\n";
+  const LloStats &Llo = Build.Llo;
+  appendf(Out,
+          "\"llo\":{\"routines_lowered\":%llu,\"spills\":%llu,\"regs\":%llu,"
+          "\"schedule_moves\":%llu,\"peak_routine_kib\":%.2f,\"phase_s\":{",
+          (unsigned long long)Llo.RoutinesLowered,
+          (unsigned long long)Llo.SpillsAllocated,
+          (unsigned long long)Llo.RegsAllocated,
+          (unsigned long long)Llo.ScheduleMoves,
+          double(Llo.PeakRoutineBytes) / 1024.0);
+  for (unsigned P = 0; P != NumLloPhases; ++P)
+    appendf(Out, "%s\"%s\":%.6f", P ? "," : "",
+            lloPhaseName(static_cast<LloPhase>(P)),
+            double(Llo.PhaseNanos[P]) * 1e-9);
+  Out += "}}}\n";
   return Out;
 }

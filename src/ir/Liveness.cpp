@@ -9,23 +9,6 @@
 
 using namespace scmo;
 
-namespace {
-
-/// Calls \p F for each CFG successor of \p BB (Jmp/Br targets).
-template <typename Fn> void forEachSucc(const BasicBlock &BB, Fn F) {
-  const Instr *Term = BB.terminator();
-  if (!Term)
-    return;
-  if (Term->Op == Opcode::Jmp) {
-    F(Term->T1);
-  } else if (Term->Op == Opcode::Br) {
-    F(Term->T1);
-    F(Term->T2);
-  }
-}
-
-} // namespace
-
 void Liveness::solve(const RoutineBody &Body) {
   const uint32_t NumBlocks = static_cast<uint32_t>(Body.Blocks.size());
   Words = (Body.NextReg + 63) / 64;
@@ -48,20 +31,7 @@ void Liveness::solve(const RoutineBody &Body) {
     }
   }
 
-  // CSR predecessor lists: count, prefix-sum, fill, then shift the cursors
-  // back into begin offsets.
-  PredBegin.assign(NumBlocks + 1, 0);
-  for (const BasicBlock &BB : Body.Blocks)
-    forEachSucc(BB, [&](BlockId S) { ++PredBegin[S + 1]; });
-  for (uint32_t B = 0; B != NumBlocks; ++B)
-    PredBegin[B + 1] += PredBegin[B];
-  Preds.resize(PredBegin[NumBlocks]);
-  for (BlockId B = 0; B != NumBlocks; ++B)
-    forEachSucc(Body.Blocks[B], [&](BlockId S) { Preds[PredBegin[S]++] = B; });
-  for (uint32_t B = NumBlocks; B != 0; --B)
-    PredBegin[B] = PredBegin[B - 1];
-  if (NumBlocks)
-    PredBegin[0] = 0;
+  buildPredecessors(Body, PredBegin, Preds);
 
   Dirty.assign(NumBlocks, 1);
   uint32_t NumDirty = NumBlocks;

@@ -141,6 +141,42 @@ private:
   Arena IrArena;
 };
 
+/// Calls \p F for each CFG successor of \p BB: the Jmp target, or the Br
+/// taken then fall-through target (the same block twice when they agree).
+template <typename Fn> void forEachSucc(const BasicBlock &BB, Fn F) {
+  const Instr *Term = BB.terminator();
+  if (!Term)
+    return;
+  if (Term->Op == Opcode::Jmp) {
+    F(Term->T1);
+  } else if (Term->Op == Opcode::Br) {
+    F(Term->T1);
+    F(Term->T2);
+  }
+}
+
+/// Builds CSR predecessor lists from the terminators: the predecessors of
+/// block B are Preds[PredBegin[B], PredBegin[B + 1]), in ascending block
+/// order, once per edge. Reuses the vectors' storage.
+inline void buildPredecessors(const RoutineBody &Body,
+                              std::vector<uint32_t> &PredBegin,
+                              std::vector<BlockId> &Preds) {
+  // Count, prefix-sum, fill, then shift the cursors back into begin
+  // offsets.
+  const uint32_t NumBlocks = static_cast<uint32_t>(Body.Blocks.size());
+  PredBegin.assign(NumBlocks + 1, 0);
+  for (const BasicBlock &BB : Body.Blocks)
+    forEachSucc(BB, [&](BlockId S) { ++PredBegin[S + 1]; });
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    PredBegin[B + 1] += PredBegin[B];
+  Preds.resize(PredBegin[NumBlocks]);
+  for (BlockId B = 0; B != NumBlocks; ++B)
+    forEachSucc(Body.Blocks[B], [&](BlockId S) { Preds[PredBegin[S]++] = B; });
+  for (uint32_t B = NumBlocks; B != 0; --B)
+    PredBegin[B] = PredBegin[B - 1];
+  PredBegin[0] = 0;
+}
+
 } // namespace scmo
 
 #endif // SCMO_IR_ROUTINE_H

@@ -34,20 +34,37 @@ unsigned operandKind(const MOperand &O) {
   return OpRaw;
 }
 
-void putOperand(std::vector<uint8_t> &Out, unsigned Kind, const MOperand &O) {
+uint8_t *putVarUInt(uint8_t *Out, uint64_t Value) {
+  do {
+    uint8_t Byte = Value & 0x7f;
+    Value >>= 7;
+    if (Value)
+      Byte |= 0x80;
+    *Out++ = Byte;
+  } while (Value);
+  return Out;
+}
+
+uint8_t *putVarInt(uint8_t *Out, int64_t Value) {
+  return putVarUInt(Out, (static_cast<uint64_t>(Value) << 1) ^
+                             static_cast<uint64_t>(Value >> 63));
+}
+
+uint8_t *putOperand(uint8_t *Out, unsigned Kind, const MOperand &O) {
   switch (Kind) {
   case OpReg:
-    Out.push_back(O.Reg);
+    *Out++ = O.Reg;
     break;
   case OpImm:
-    encodeVarInt(Out, O.Imm);
+    Out = putVarInt(Out, O.Imm);
     break;
   case OpRaw:
-    Out.push_back(O.IsImm ? 1 : 0);
-    Out.push_back(O.Reg);
-    encodeVarInt(Out, O.Imm);
+    *Out++ = O.IsImm ? 1 : 0;
+    *Out++ = O.Reg;
+    Out = putVarInt(Out, O.Imm);
     break;
   }
+  return Out;
 }
 
 bool isBranch(MOp Op) {
@@ -58,7 +75,7 @@ bool isSpill(MOp Op) { return Op == MOp::LoadSpill || Op == MOp::StoreSpill; }
 
 } // namespace
 
-void scmo::encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I) {
+uint8_t *scmo::encodeMInstr(uint8_t *Out, const MInstr &I) {
   unsigned AKind = operandKind(I.A), BKind = operandKind(I.B);
   uint32_t Mask = (AKind << AShift) | (BKind << BShift);
   if (I.Rd)
@@ -71,20 +88,26 @@ void scmo::encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I) {
     Mask |= HasTarget;
   if (I.Probe != InvalidId)
     Mask |= HasProbe;
-  Out.push_back(static_cast<uint8_t>(I.Op));
-  encodeVarUInt(Out, Mask);
+  *Out++ = static_cast<uint8_t>(I.Op);
+  Out = putVarUInt(Out, Mask);
   if (Mask & HasRd)
-    Out.push_back(I.Rd);
-  putOperand(Out, AKind, I.A);
-  putOperand(Out, BKind, I.B);
+    *Out++ = I.Rd;
+  Out = putOperand(Out, AKind, I.A);
+  Out = putOperand(Out, BKind, I.B);
   if (Mask & HasSlot)
-    encodeVarUInt(Out, I.Slot);
+    Out = putVarUInt(Out, I.Slot);
   if (Mask & HasSym)
-    encodeVarUInt(Out, I.Sym);
+    Out = putVarUInt(Out, I.Sym);
   if (Mask & HasTarget)
-    encodeVarUInt(Out, I.Target);
+    Out = putVarUInt(Out, I.Target);
   if (Mask & HasProbe)
-    encodeVarUInt(Out, I.Probe);
+    Out = putVarUInt(Out, I.Probe);
+  return Out;
+}
+
+void scmo::encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I) {
+  uint8_t Buf[MaxMInstrBytes];
+  Out.insert(Out.end(), Buf, encodeMInstr(Buf, I));
 }
 
 MCodeReader::MCodeReader(const uint8_t *Data, size_t Size, uint32_t NumInstrs,

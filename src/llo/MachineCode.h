@@ -198,6 +198,14 @@ struct MachineRoutine {
 /// The smallest encoded instruction: an opcode and an empty mask.
 inline constexpr size_t MinInstrBytes = 2;
 
+/// The largest encoded instruction: opcode, a two-byte mask, Rd, two raw
+/// operands (IsImm, register, ten-byte immediate) and four five-byte ids.
+inline constexpr size_t MaxMInstrBytes = 1 + 2 + 1 + 2 * 12 + 4 * 5;
+
+/// Writes the encoding of \p I at \p Out, which must have room for
+/// MaxMInstrBytes, and returns the end of what it wrote.
+uint8_t *encodeMInstr(uint8_t *Out, const MInstr &I);
+
 /// Appends the encoding of \p I to \p Out.
 void encodeMInstr(std::vector<uint8_t> &Out, const MInstr &I);
 

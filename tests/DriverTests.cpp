@@ -206,7 +206,7 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
       "\"source_lines\"",   "\"routines\"",       "\"instrs\"",
       "\"hlo_peak_bytes\"", "\"total_peak_bytes\"", "\"loader\"",
       "\"naim_io\"",        "\"stages\"",         "\"memory_profile\"",
-      "\"statistics\"",     "\"exe_xxh64\""};
+      "\"statistics\"",     "\"exe_xxh64\"",      "\"llo\""};
   size_t Prev = 0;
   for (const char *Key : TopLevel) {
     size_t At = Json.find(Key, Prev);
@@ -240,10 +240,57 @@ TEST(Driver, StatsJsonKeyOrderIsStable) {
     Prev = At;
   }
 
+  // llo's fixed sub-order: the counters, then one time per LLO phase.
+  size_t LloAt = Json.find("\"llo\"", Json.find("\"exe_xxh64\""));
+  ASSERT_NE(LloAt, std::string::npos);
+  std::vector<std::string> LloKeys = {
+      "\"routines_lowered\"", "\"spills\"", "\"regs\"",
+      "\"schedule_moves\"", "\"peak_routine_kib\"", "\"phase_s\""};
+  for (unsigned P = 0; P != NumLloPhases; ++P)
+    LloKeys.push_back(std::string("\"") +
+                      lloPhaseName(static_cast<LloPhase>(P)) + "\"");
+  Prev = LloAt;
+  for (const std::string &Key : LloKeys) {
+    size_t At = Json.find(Key, Prev);
+    ASSERT_NE(At, std::string::npos) << "missing llo key " << Key;
+    Prev = At;
+  }
+
   // The profile carries the pipeline's stage rows with per-category cells.
   EXPECT_NE(Json.find("\"category\""), std::string::npos);
   EXPECT_NE(Json.find("\"waste_bytes\""), std::string::npos);
   EXPECT_NE(Json.find("\"llo\""), std::string::npos);
+}
+
+TEST(Driver, StatsRenderLloCounters) {
+  GeneratedProgram GP = testProgram(11);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  BuildResult Build = buildGP(GP, Opts);
+  ASSERT_TRUE(Build.Ok) << Build.Error;
+  const LloStats &Llo = Build.Llo;
+  ASSERT_GT(Llo.RoutinesLowered, 0u);
+  uint64_t PhaseNanos = 0;
+  for (uint64_t Ns : Llo.PhaseNanos)
+    PhaseNanos += Ns;
+  EXPECT_GT(PhaseNanos, 0u);
+
+  std::string Text = renderStatsText(Build);
+  std::string Line = "; llo: " + std::to_string(Llo.RoutinesLowered) +
+                     " routines lowered, " +
+                     std::to_string(Llo.SpillsAllocated) + " spills, " +
+                     std::to_string(Llo.RegsAllocated) + " regs, " +
+                     std::to_string(Llo.ScheduleMoves) + " schedule moves";
+  EXPECT_NE(Text.find(Line), std::string::npos) << Text;
+  EXPECT_NE(Text.find("; llo phases (s): layout "), std::string::npos);
+
+  std::string Json = renderStatsJson(Build);
+  std::string Obj =
+      "\"llo\":{\"routines_lowered\":" + std::to_string(Llo.RoutinesLowered) +
+      ",\"spills\":" + std::to_string(Llo.SpillsAllocated) +
+      ",\"regs\":" + std::to_string(Llo.RegsAllocated) +
+      ",\"schedule_moves\":" + std::to_string(Llo.ScheduleMoves) + ",";
+  EXPECT_NE(Json.find(Obj), std::string::npos) << Json;
 }
 
 TEST(Driver, InstrumentedBuildsSkipOptimization) {
