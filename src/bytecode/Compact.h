@@ -19,7 +19,7 @@
 ///    object-local ids for object files); uncompaction eagerly swizzles them
 ///    back to program ids in one pass;
 ///  - *derived-data dropping*: nothing recomputable is encoded — expanded
-///    instructions are ~72 bytes, encoded ones typically 4-8.
+///    instructions are 56 bytes, encoded ones typically 4-8.
 ///
 //===----------------------------------------------------------------------===//
 

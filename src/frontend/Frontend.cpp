@@ -259,6 +259,9 @@ private:
       appendUInt(LineMap, L * 7 % 9973);
     }
     P.module(M).Symtab.addRecord(std::move(LineMap));
+    // The body is complete: drop its growth slabs' tails before it becomes
+    // the routine's resident IL.
+    Body->repack();
     P.defineRoutine(R, M, std::move(Body));
     touch(SymbolTouch::Kind::Define, R);
     return true;

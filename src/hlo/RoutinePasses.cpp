@@ -154,6 +154,9 @@ namespace {
 bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
   bool Changed = false;
   size_t NumBlocks = Body.Blocks.size();
+  // Counted locally and published once, as in runConstProp.
+  uint64_t ConstBranches = 0, SameTargetBranches = 0, ThreadedJumps = 0,
+           MergedBlocks = 0;
 
   // Fold constant and degenerate branches.
   for (BasicBlock &BB : Body.Blocks) {
@@ -168,14 +171,14 @@ bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
       Term->A = Operand::none();
       BB.TakenFreq = 0;
       Changed = true;
-      Stats.add("simplify.const_branches");
+      ++ConstBranches;
     } else if (Term->T1 == Term->T2) {
       Term->Op = Opcode::Jmp;
       Term->T2 = InvalidId;
       Term->A = Operand::none();
       BB.TakenFreq = 0;
       Changed = true;
-      Stats.add("simplify.same_target_branches");
+      ++SameTargetBranches;
     }
   }
 
@@ -202,7 +205,7 @@ bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
       if (T != Term->T1) {
         Term->T1 = T;
         Changed = true;
-        Stats.add("simplify.threaded_jumps");
+        ++ThreadedJumps;
       }
     } else if (Term->Op == Opcode::Br) {
       BlockId T1 = finalTarget(Term->T1);
@@ -211,7 +214,7 @@ bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
         Term->T1 = T1;
         Term->T2 = T2;
         Changed = true;
-        Stats.add("simplify.threaded_jumps");
+        ++ThreadedJumps;
       }
     }
   }
@@ -251,7 +254,7 @@ bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
       SB.Instrs.clear(); // Now unreachable; its terminator moved into BB,
                          // so successor counts are unchanged.
       Changed = true;
-      Stats.add("simplify.merged_blocks");
+      ++MergedBlocks;
     }
   }
 
@@ -307,6 +310,14 @@ bool simplifyOnce(RoutineBody &Body, Statistics &Stats) {
     Body.Blocks = std::move(NewBlocks);
     Changed = true;
   }
+  if (ConstBranches)
+    Stats.add("simplify.const_branches", ConstBranches);
+  if (SameTargetBranches)
+    Stats.add("simplify.same_target_branches", SameTargetBranches);
+  if (ThreadedJumps)
+    Stats.add("simplify.threaded_jumps", ThreadedJumps);
+  if (MergedBlocks)
+    Stats.add("simplify.merged_blocks", MergedBlocks);
   return Changed;
 }
 

@@ -108,8 +108,13 @@ inline bool hasSideEffects(Opcode Op) {
   }
 }
 
-/// A value operand: a virtual register, an immediate, or absent.
-struct Operand {
+/// A value operand: a virtual register, an immediate, or absent. Packed to
+/// nine bytes (the kind, then the payload) with alignment 1: every
+/// instruction carries two operands and a call an array of them, and the
+/// natural 16-byte layout spent seven of every sixteen bytes on padding.
+/// The payload is only read and written by value (never by address), so
+/// the unaligned accesses stay the compiler's business.
+struct __attribute__((packed)) Operand {
   enum class Kind : uint8_t { None, Reg, Imm };
 
   Kind K = Kind::None;
@@ -118,7 +123,7 @@ struct Operand {
     int64_t Imm;
   };
 
-  Operand() : Reg(0) {}
+  Operand() : Imm(0) {}
 
   static Operand none() { return Operand(); }
 
@@ -166,23 +171,31 @@ struct Operand {
 /// the garbage is reclaimed at the next compaction round trip (paper
 /// Section 4.2.2: compaction doubles as garbage collection) or, for a body
 /// LTRANS rewrote, when its task ends (RoutineBody::repack).
+///
+/// Fields run from the widest alignment down so the record has no interior
+/// padding: the pointer, the six 32-bit fields, NumArgs, Op, then the two
+/// byte-aligned operands, 53 bytes rounded up to 56.
 struct Instr {
-  Opcode Op = Opcode::Nop;
-  uint16_t NumArgs = 0;   ///< Call: number of arguments.
+  Operand *Args = nullptr; ///< Call arguments (arena array of NumArgs).
   RegId Dst = NoReg;      ///< Defined register, NoReg if none.
-  Operand A;              ///< First value operand.
-  Operand B;              ///< Second value operand.
   uint32_t Sym = InvalidId; ///< GlobalId or RoutineId, per opcode.
   BlockId T1 = InvalidId; ///< Jmp target / Br taken target.
   BlockId T2 = InvalidId; ///< Br fall-through target.
   uint32_t ProbeId = InvalidId; ///< Probe counter; Br taken-counter when
                                 ///< instrumented.
-  Operand *Args = nullptr; ///< Call arguments (arena array of NumArgs).
   uint32_t Line = 0;       ///< Source line for diagnostics / debug info.
+  uint16_t NumArgs = 0;    ///< Call: number of arguments.
+  Opcode Op = Opcode::Nop;
+  Operand A;              ///< First value operand.
+  Operand B;              ///< Second value operand.
 
   bool isCall() const { return Op == Opcode::Call; }
   bool isTerm() const { return isTerminator(Op); }
 };
+
+static_assert(sizeof(Operand) == 9 && alignof(Operand) == 1,
+              "Operand must stay a packed kind + 8-byte payload");
+static_assert(sizeof(Instr) == 56, "Instr must stay free of interior padding");
 
 /// Calls \p F for every register \p I reads: A, B, then the call arguments
 /// (duplicates possible when one register appears as several operands).

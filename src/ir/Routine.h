@@ -19,8 +19,9 @@
 #include "ir/Instr.h"
 #include "support/Arena.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 namespace scmo {
@@ -99,25 +100,31 @@ public:
   /// lists name, with its call argument array, into one exact-size slab of
   /// a fresh arena, repoints the block lists in place, and drops the old
   /// arena with its garbage — instructions transforms spliced out and the
-  /// tails of grown slabs. The instructions may live in another body's
-  /// arena (a deep copy). Any other Instr pointer into this body dangles
-  /// afterwards.
+  /// tails of grown slabs. The slab holds all instructions in block order,
+  /// then all argument arrays in the same order: Operand is byte-aligned,
+  /// so the arguments can follow the last instruction without padding,
+  /// while interleaving them would misalign the next Instr. The
+  /// instructions may live in another body's arena (a deep copy). Any other
+  /// Instr pointer into this body dangles afterwards.
   void repack() {
-    static_assert(sizeof(Instr) % alignof(Operand) == 0 &&
-                      sizeof(Operand) % alignof(Instr) == 0,
+    static_assert(alignof(Operand) == 1 && sizeof(Instr) % alignof(Instr) == 0,
                   "an exact-size slab needs padding-free packing");
-    size_t Bytes = 0;
+    size_t NumInstrs = 0, NumArgs = 0;
     for (const BasicBlock &B : Blocks)
-      for (const Instr *I : B.Instrs)
-        Bytes += sizeof(Instr) + I->NumArgs * sizeof(Operand);
+      for (const Instr *I : B.Instrs) {
+        ++NumInstrs;
+        NumArgs += I->NumArgs;
+      }
     Arena Fresh(IrArena.tracker(), MemCategory::HloIr, SlabSize);
-    Fresh.reserveExact(Bytes);
+    Fresh.reserveExact(NumInstrs * sizeof(Instr) + NumArgs * sizeof(Operand));
+    Instr *NextInstr = Fresh.allocateArray<Instr>(NumInstrs);
+    Operand *NextArg = Fresh.allocateArray<Operand>(NumArgs);
     for (BasicBlock &B : Blocks)
       for (Instr *&I : B.Instrs) {
-        Instr *Copy = Fresh.create<Instr>(*I);
+        Instr *Copy = new (NextInstr++) Instr(*I);
         if (I->NumArgs) {
-          Copy->Args = Fresh.allocateArray<Operand>(I->NumArgs);
-          std::copy_n(I->Args, I->NumArgs, Copy->Args);
+          Copy->Args = NextArg;
+          NextArg = std::uninitialized_copy_n(I->Args, I->NumArgs, NextArg);
         }
         I = Copy;
       }

@@ -269,44 +269,40 @@ Executable scmo::linkProgram(const Program &P,
 }
 
 uint64_t scmo::hashExecutable(const Executable &Exe) {
-  // Field-by-field so struct padding never leaks into the hash.
-  std::vector<uint8_t> S;
-  auto U64 = [&S](uint64_t V) {
-    for (int I = 0; I != 8; ++I)
-      S.push_back(static_cast<uint8_t>(V >> (I * 8)));
+  // Field-by-field so struct padding never leaks into the hash, streamed
+  // so the serialization is never materialized.
+  Xxh64Stream S;
+  auto Op = [&S](const MOperand &O) {
+    S.u64(O.IsImm ? 1 : 0);
+    S.u64(O.Reg);
+    S.u64(static_cast<uint64_t>(O.Imm));
   };
-  auto Op = [&U64](const MOperand &O) {
-    U64(O.IsImm ? 1 : 0);
-    U64(O.Reg);
-    U64(static_cast<uint64_t>(O.Imm));
-  };
-  U64(Exe.Code.size());
+  S.u64(Exe.Code.size());
   for (const MInstr &I : Exe.Code) {
-    U64(static_cast<uint64_t>(I.Op));
-    U64(I.Rd);
+    S.u64(static_cast<uint64_t>(I.Op));
+    S.u64(I.Rd);
     Op(I.A);
     Op(I.B);
-    U64(I.Sym);
-    U64(I.Target);
-    U64(I.Probe);
-    U64(I.Slot);
+    S.u64(I.Sym);
+    S.u64(I.Target);
+    S.u64(I.Probe);
+    S.u64(I.Slot);
   }
-  U64(Exe.Routines.size());
+  S.u64(Exe.Routines.size());
   for (const ExeRoutine &R : Exe.Routines) {
-    for (char C : R.Name)
-      S.push_back(static_cast<uint8_t>(C));
-    U64(R.Name.size());
-    U64(R.CodeStart);
-    U64(R.CodeLen);
-    U64(R.SpillSlots);
+    S.update(reinterpret_cast<const uint8_t *>(R.Name.data()), R.Name.size());
+    S.u64(R.Name.size());
+    S.u64(R.CodeStart);
+    S.u64(R.CodeLen);
+    S.u64(R.SpillSlots);
   }
-  U64(Exe.Data.size());
+  S.u64(Exe.Data.size());
   for (int64_t D : Exe.Data)
-    U64(static_cast<uint64_t>(D));
-  U64(Exe.GlobalOffset.size());
+    S.u64(static_cast<uint64_t>(D));
+  S.u64(Exe.GlobalOffset.size());
   for (uint32_t G : Exe.GlobalOffset)
-    U64(G);
-  U64(Exe.Entry);
-  U64(Exe.NumProbes);
-  return hashBytes(S.data(), S.size());
+    S.u64(G);
+  S.u64(Exe.Entry);
+  S.u64(Exe.NumProbes);
+  return S.digest();
 }

@@ -486,9 +486,13 @@ Status Loader::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   }
   std::unique_ptr<RoutineBody> Body;
   if (Err.ok()) {
-    // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form.
+    // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form,
+    // then drop the decode arena's slab tails; the body stays resident
+    // until the budget evicts it.
     Body = expandRoutine(Bytes, P.tracker());
-    if (!Body)
+    if (Body)
+      Body->repack();
+    else
       Err = Status::error(StatusCode::Corruption,
                           "corrupt compact pool for " + P.displayName(R));
   }
@@ -599,6 +603,9 @@ PoolSnapshot Loader::snapshotPool(RoutineId R) {
 
 std::unique_ptr<RoutineBody>
 Loader::expandSnapshot(RoutineId R, const PoolSnapshot &Snap) {
+  // Unlike expandPool, the decoded body keeps its growth arena: it lives
+  // only as long as the LTRANS task that asked for it, so a repack would
+  // copy it once more for nothing.
   Status Err;
   std::unique_ptr<RoutineBody> Body;
   std::string RetryDetail;

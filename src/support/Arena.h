@@ -12,8 +12,9 @@
 /// whole pool can be returned to the allocator at once. The arena does not
 /// support per-object deallocation; compaction reclaims garbage by copying
 /// the reachable objects out and dropping the pool (Section 4.2.2), and so
-/// does RoutineBody::repack when an LTRANS task ends, for the bodies a
-/// roomy budget never compacts.
+/// does RoutineBody::repack: when an LTRANS task ends, for the bodies a
+/// roomy budget never compacts, and when a body is born (frontend, object
+/// read, loader expansion), to drop its growth slabs' tails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +65,12 @@ public:
     End = Other.End;
     Allocated = Other.Allocated;
     Used = Other.Used;
+    LastGrowth = Other.LastGrowth;
     Other.Slabs.clear();
     Other.Cur = Other.End = nullptr;
     Other.Allocated = 0;
     Other.Used = 0;
+    Other.LastGrowth = 0;
     return *this;
   }
 
@@ -113,6 +116,7 @@ public:
     Cur = End = nullptr;
     Allocated = 0;
     Used = 0;
+    LastGrowth = 0;
   }
 
   /// Total bytes held by this arena's slabs (capacity, not just used bytes —
@@ -133,7 +137,9 @@ public:
   /// Makes one new slab of exactly \p Bytes current, skipping the growth
   /// policy's first-slab minimum and 1.5x steps. A caller that knows its
   /// total up front (RoutineBody::repack) fills it with no tail; any later
-  /// overflow falls back to the normal growth policy. No-op for 0.
+  /// overflow falls back to the normal growth policy, which steps from the
+  /// last slab it made itself: a few instructions appended to an
+  /// exact-size body must not buy a slab 1.5x the body. No-op for 0.
   void reserveExact(size_t Bytes) {
     if (Bytes)
       addSlab(Bytes);
@@ -153,14 +159,15 @@ private:
     // arenas for a much smaller unused tail on the final slab, which is
     // what peak-resident accounting actually sees.
     size_t Size = SlabSize / 8 < 256 ? size_t(256) : SlabSize / 8;
-    if (!Slabs.empty()) {
-      Size = Slabs.back().second + Slabs.back().second / 2;
+    if (LastGrowth) {
+      Size = LastGrowth + LastGrowth / 2;
       if (Size > MaxSlabBytes)
         Size = MaxSlabBytes;
     }
     if (Size < MinBytes)
       Size = MinBytes;
     addSlab(Size);
+    LastGrowth = Size;
   }
 
   void addSlab(size_t Size) {
@@ -186,6 +193,7 @@ private:
   char *End = nullptr;
   uint64_t Allocated = 0;
   uint64_t Used = 0;
+  size_t LastGrowth = 0; ///< Size of the last growSlab slab, 0 if none.
 };
 
 /// A byte buffer charged to a MemoryTracker category. Used for compacted

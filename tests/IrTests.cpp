@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Compact.h"
 #include "ir/CallGraph.h"
 #include "ir/Checksum.h"
 #include "ir/Liveness.h"
@@ -15,6 +16,7 @@
 #include "support/RegBitSet.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 using namespace scmo;
@@ -45,6 +47,26 @@ void insertCall(RoutineBody &Body, RoutineId Callee, uint16_t NumArgs) {
   Call->Dst = NoReg;
   auto &Instrs = Body.Blocks[0].Instrs;
   Instrs.insert(Instrs.end() - 1, Call);
+}
+
+/// Checks repack()'s slab layout: every instruction in block order, then
+/// every argument array in the same order, back to back.
+void expectInstrsThenArgs(const RoutineBody &Body) {
+  const Instr *NextInstr = nullptr;
+  const Operand *NextArg = nullptr;
+  for (const BasicBlock &BB : Body.Blocks)
+    for (const Instr *I : BB.Instrs) {
+      EXPECT_TRUE(!NextInstr || I == NextInstr);
+      NextInstr = I + 1;
+    }
+  for (const BasicBlock &BB : Body.Blocks)
+    for (const Instr *I : BB.Instrs) {
+      if (!I->NumArgs)
+        continue;
+      EXPECT_EQ(I->Args, NextArg ? NextArg
+                                 : reinterpret_cast<const Operand *>(NextInstr));
+      NextArg = I->Args + I->NumArgs;
+    }
 }
 
 } // namespace
@@ -395,6 +417,7 @@ TEST(RoutineBody, RepackKeepsLiveIlInOneExactSlab) {
   EXPECT_EQ(printRoutine(P, R, Body), Before);
   EXPECT_EQ(verifyRoutine(P, R, Body), "");
 
+  expectInstrsThenArgs(Body);
   const Instr *NewCall = Body.Blocks[0].Instrs[0];
   EXPECT_NE(NewCall, OldCall);
   ASSERT_EQ(NewCall->NumArgs, 3u);
@@ -427,6 +450,7 @@ TEST(RoutineBody, RepackDeepCopiesAnotherBodysInstructions) {
   Src.reset();
   EXPECT_EQ(printRoutine(P, R, Copy), Want);
   EXPECT_EQ(Copy.irBytes(), 2 * sizeof(Instr) + 2 * sizeof(Operand));
+  expectInstrsThenArgs(Copy);
   EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Copy.irBytes());
 }
 
@@ -449,6 +473,80 @@ TEST(RoutineBody, RepackOfAnEmptyBodyStaysValid) {
   Body.Blocks[0].Instrs.push_back(Body.newInstr(Opcode::Ret));
   EXPECT_EQ(Body.Blocks[0].Instrs[0]->Op, Opcode::Ret);
   EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Body.irBytes());
+}
+
+TEST(RoutineBody, ExtremeOperandsSurviveEveryCopyOfTheIl) {
+  // The packed Operand's payload is read and written unaligned; the
+  // extreme immediates and the largest register id must come through a
+  // record copy, repack(), the compact codec and the printer unchanged.
+  constexpr RegId MaxReg = NoReg - 1;
+  constexpr int64_t Min = INT64_MIN, Max = INT64_MAX;
+  Program P;
+  ModuleId M = P.addModule("m");
+  RoutineId G = P.declareRoutine(M, "g", 4, false);
+  RoutineId R = P.declareRoutine(M, "f", 0, false);
+  MemoryTracker T;
+  RoutineBody Body(&T);
+  Body.NextReg = NoReg; // Registers [0, NoReg): MaxReg is in range.
+  Body.newBlock();
+  auto emit = [&](Opcode Op, RegId Dst, Operand A, Operand B) {
+    Instr *I = Body.newInstr(Op);
+    I->Dst = Dst;
+    I->A = A;
+    I->B = B;
+    Body.Blocks[0].Instrs.push_back(I);
+    return I;
+  };
+  emit(Opcode::Mov, MaxReg, Operand::imm(Min), Operand());
+  emit(Opcode::Add, MaxReg, Operand::reg(MaxReg), Operand::imm(Max));
+  Instr *Call = emit(Opcode::Call, MaxReg, Operand(), Operand());
+  Call->Sym = G;
+  Call->NumArgs = 4;
+  Call->Args = Body.newArgArray(4);
+  const Operand Args[4] = {Operand::imm(-1), Operand::reg(MaxReg),
+                           Operand::imm(Min), Operand::imm(Max)};
+  std::copy_n(Args, 4, Call->Args);
+  emit(Opcode::Ret, NoReg, Operand::imm(-1), Operand());
+
+  auto expectOperands = [&](const RoutineBody &B, const char *Where) {
+    SCOPED_TRACE(Where);
+    const auto &Ins = B.Blocks[0].Instrs;
+    ASSERT_EQ(Ins.size(), 4u);
+    EXPECT_EQ(Ins[0]->Dst, MaxReg);
+    EXPECT_EQ(Ins[0]->A.asImm(), Min);
+    EXPECT_EQ(Ins[1]->A.asReg(), MaxReg);
+    EXPECT_EQ(Ins[1]->B.asImm(), Max);
+    ASSERT_EQ(Ins[2]->NumArgs, 4u);
+    for (unsigned A = 0; A != 4; ++A)
+      EXPECT_EQ(Ins[2]->Args[A], Args[A]) << A;
+    EXPECT_EQ(Ins[3]->A.asImm(), -1);
+  };
+
+  const std::string Text = printRoutine(P, R, Body);
+  for (const char *Want :
+       {"mov %4294967294 = #-9223372036854775808",
+        "add %4294967294 = %4294967294, #9223372036854775807",
+        "call %4294967294 = g(#-1, %4294967294, #-9223372036854775808, "
+        "#9223372036854775807)",
+        "ret #-1"})
+    EXPECT_NE(Text.find(Want), std::string::npos) << Want << "\n" << Text;
+
+  Instr Copy = *Body.Blocks[0].Instrs[1];
+  EXPECT_EQ(Copy.A, Operand::reg(MaxReg));
+  EXPECT_EQ(Copy.B, Operand::imm(Max));
+  EXPECT_EQ(Copy.Dst, MaxReg);
+
+  Body.repack();
+  expectOperands(Body, "repack");
+  expectInstrsThenArgs(Body);
+  EXPECT_EQ(printRoutine(P, R, Body), Text);
+
+  const std::vector<uint8_t> Bytes = compactRoutine(Body);
+  std::unique_ptr<RoutineBody> Decoded = expandRoutine(Bytes, &T);
+  ASSERT_TRUE(Decoded);
+  expectOperands(*Decoded, "codec");
+  EXPECT_EQ(printRoutine(P, R, *Decoded), Text);
+  EXPECT_EQ(compactRoutine(*Decoded), Bytes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 #include "TestUtil.h"
 #include "bytecode/Compact.h"
 #include "bytecode/ObjectFile.h"
+#include "frontend/Frontend.h"
 #include "naim/Loader.h"
 #include "naim/Repository.h"
 #include "support/Prng.h"
@@ -128,6 +129,129 @@ int64_t retValueOf(const RoutineBody &Body) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Exact-size resident bodies
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Instruction and argument bytes the block lists of \p Body name: what an
+/// exact-size body holds and nothing more.
+uint64_t liveIlBytes(const RoutineBody &Body) {
+  uint64_t Bytes = 0;
+  for (const BasicBlock &BB : Body.Blocks)
+    for (const Instr *I : BB.Instrs)
+      Bytes += sizeof(Instr) + I->NumArgs * sizeof(Operand);
+  return Bytes;
+}
+
+/// Large enough bodies that a growth arena keeps a slab tail.
+constexpr const char *ExactSizeSource = R"(
+func mix(a, b, c) {
+  var x = a * 3 + b;
+  var y = x - c * 7;
+  while (y > 100) { y = y / 2 + a; x = x + 1; }
+  if (x < y) { x = y - x; } else { x = x - y; }
+  return x + y + a + b + c;
+}
+func main() {
+  var s = 0;
+  var i = 0;
+  while (i < 40) {
+    s = s + mix(i, s, 3) + mix(s, i, 5) + mix(1, 2, i);
+    if (s > 100000) { s = s % 977; }
+    i = i + 1;
+  }
+  print s;
+  print mix(s, i, 9);
+  return 0;
+}
+)";
+
+} // namespace
+
+TEST(Loader, ResidentBodiesAreBornAtTheirLiveSize) {
+  // The frontend, an object read and a loader expansion each hand over a
+  // body that stays resident; none may keep its growth slabs' tails.
+  MemoryTracker Tracker;
+  Program P(&Tracker);
+  FrontendResult FR = compileSource(P, "m", ExactSizeSource);
+  ASSERT_TRUE(FR.Ok) << FR.Error;
+  const ModuleId M = FR.Module;
+  unsigned Bodies = 0;
+  for (RoutineId R : P.module(M).Routines) {
+    const RoutineBody &Body = P.body(R);
+    EXPECT_EQ(Body.irBytes(), liveIlBytes(Body)) << "frontend " << R;
+    // The control: a plain decode of the same body keeps a tail.
+    std::unique_ptr<RoutineBody> Grown =
+        expandRoutine(compactRoutine(Body), &Tracker);
+    ASSERT_TRUE(Grown);
+    EXPECT_GT(Grown->irBytes(), liveIlBytes(*Grown)) << R;
+    ++Bodies;
+  }
+  ASSERT_EQ(Bodies, 2u);
+
+  const std::vector<uint8_t> Obj = writeObject(P, M);
+  MemoryTracker ReadTracker;
+  Program Read(&ReadTracker);
+  std::string Err;
+  ObjectIndex Index;
+  ModuleId RM = readObject(Read, Obj, Err, &Index);
+  ASSERT_NE(RM, InvalidId) << Err;
+  for (RoutineId R : Read.module(RM).Routines)
+    EXPECT_EQ(Read.body(R).irBytes(), liveIlBytes(Read.body(R)))
+        << "readObject " << R;
+  for (size_t B = 0; B != Index.DefinedHere.size(); ++B) {
+    std::unique_ptr<RoutineBody> Body =
+        expandBodyFromObject(Obj, Index, B, &ReadTracker);
+    ASSERT_TRUE(Body);
+    EXPECT_EQ(Body->irBytes(), liveIlBytes(*Body)) << "object body " << B;
+  }
+
+  NaimConfig C;
+  C.Mode = NaimMode::CompactIr;
+  C.ExpandedCacheBytes = 0; // Every release compacts.
+  Loader L(Read, C);
+  L.releaseAll();
+  for (RoutineId R : Read.module(RM).Routines) {
+    ASSERT_EQ(Read.routine(R).Slot.State, PoolState::Compact);
+    const RoutineBody &Body = L.acquireRead(R);
+    EXPECT_EQ(Body.irBytes(), liveIlBytes(Body)) << "expansion " << R;
+    L.release(R);
+  }
+  EXPECT_EQ(L.stats().Expansions, 2u);
+}
+
+TEST(Loader, SnapshotDecodesKeepTheirGrowthArena) {
+  // A snapshot decode lives only as long as the LTRANS task that asked for
+  // it, so expandSnapshot spends no repack on it: no arena is dropped (a
+  // repack would note the decode arena's waste) and the tail is still
+  // there. Both snapshot kinds: compact bytes and a repository record.
+  for (NaimMode Mode : {NaimMode::CompactIr, NaimMode::Offload}) {
+    MemoryTracker Tracker;
+    Program P(&Tracker);
+    FrontendResult FR = compileSource(P, "m", ExactSizeSource);
+    ASSERT_TRUE(FR.Ok) << FR.Error;
+    const RoutineId R = P.findRoutine("main");
+    NaimConfig C;
+    C.Mode = Mode;
+    C.ExpandedCacheBytes = Mode == NaimMode::Offload ? 0 : 64u << 20;
+    C.CompactResidentBytes = 0;
+    Loader L(P, C);
+    L.releaseAll();
+    PoolSnapshot Snap = L.snapshotPool(R);
+    ASSERT_EQ(Snap.isRecord(), Mode == NaimMode::Offload);
+    const uint64_t Waste = Tracker.arenaWasteBytes(MemCategory::HloIr);
+    std::unique_ptr<RoutineBody> Body = L.expandSnapshot(R, Snap);
+    ASSERT_TRUE(Body);
+    EXPECT_TRUE(L.firstError().ok()) << L.firstError().toString();
+    EXPECT_EQ(Tracker.arenaWasteBytes(MemCategory::HloIr), Waste)
+        << int(Mode);
+    EXPECT_GT(Body->irBytes(), liveIlBytes(*Body)) << int(Mode);
+    EXPECT_EQ(L.stats().Expansions, 0u) << int(Mode);
+  }
+}
 
 TEST(Loader, OffModeNeverCompacts) {
   LoaderFixture F(8);

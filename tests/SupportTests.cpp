@@ -8,6 +8,7 @@
 #include "support/Arena.h"
 #include "support/ArenaAllocator.h"
 #include "support/Fold.h"
+#include "support/Hash.h"
 #include "support/MemoryTracker.h"
 #include "support/Prng.h"
 #include "support/RegBitSet.h"
@@ -18,8 +19,61 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 using namespace scmo;
+
+//===----------------------------------------------------------------------===//
+// Hash
+//===----------------------------------------------------------------------===//
+
+TEST(Hash, StreamingMatchesOneShot) {
+  // Every length across the 32-byte stripe and 8/4/1-byte tail boundaries,
+  // fed in random pieces (empty ones included), under several seeds; then
+  // streams mixing short pieces with u64 appends (little-endian bytes) at
+  // every fill of the stripe buffer.
+  Prng Rng(77);
+  for (uint64_t Seed : {uint64_t(0), uint64_t(1), uint64_t(0x9e3779b185ebca87),
+                        ~uint64_t(0)}) {
+    for (size_t Len = 0; Len <= 200; ++Len) {
+      std::vector<uint8_t> Bytes(Len);
+      for (uint8_t &B : Bytes)
+        B = static_cast<uint8_t>(Rng.next());
+      const uint64_t Want = hashBytes(Bytes.data(), Len, Seed);
+      for (int Split = 0; Split != 4; ++Split) {
+        Xxh64Stream S(Seed);
+        size_t Pos = 0;
+        while (Pos != Len) {
+          size_t Piece = Rng.nextBelow(Len - Pos + 1);
+          S.update(Bytes.data() + Pos, Piece);
+          Pos += Piece;
+        }
+        EXPECT_EQ(S.digest(), Want) << "len " << Len << " seed " << Seed;
+      }
+    }
+    for (int Trial = 0; Trial != 100; ++Trial) {
+      std::vector<uint8_t> Bytes;
+      Xxh64Stream S(Seed);
+      while (Bytes.size() < 200) {
+        if (Rng.nextBelow(2)) {
+          uint8_t Piece[7];
+          size_t N = Rng.nextBelow(8);
+          for (size_t I = 0; I != N; ++I)
+            Piece[I] = static_cast<uint8_t>(Rng.next());
+          S.update(Piece, N);
+          Bytes.insert(Bytes.end(), Piece, Piece + N);
+        } else {
+          uint64_t V = Rng.next();
+          S.u64(V);
+          for (int I = 0; I != 8; ++I)
+            Bytes.push_back(static_cast<uint8_t>(V >> (I * 8)));
+        }
+      }
+      EXPECT_EQ(S.digest(), hashBytes(Bytes.data(), Bytes.size(), Seed))
+          << "trial " << Trial << " seed " << Seed;
+    }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // MemoryTracker
@@ -472,6 +526,21 @@ TEST(ArenaAllocator, MoveKeepsElementsValid) {
 //===----------------------------------------------------------------------===//
 // Arena growth policy and waste accounting
 //===----------------------------------------------------------------------===//
+
+TEST(Arena, GrowthAfterAnExactSlabStartsSmall) {
+  // A repacked body sits in one exact slab; appending to it must step from
+  // the growth policy's first slab, not from 1.5x the exact one.
+  MemoryTracker T;
+  Arena A(&T, MemCategory::HloIr, /*SlabSize=*/8 * 1024);
+  A.reserveExact(100000);
+  A.allocate(100000, 8);
+  EXPECT_EQ(A.bytesAllocated(), 100000u);
+  A.allocate(56, 8);
+  EXPECT_EQ(A.bytesAllocated(), 100000u + 1024); // SlabSize / 8.
+  A.allocate(1000, 8);
+  EXPECT_EQ(A.bytesAllocated(), 100000u + 1024 + 1536); // Then 1.5x.
+  EXPECT_EQ(T.liveBytes(MemCategory::HloIr), A.bytesAllocated());
+}
 
 TEST(Arena, SlabGrowthIsCappedAndUsedIsTracked) {
   Arena A(nullptr, MemCategory::Other);
