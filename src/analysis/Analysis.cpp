@@ -73,7 +73,7 @@ AnalysisResult scmo::runAnalysis(Program &P, Loader &L,
       Facts[I].Diags = Verify.diagnostics();
       extractMinimalSummary(P, Body, Facts[I].Summary);
     } else {
-      runLocalChecks(P, R, Body, Facts[I]);
+      runLocalChecks(R, Body, Facts[I]);
     }
     L.release(R);
     chargeScratch(Tracker, Facts[I].ScratchBytes);
@@ -85,7 +85,7 @@ AnalysisResult scmo::runAnalysis(Program &P, Loader &L,
     Result.RoutinesRescanned = Ids.size();
   } else {
     // Warm path. Hashing touches every body (acquire + content hash — cheap
-    // next to verify plus four dataflow solves), then whole modules are
+    // next to verify plus the dataflow solves), then whole modules are
     // either replayed from their artifact or rescanned and stored.
     std::vector<uint64_t> Hashes(P.numRoutines(), 0);
     Pool.parallelFor(Ids.size(), [&](size_t I) {
@@ -133,7 +133,7 @@ AnalysisResult scmo::runAnalysis(Program &P, Loader &L,
       for (RoutineId R : P.module(PS.M).Routines)
         if (P.routine(R).IsDefined && P.routine(R).Owner == PS.M)
           Records.emplace_back(R, &Facts[PosOf[R]]);
-      Cache.store(P, PS.M, PS.K, Records);
+      Cache.store(P, PS.K, Records);
     }
 
     Result.CacheHits = Cache.Hits;

@@ -9,39 +9,8 @@
 
 namespace scmo {
 
-Cfg Cfg::build(const RoutineBody &Body) {
-  Cfg C;
-  size_t N = Body.Blocks.size();
-  C.Succs.resize(N);
-  C.Preds.resize(N);
-  for (size_t B = 0; B != N; ++B) {
-    const Instr *Term = Body.Blocks[B].terminator();
-    if (!Term)
-      continue;
-    auto AddEdge = [&](BlockId To) {
-      if (To == InvalidId || To >= N)
-        return;
-      C.Succs[B].push_back(To);
-      C.Preds[To].push_back(static_cast<BlockId>(B));
-    };
-    switch (Term->Op) {
-    case Opcode::Jmp:
-      AddEdge(Term->T1);
-      break;
-    case Opcode::Br:
-      AddEdge(Term->T1);
-      if (Term->T2 != Term->T1)
-        AddEdge(Term->T2);
-      break;
-    default: // Ret: no successors.
-      break;
-    }
-  }
-  return C;
-}
-
-std::vector<bool> Cfg::reachableFromEntry() const {
-  std::vector<bool> Seen(Succs.size(), false);
+std::vector<bool> reachableFromEntry(const RoutineBody &Body) {
+  std::vector<bool> Seen(Body.Blocks.size(), false);
   if (Seen.empty())
     return Seen;
   std::vector<BlockId> Work{0};
@@ -49,40 +18,31 @@ std::vector<bool> Cfg::reachableFromEntry() const {
   while (!Work.empty()) {
     BlockId B = Work.back();
     Work.pop_back();
-    for (BlockId S : Succs[B])
+    forEachSucc(Body.Blocks[B], [&](BlockId S) {
       if (!Seen[S]) {
         Seen[S] = true;
         Work.push_back(S);
       }
+    });
   }
   return Seen;
 }
 
-namespace {
-
-/// Applies the Gen/Kill transfer to \p X, writing the result over \p R.
-void applyTransfer(RegBitSet &R, const BlockTransfer &T, const RegBitSet &X) {
-  R = T.Gen;
-  R.mergeMinus(X, T.Kill);
-}
-
-/// Meets \p Src into \p Dst; returns true if \p Dst changed.
-bool meetInto(RegBitSet &Dst, const RegBitSet &Src, MeetOp Meet) {
-  return Meet == MeetOp::Union ? Dst.merge(Src) : Dst.intersect(Src);
-}
-
-} // namespace
-
-DataflowResult solveForward(const Cfg &C,
+DataflowResult solveForward(const RoutineBody &Body,
                             const std::vector<BlockTransfer> &Transfer,
                             const RegBitSet &Boundary, MeetOp Meet,
                             uint32_t Universe, Arena *Scratch) {
-  size_t N = C.Succs.size();
+  size_t N = Body.Blocks.size();
   DataflowResult R;
   R.In.assign(N, RegBitSet(Universe, Scratch));
   R.Out.assign(N, RegBitSet(Universe, Scratch));
   if (!N)
     return R;
+  // Out[B] = Gen[B] ∪ (In[B] \ Kill[B]), written over \p Dst.
+  auto Apply = [&](RegBitSet &Dst, size_t B) {
+    Dst = Transfer[B].Gen;
+    Dst.mergeMinus(R.In[B], Transfer[B].Kill);
+  };
   // Intersect-meet lattices start non-boundary nodes at top so the first
   // meet does not clamp everything to bottom.
   if (Meet == MeetOp::Intersect)
@@ -90,8 +50,11 @@ DataflowResult solveForward(const Cfg &C,
       R.In[B].setAll();
   R.In[0] = Boundary;
   for (size_t B = 0; B != N; ++B)
-    applyTransfer(R.Out[B], Transfer[B], R.In[B]);
+    Apply(R.Out[B], B);
 
+  std::vector<uint32_t> PredBegin;
+  std::vector<BlockId> Preds;
+  buildPredecessors(Body, PredBegin, Preds);
   // One scratch set reused across all iterations: same-universe
   // copy-assignment reuses the buffer, so the fixpoint loop allocates
   // nothing at all.
@@ -101,51 +64,14 @@ DataflowResult solveForward(const Cfg &C,
     Changed = false;
     for (size_t B = 0; B != N; ++B) {
       bool InChanged = false;
-      for (BlockId P : C.Preds[B])
-        InChanged |= meetInto(R.In[B], R.Out[P], Meet);
+      for (uint32_t I = PredBegin[B]; I != PredBegin[B + 1]; ++I)
+        InChanged |= Meet == MeetOp::Union ? R.In[B].merge(R.Out[Preds[I]])
+                                           : R.In[B].intersect(R.Out[Preds[I]]);
       if (!InChanged)
         continue;
-      applyTransfer(NewOut, Transfer[B], R.In[B]);
+      Apply(NewOut, B);
       if (!(NewOut == R.Out[B])) {
         R.Out[B] = NewOut;
-        Changed = true;
-      }
-    }
-  }
-  return R;
-}
-
-DataflowResult solveBackward(const Cfg &C,
-                             const std::vector<BlockTransfer> &Transfer,
-                             const RegBitSet &Boundary, MeetOp Meet,
-                             uint32_t Universe, Arena *Scratch) {
-  size_t N = C.Succs.size();
-  DataflowResult R;
-  R.In.assign(N, RegBitSet(Universe, Scratch));
-  R.Out.assign(N, RegBitSet(Universe, Scratch));
-  if (!N)
-    return R;
-  for (size_t B = 0; B != N; ++B) {
-    if (C.Succs[B].empty())
-      R.Out[B] = Boundary;
-    else if (Meet == MeetOp::Intersect)
-      R.Out[B].setAll();
-    applyTransfer(R.In[B], Transfer[B], R.Out[B]);
-  }
-
-  RegBitSet NewIn(Universe, Scratch);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = N; I-- != 0;) {
-      bool OutChanged = false;
-      for (BlockId S : C.Succs[I])
-        OutChanged |= meetInto(R.Out[I], R.In[S], Meet);
-      if (!OutChanged)
-        continue;
-      applyTransfer(NewIn, Transfer[I], R.Out[I]);
-      if (!(NewIn == R.In[I])) {
-        R.In[I] = NewIn;
         Changed = true;
       }
     }

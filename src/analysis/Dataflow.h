@@ -6,17 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small iterative bit-vector dataflow framework over a routine's basic
-/// blocks: an explicit CFG derived from terminators, per-block Gen/Kill
-/// transfer functions, and forward/backward solvers with union or
-/// intersection meet. Dataflow results are classic *derived* data in the
-/// paper's taxonomy — recomputed per analysis invocation, never persisted —
-/// which is what lets the analysis engine stream routine bodies through the
-/// NAIM loader one at a time.
+/// A small iterative forward bit-vector dataflow solver over a routine's
+/// basic blocks: per-block Gen/Kill transfer functions with union or
+/// intersection meet, edges read off the terminators (ir/Routine.h). Backward
+/// liveness is ir/Liveness, the one solver DCE, LLO and the dead-store check
+/// share. Dataflow results are classic *derived* data in the paper's
+/// taxonomy — recomputed per analysis invocation, never persisted — which is
+/// what lets the analysis engine stream routine bodies through the NAIM
+/// loader one at a time.
 ///
-/// Solver iteration order is fixed (ascending block ids forward, descending
-/// backward), so the fixpoint — and everything diagnosed from it — is
-/// deterministic regardless of how routines are scheduled across workers.
+/// Solver iteration order is fixed (ascending block ids), so the fixpoint —
+/// and everything diagnosed from it — is deterministic regardless of how
+/// routines are scheduled across workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,26 +32,15 @@
 
 namespace scmo {
 
-/// Control-flow graph of one routine: successor and predecessor block lists
-/// read off the terminators. Blocks without a terminator (malformed IL) get
-/// no successors — callers run the verifier first.
-struct Cfg {
-  std::vector<std::vector<BlockId>> Succs;
-  std::vector<std::vector<BlockId>> Preds;
+/// Blocks reachable from the entry block along terminator edges.
+std::vector<bool> reachableFromEntry(const RoutineBody &Body);
 
-  static Cfg build(const RoutineBody &Body);
-
-  /// Blocks reachable from the entry block along successor edges.
-  std::vector<bool> reachableFromEntry() const;
-};
-
-/// Confluence operator. Union = may-analysis (reaching, liveness);
-/// Intersect = must-analysis (available, definitely-assigned).
+/// Confluence operator. Union = may-analysis (reaching, maybe-undefined);
+/// Intersect = must-analysis (available, definitely-called).
 enum class MeetOp : uint8_t { Union, Intersect };
 
 /// Per-block transfer function in Gen/Kill form:
-///   forward:  Out[B] = Gen[B] ∪ (In[B]  \ Kill[B])
-///   backward: In[B]  = Gen[B] ∪ (Out[B] \ Kill[B])
+///   Out[B] = Gen[B] ∪ (In[B] \ Kill[B])
 /// Pass an arena to pool the bit-vectors; copies of an arena-backed
 /// prototype (e.g. vector fill-construction) stay on the same arena.
 struct BlockTransfer {
@@ -78,25 +68,18 @@ struct DataflowResult {
   }
 };
 
-/// Forward solve: In[entry] = Boundary; other blocks start at bottom (empty
-/// for Union, full for Intersect) and iterate to the fixpoint.
+/// Forward solve over \p Body's blocks: In[entry] = Boundary; other blocks
+/// start at bottom (empty for Union, full for Intersect) and iterate to the
+/// fixpoint. The body must be verified (every edge targets a block).
 ///
 /// When \p Scratch is non-null, every bit-vector the solve creates — the
 /// result's In/Out sets included — allocates from it, so the caller frees
 /// the whole working set with one Arena::reset(). The result must then be
 /// consumed before the arena is reset or destroyed.
-DataflowResult solveForward(const Cfg &C,
+DataflowResult solveForward(const RoutineBody &Body,
                             const std::vector<BlockTransfer> &Transfer,
                             const RegBitSet &Boundary, MeetOp Meet,
                             uint32_t Universe, Arena *Scratch = nullptr);
-
-/// Backward solve: Out[B] = Boundary for blocks without successors; other
-/// blocks start at bottom and iterate to the fixpoint. \p Scratch as for
-/// solveForward.
-DataflowResult solveBackward(const Cfg &C,
-                             const std::vector<BlockTransfer> &Transfer,
-                             const RegBitSet &Boundary, MeetOp Meet,
-                             uint32_t Universe, Arena *Scratch = nullptr);
 
 } // namespace scmo
 

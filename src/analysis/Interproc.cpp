@@ -51,6 +51,11 @@ void checkUnusedRoutines(const Program &P, const std::vector<RoutineId> &Ids,
 
 uint32_t bit(uint32_t Idx) { return Idx < 32 ? (1u << Idx) : 0; }
 
+/// A global a load reads as zero while nothing stores it: arrays are
+/// zero-filled, scalars only when Init == 0 (a non-zero-initialized scalar
+/// is a deliberate read-only constant).
+bool readsZero(const GlobalVar &GV) { return GV.Size > 1 || GV.Init == 0; }
+
 } // namespace
 
 InterprocStats scmo::runInterprocChecks(const Program &P,
@@ -199,16 +204,18 @@ InterprocStats scmo::runInterprocChecks(const Program &P,
                              "global '" + P.Strings.text(P.global(G).Name) +
                                  "' is stored but never loaded"));
 
-  // never-written-global-load: the candidate sites the local scan recorded,
-  // confirmed against the whole-program store aggregate.
+  // never-written-global-load: every zero-reading load site of a verified
+  // routine, confirmed against the whole-program store aggregate.
   for (size_t I = 0; I != N; ++I) {
-    for (const GlobalLoadSite &S : Facts[I].CandidateLoads) {
-      if (GU[S.Global].AnyStore)
+    if (Sum(I).Minimal)
+      continue;
+    for (const AnalysisSummary::GlobalSite &L : Sum(I).Loads) {
+      const GlobalVar &GV = P.global(L.Global);
+      if (GU[L.Global].AnyStore || !readsZero(GV))
         continue;
-      Engine.add(siteDiag(CheckCode::NeverWrittenGlobalLoad, S.Routine,
-                          S.Block, S.InstrIdx, S.Line,
-                          "load of global '" +
-                              P.Strings.text(P.global(S.Global).Name) +
+      Engine.add(siteDiag(CheckCode::NeverWrittenGlobalLoad, Ids[I], L.Block,
+                          L.InstrIdx, L.Line,
+                          "load of global '" + P.Strings.text(GV.Name) +
                               "' which is never stored (reads as zero)"));
     }
   }
@@ -235,8 +242,7 @@ InterprocStats scmo::runInterprocChecks(const Program &P,
     for (const AnalysisSummary::GlobalSite &L : Sum(I).Loads) {
       const GUse &U = GU[L.Global];
       const GlobalVar &GV = P.global(L.Global);
-      bool ReadsZero = GV.Size > 1 || GV.Init == 0;
-      if (L.Reachable && ReadsZero && U.AnyStore && !U.ReachStore)
+      if (L.Reachable && readsZero(GV) && U.AnyStore && !U.ReachStore)
         Engine.add(siteDiag(CheckCode::UninitGlobalRead, Ids[I], L.Block,
                             L.InstrIdx, L.Line,
                             "load of global '" + P.Strings.text(GV.Name) +

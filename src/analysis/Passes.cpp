@@ -8,6 +8,7 @@
 #include "analysis/Passes.h"
 
 #include "analysis/Dataflow.h"
+#include "ir/Liveness.h"
 
 #include <algorithm>
 #include <map>
@@ -77,8 +78,7 @@ void checkConstantTrap(RoutineId R, const RoutineBody &Body,
 /// undefined-ness; nothing generates it. Unreachable blocks report nothing
 /// (their In stays bottom), which matches the unreachable-block check
 /// owning that territory.
-uint64_t checkDefBeforeUse(const Program &, RoutineId R,
-                           const RoutineBody &Body, const Cfg &C,
+uint64_t checkDefBeforeUse(RoutineId R, const RoutineBody &Body,
                            RoutineFacts &Facts, Arena &Scratch) {
   uint32_t U = Body.NextReg;
   if (!U)
@@ -94,7 +94,8 @@ uint64_t checkDefBeforeUse(const Program &, RoutineId R,
   for (uint32_t Reg = Body.NumParams; Reg < U; ++Reg)
     Entry.set(Reg);
 
-  DataflowResult DF = solveForward(C, T, Entry, MeetOp::Union, U, &Scratch);
+  DataflowResult DF =
+      solveForward(Body, T, Entry, MeetOp::Union, U, &Scratch);
 
   for (size_t B = 0; B != Body.Blocks.size(); ++B) {
     RegBitSet MaybeUndef = DF.In[B];
@@ -117,90 +118,44 @@ uint64_t checkDefBeforeUse(const Program &, RoutineId R,
   return DF.bytes() + uint64_t(2) * ((U + 63) / 64) * 8 * Body.Blocks.size();
 }
 
-/// Backward liveness; a side-effect-free definition whose register is dead
-/// immediately after the instruction is a dead store. Calls are exempt by
-/// hasSideEffects; unreachable blocks are skipped (everything in them is
-/// trivially dead, and the unreachable-block check already fired). As a
-/// by-product, records into \p CallLive — keyed (block << 32) | instr —
-/// whether each reachable call's result register is live after the call,
-/// which is the summary's per-site ResultUsed fact.
-uint64_t checkDeadStore(RoutineId R, const RoutineBody &Body, const Cfg &C,
-                        const std::vector<bool> &Reach, RoutineFacts &Facts,
-                        std::map<uint64_t, bool> &CallLive, Arena &Scratch) {
-  uint32_t U = Body.NextReg;
-  if (!U)
-    return 0;
-  std::vector<BlockTransfer> T(Body.Blocks.size(),
-                               BlockTransfer(U, &Scratch));
-  for (size_t B = 0; B != Body.Blocks.size(); ++B) {
-    for (const Instr *I : Body.Blocks[B].Instrs) {
-      forEachUseReg(*I, [&](RegId Use) {
-        if (!T[B].Kill.test(Use))
-          T[B].Gen.set(Use); // Upward-exposed: read before any block-local def.
-      });
-      if (definesValue(I->Op) && I->Dst != NoReg)
-        T[B].Kill.set(I->Dst);
-    }
-  }
-
-  RegBitSet Exit(U, &Scratch);
-  DataflowResult DF = solveBackward(C, T, Exit, MeetOp::Union, U, &Scratch);
-
-  for (size_t B = 0; B != Body.Blocks.size(); ++B) {
+/// Block liveness (ir/Liveness) walked backward through each block; a
+/// side-effect-free definition whose register is dead immediately after the
+/// instruction is a dead store. Calls are exempt by hasSideEffects;
+/// unreachable blocks are skipped (everything in them is trivially dead, and
+/// the unreachable-block check already fired). As a by-product, records into
+/// \p CallLive — keyed (block << 32) | instr — whether each reachable call's
+/// result register is live after the call, which is the summary's per-site
+/// ResultUsed fact.
+void checkDeadStore(RoutineId R, const RoutineBody &Body,
+                    const std::vector<bool> &Reach, RoutineFacts &Facts,
+                    std::map<uint64_t, bool> &CallLive) {
+  if (!Body.NextReg)
+    return;
+  // Worker-lifetime buffers, as in DCE: a warm worker allocates nothing.
+  thread_local Liveness LV;
+  thread_local std::vector<uint64_t> Live;
+  LV.solve(Body);
+  auto IsLive = [&](RegId V) { return (Live[V >> 6] >> (V & 63)) & 1; };
+  for (BlockId B = 0; B != Body.Blocks.size(); ++B) {
     if (!Reach[B])
       continue;
-    RegBitSet Live = DF.Out[B];
+    Live.assign(LV.liveOut(B), LV.liveOut(B) + LV.words());
     const std::vector<Instr *> &Instrs = Body.Blocks[B].Instrs;
     for (size_t Idx = Instrs.size(); Idx-- != 0;) {
       const Instr &I = *Instrs[Idx];
       bool Defines = definesValue(I.Op) && I.Dst != NoReg;
       if (I.Op == Opcode::Call)
         CallLive[(static_cast<uint64_t>(B) << 32) | Idx] =
-            I.Dst != NoReg && Live.test(I.Dst);
-      if (Defines && !hasSideEffects(I.Op) && !Live.test(I.Dst))
+            I.Dst != NoReg && IsLive(I.Dst);
+      if (Defines && !hasSideEffects(I.Op) && !IsLive(I.Dst))
         Facts.Diags.push_back(makeDiag(
-            CheckCode::DeadStore, R, static_cast<BlockId>(B),
-            static_cast<uint32_t>(Idx), I.Line,
+            CheckCode::DeadStore, R, B, static_cast<uint32_t>(Idx), I.Line,
             "value stored to register " + regName(I.Dst) + " is never read"));
       if (Defines)
-        Live.reset(I.Dst);
-      forEachUseReg(I, [&](RegId Use) { Live.set(Use); });
+        Live[I.Dst >> 6] &= ~(1ull << (I.Dst & 63));
+      forEachUseReg(I, [&](RegId Use) { Live[Use >> 6] |= 1ull << (Use & 63); });
     }
   }
-  return DF.bytes() + uint64_t(2) * ((U + 63) / 64) * 8 * Body.Blocks.size();
-}
-
-/// Records which globals this routine loads/stores and which load sites are
-/// never-written-global-load candidates (the global would read as zero if no
-/// store exists: arrays are zero-filled, scalars only when Init == 0 —
-/// non-zero-initialized scalars are deliberate read-only constants).
-void scanGlobalUse(const Program &P, RoutineId R, const RoutineBody &Body,
-                   RoutineFacts &Facts) {
-  std::map<GlobalId, uint8_t> Use;
-  for (size_t B = 0; B != Body.Blocks.size(); ++B) {
-    const std::vector<Instr *> &Instrs = Body.Blocks[B].Instrs;
-    for (size_t Idx = 0; Idx != Instrs.size(); ++Idx) {
-      const Instr &I = *Instrs[Idx];
-      switch (I.Op) {
-      case Opcode::LoadG:
-      case Opcode::LoadIdx: {
-        Use[I.Sym] |= GlobalUseLoad;
-        const GlobalVar &G = P.global(I.Sym);
-        if (G.Size > 1 || G.Init == 0)
-          Facts.CandidateLoads.push_back({I.Sym, R, static_cast<BlockId>(B),
-                                          static_cast<uint32_t>(Idx), I.Line});
-        break;
-      }
-      case Opcode::StoreG:
-      case Opcode::StoreIdx:
-        Use[I.Sym] |= GlobalUseStore;
-        break;
-      default:
-        break;
-      }
-    }
-  }
-  Facts.GlobalUse.assign(Use.begin(), Use.end());
 }
 
 /// Bitmask over the first 32 parameters; everything past bit 31 is handled
@@ -225,7 +180,7 @@ uint32_t modifiedParamMask(const RoutineBody &Body) {
 /// forward must-analysis (intersect meet) over the distinct-callee
 /// universe, intersected across all returning blocks. \returns scratch
 /// bytes used.
-uint64_t extractMustCallees(const RoutineBody &Body, const Cfg &C,
+uint64_t extractMustCallees(const RoutineBody &Body,
                             const std::vector<bool> &Reach,
                             AnalysisSummary &Sum, Arena &Scratch) {
   std::map<RoutineId, uint32_t> CalleeIdx;
@@ -246,7 +201,7 @@ uint64_t extractMustCallees(const RoutineBody &Body, const Cfg &C,
 
   RegBitSet Entry(U, &Scratch); // Entry boundary: nothing called yet.
   DataflowResult DF =
-      solveForward(C, T, Entry, MeetOp::Intersect, U, &Scratch);
+      solveForward(Body, T, Entry, MeetOp::Intersect, U, &Scratch);
 
   // Every call in a block precedes its terminator, so the must-call set at
   // a Ret is exactly Out of the returning block.
@@ -273,7 +228,7 @@ uint64_t extractMustCallees(const RoutineBody &Body, const Cfg &C,
 
 /// Fills the full AnalysisSummary for a verified body. \p CallLive is the
 /// dead-store pass's per-reachable-call result-liveness record.
-uint64_t extractSummary(const RoutineBody &Body, const Cfg &C,
+uint64_t extractSummary(const RoutineBody &Body,
                         const std::vector<bool> &Reach,
                         const std::map<uint64_t, bool> &CallLive,
                         AnalysisSummary &Sum, Arena &Scratch) {
@@ -367,38 +322,31 @@ uint64_t extractSummary(const RoutineBody &Body, const Cfg &C,
     }
   }
 
-  return extractMustCallees(Body, C, Reach, Sum, Scratch);
+  return extractMustCallees(Body, Reach, Sum, Scratch);
 }
 
 } // namespace
 
-void runLocalChecks(const Program &P, RoutineId R, const RoutineBody &Body,
+void runLocalChecks(RoutineId R, const RoutineBody &Body,
                     RoutineFacts &Facts) {
   if (Body.Blocks.empty())
     return;
-  Cfg C = Cfg::build(Body);
-  std::vector<bool> Reach = C.reachableFromEntry();
+  std::vector<bool> Reach = reachableFromEntry(Body);
 
   checkUnreachable(R, Body, Reach, Facts);
   checkConstantTrap(R, Body, Facts);
-  // One routine-lifetime pool for every bit-vector the checks derive,
-  // reset between solves so the footprint matches the ScratchBytes model
-  // (sequential solves: peak = max, not sum). Untracked: ScratchBytes is
-  // replayed through the tracker by the driver, for cache hits too, and
+  // One routine-lifetime pool for every bit-vector the forward solves
+  // derive, reset between them so the footprint matches the ScratchBytes
+  // model (sequential solves: peak = max, not sum). Untracked: ScratchBytes
+  // is replayed through the tracker by the driver, for cache hits too, and
   // double-charging here would break that replay's byte identity.
   Arena Scratch(nullptr, MemCategory::HloDerived, /*SlabSize=*/16 * 1024);
-  uint64_t Fwd = checkDefBeforeUse(P, R, Body, C, Facts, Scratch);
+  uint64_t Fwd = checkDefBeforeUse(R, Body, Facts, Scratch);
   Scratch.reset();
   std::map<uint64_t, bool> CallLive;
-  uint64_t Bwd = checkDeadStore(R, Body, C, Reach, Facts, CallLive, Scratch);
-  Scratch.reset();
-  scanGlobalUse(P, R, Body, Facts);
-  uint64_t Sum =
-      extractSummary(Body, C, Reach, CallLive, Facts.Summary, Scratch);
-
-  // The solves run sequentially, so the routine's scratch peak is the
-  // largest of them, not their sum.
-  Facts.ScratchBytes = std::max(std::max(Fwd, Bwd), Sum);
+  checkDeadStore(R, Body, Reach, Facts, CallLive);
+  uint64_t Sum = extractSummary(Body, Reach, CallLive, Facts.Summary, Scratch);
+  Facts.ScratchBytes = std::max(Fwd, Sum);
 }
 
 void extractMinimalSummary(const Program &P, const RoutineBody &Body,

@@ -23,36 +23,17 @@
 #include "ir/Program.h"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace scmo {
 
-/// A LoadG/LoadIdx site whose global *might* never be stored (zero-initial
-/// scalar or array). Recorded during the parallel local scan; the serial
-/// interprocedural phase turns it into a never-written-global-load
-/// diagnostic once summaries prove no store exists anywhere in scope.
-struct GlobalLoadSite {
-  GlobalId Global = InvalidId;
-  RoutineId Routine = InvalidId;
-  BlockId Block = InvalidId;
-  uint32_t InstrIdx = 0;
-  uint32_t Line = 0;
-};
-
-/// Bits of RoutineFacts::GlobalUse second members.
-enum : uint8_t { GlobalUseLoad = 1, GlobalUseStore = 2 };
-
-/// Everything the local scan learns about one routine. Deliberately sparse:
-/// GlobalUse lists only the globals this routine touches (deduplicated,
-/// ascending GlobalId), so aggregating facts over N routines costs
-/// O(touched globals), not O(N x numGlobals).
+/// Everything the local scan learns about one routine: its findings and
+/// its summary. Sized by the routine's findings and call/global sites, not
+/// by the program.
 struct RoutineFacts {
   std::vector<Diagnostic> Diags;
-  std::vector<GlobalLoadSite> CandidateLoads;
-  std::vector<std::pair<GlobalId, uint8_t>> GlobalUse;
   /// The routine's interprocedural summary, extracted in the same pinned
-  /// pass as the local checks (the dead-store liveness solve doubles as the
+  /// pass as the local checks (the dead-store liveness walk doubles as the
   /// per-site result-used oracle).
   AnalysisSummary Summary;
   /// Peak bytes of dataflow bit-vector scratch this routine needed (charged
@@ -61,12 +42,11 @@ struct RoutineFacts {
 };
 
 /// Runs the intraprocedural checks on \p Body — def-before-use,
-/// unreachable-block, dead-store, constant-trap — and records the global
-/// variable uses and the AnalysisSummary the interprocedural phase needs.
-/// The body must already have passed the verifier: the checks assume every
-/// block is terminated and every register id is in range.
-void runLocalChecks(const Program &P, RoutineId R, const RoutineBody &Body,
-                    RoutineFacts &Facts);
+/// unreachable-block, dead-store, constant-trap — and records the
+/// AnalysisSummary the interprocedural phase needs. The body must already
+/// have passed the verifier: the checks assume every block is terminated
+/// and every register id is in range.
+void runLocalChecks(RoutineId R, const RoutineBody &Body, RoutineFacts &Facts);
 
 /// Conservative summary for a routine that failed verification: records the
 /// call and global sites (bounds-checked — the verifier may have rejected

@@ -24,7 +24,7 @@ using cachefmt::Sink;
 namespace {
 
 /// Payload layout version — bump when the record encoding below changes.
-constexpr uint32_t AnaFormatVersion = 1;
+constexpr uint32_t AnaFormatVersion = 2;
 
 /// The module's analysis inputs, in declaration order: every owned defined
 /// routine. This is both the key-material roster and the positional record
@@ -58,19 +58,9 @@ std::vector<uint8_t> keyMaterial(const Program &P, ModuleId M,
     S.u32(Info.NumParams);
     S.u8(Info.IsStatic ? 1 : 0);
   }
-  // Every global's shape, program-wide: a global's size and initializer feed
-  // the zero-read classification of *any* module that loads it, so a changed
-  // global conservatively invalidates every module. Globals change far more
-  // rarely than code, so the lost reuse is cheap insurance.
-  S.u32(static_cast<uint32_t>(P.numGlobals()));
-  for (GlobalId G = 0; G != P.numGlobals(); ++G) {
-    const GlobalVar &GV = P.global(G);
-    S.str(P.Strings.text(GV.Name));
-    S.str(GV.IsStatic ? P.Strings.text(P.module(GV.Owner).Name) : "");
-    S.u32(GV.Size);
-    S.i64(GV.Init);
-    S.u8(GV.IsStatic ? 1 : 0);
-  }
+  // No global's shape: the zero-read checks read it from the program at
+  // replay time, so editing an initializer invalidates nothing.
+  cachefmt::calleeArities(S, P, M);
   return std::move(S.Bytes);
 }
 
@@ -80,97 +70,71 @@ std::vector<uint8_t> keyMaterial(const Program &P, ModuleId M,
 //
 // Artifacts refer to routines and globals through per-artifact reference
 // tables — each referenced symbol is written once as (name, linkage, owner
-// module), and record fields store the table index. Loading resolves the
-// whole table up front; one unresolvable name fails the load before any
-// record is decoded.
+// module), in first-reference order, and record fields store the table
+// index. Loading resolves the whole table up front; one unresolvable name
+// fails the load before any record is decoded.
 
-class RefTableWriter {
-public:
-  uint32_t globalRef(const Program &P, GlobalId G) {
-    auto It = GlobalIdx.find(G);
-    if (It != GlobalIdx.end())
-      return It->second;
-    uint32_t Idx = static_cast<uint32_t>(Globals.size());
-    GlobalIdx.emplace(G, Idx);
-    Globals.push_back(G);
-    return Idx;
+/// One reference table: symbol ids in first-reference order.
+struct RefTable {
+  std::vector<uint32_t> Ids;
+  std::map<uint32_t, uint32_t> Pos; ///< Writing: id -> index.
+
+  /// Writing: the index of \p Id, appending it on first reference.
+  uint32_t ref(uint32_t Id) {
+    auto [It, New] = Pos.emplace(Id, static_cast<uint32_t>(Ids.size()));
+    if (New)
+      Ids.push_back(Id);
+    return It->second;
   }
 
-  uint32_t routineRef(const Program &P, RoutineId R) {
-    auto It = RoutineIdx.find(R);
-    if (It != RoutineIdx.end())
-      return It->second;
-    uint32_t Idx = static_cast<uint32_t>(Routines.size());
-    RoutineIdx.emplace(R, Idx);
-    Routines.push_back(R);
-    return Idx;
+  /// Reading: rebinds a record's reference; false when out of range.
+  bool bind(uint32_t Ref, uint32_t &Out) const {
+    if (Ref >= Ids.size())
+      return false;
+    Out = Ids[Ref];
+    return true;
   }
 
-  void emit(const Program &P, Sink &S) const {
-    S.u32(static_cast<uint32_t>(Globals.size()));
-    for (GlobalId G : Globals) {
-      const GlobalVar &GV = P.global(G);
-      S.str(P.Strings.text(GV.Name));
-      S.u8(GV.IsStatic ? 1 : 0);
-      S.str(GV.IsStatic ? P.Strings.text(P.module(GV.Owner).Name) : "");
-    }
-    S.u32(static_cast<uint32_t>(Routines.size()));
-    for (RoutineId R : Routines) {
-      const RoutineInfo &Info = P.routine(R);
-      S.str(P.Strings.text(Info.Name));
-      S.u8(Info.IsStatic ? 1 : 0);
-      S.str(Info.IsStatic ? P.Strings.text(P.module(Info.Owner).Name) : "");
-    }
-  }
-
-private:
-  std::map<GlobalId, uint32_t> GlobalIdx;
-  std::map<RoutineId, uint32_t> RoutineIdx;
-  std::vector<GlobalId> Globals;
-  std::vector<RoutineId> Routines;
-};
-
-struct RefTables {
-  std::vector<GlobalId> Globals;
-  std::vector<RoutineId> Routines;
-
-  /// Reads and resolves both tables; false when any name fails to resolve
-  /// against the current program.
-  bool read(const Program &P, Reader &R) {
-    uint32_t NG = R.u32();
-    for (uint32_t I = 0; I != NG && !R.Bad; ++I) {
+  /// Reading: one table of (name, linkage, owner) entries; false when a
+  /// name no longer resolves.
+  template <typename ResolveFn>
+  bool read(const Program &P, Reader &R, ResolveFn Resolve) {
+    uint32_t N = R.u32();
+    for (uint32_t I = 0; I != N && !R.Bad; ++I) {
       std::string Name = R.str();
       bool IsStatic = R.u8() != 0;
       std::string Owner = R.str();
-      GlobalId G = cachefmt::resolveGlobalByName(P, Name, IsStatic, Owner);
-      if (G == InvalidId)
+      uint32_t Id = Resolve(P, Name, IsStatic, Owner);
+      if (Id == InvalidId)
         return false;
-      Globals.push_back(G);
-    }
-    uint32_t NR = R.u32();
-    for (uint32_t I = 0; I != NR && !R.Bad; ++I) {
-      std::string Name = R.str();
-      bool IsStatic = R.u8() != 0;
-      std::string Owner = R.str();
-      RoutineId Rt = cachefmt::resolveRoutineByName(P, Name, IsStatic, Owner);
-      if (Rt == InvalidId)
-        return false;
-      Routines.push_back(Rt);
+      Ids.push_back(Id);
     }
     return !R.Bad;
   }
+};
 
-  bool global(uint32_t Ref, GlobalId &Out) const {
-    if (Ref >= Globals.size())
-      return false;
-    Out = Globals[Ref];
-    return true;
+/// Spells a global or routine as (name, linkage, owner module of a static).
+template <typename Sym> void spell(const Program &P, const Sym &X, Sink &S) {
+  S.str(P.Strings.text(X.Name));
+  S.u8(X.IsStatic ? 1 : 0);
+  S.str(X.IsStatic ? P.Strings.text(P.module(X.Owner).Name) : "");
+}
+
+struct RefTables {
+  RefTable Globals, Routines;
+
+  void emit(const Program &P, Sink &S) const {
+    S.u32(static_cast<uint32_t>(Globals.Ids.size()));
+    for (GlobalId G : Globals.Ids)
+      spell(P, P.global(G), S);
+    S.u32(static_cast<uint32_t>(Routines.Ids.size()));
+    for (RoutineId R : Routines.Ids)
+      spell(P, P.routine(R), S);
   }
-  bool routine(uint32_t Ref, RoutineId &Out) const {
-    if (Ref >= Routines.size())
-      return false;
-    Out = Routines[Ref];
-    return true;
+
+  bool read(const Program &P, Reader &R) {
+    return Globals.read(P, R, cachefmt::resolveGlobalByName) &&
+           Routines.read(P, R, cachefmt::resolveRoutineByName);
   }
 };
 
@@ -178,7 +142,7 @@ struct RefTables {
 // Record encoding
 //===----------------------------------------------------------------------===//
 
-void encodeFacts(const Program &P, const RoutineFacts &F, RefTableWriter &Refs,
+void encodeFacts(const Program &P, const RoutineFacts &F, RefTables &Refs,
                  Sink &S) {
   S.u32(static_cast<uint32_t>(F.Diags.size()));
   for (const Diagnostic &D : F.Diags) {
@@ -189,18 +153,6 @@ void encodeFacts(const Program &P, const RoutineFacts &F, RefTableWriter &Refs,
     S.u32(D.Line);
     S.str(D.Message);
   }
-  S.u32(static_cast<uint32_t>(F.CandidateLoads.size()));
-  for (const GlobalLoadSite &L : F.CandidateLoads) {
-    S.u32(Refs.globalRef(P, L.Global));
-    S.u32(L.Block);
-    S.u32(L.InstrIdx);
-    S.u32(L.Line);
-  }
-  S.u32(static_cast<uint32_t>(F.GlobalUse.size()));
-  for (const auto &GU : F.GlobalUse) {
-    S.u32(Refs.globalRef(P, GU.first));
-    S.u8(GU.second);
-  }
   const AnalysisSummary &Sum = F.Summary;
   S.u32(Sum.NumParams);
   S.u32(Sum.DirectlyUsedParams);
@@ -210,7 +162,7 @@ void encodeFacts(const Program &P, const RoutineFacts &F, RefTableWriter &Refs,
   for (const auto *List : {&Sum.Loads, &Sum.Stores}) {
     S.u32(static_cast<uint32_t>(List->size()));
     for (const AnalysisSummary::GlobalSite &GS : *List) {
-      S.u32(Refs.globalRef(P, GS.Global));
+      S.u32(Refs.Globals.ref(GS.Global));
       S.u32(GS.Block);
       S.u32(GS.InstrIdx);
       S.u32(GS.Line);
@@ -219,7 +171,7 @@ void encodeFacts(const Program &P, const RoutineFacts &F, RefTableWriter &Refs,
   }
   S.u32(static_cast<uint32_t>(Sum.Sites.size()));
   for (const AnalysisSummary::Site &Site : Sum.Sites) {
-    S.u32(Refs.routineRef(P, Site.Callee));
+    S.u32(Refs.Routines.ref(Site.Callee));
     S.u32(Site.Block);
     S.u32(Site.InstrIdx);
     S.u32(Site.Line);
@@ -234,7 +186,7 @@ void encodeFacts(const Program &P, const RoutineFacts &F, RefTableWriter &Refs,
   }
   S.u32(static_cast<uint32_t>(Sum.MustCallees.size()));
   for (RoutineId Callee : Sum.MustCallees)
-    S.u32(Refs.routineRef(P, Callee));
+    S.u32(Refs.Routines.ref(Callee));
   S.u64(F.ScratchBytes);
 }
 
@@ -246,10 +198,12 @@ bool decodeFacts(Reader &R, const RefTables &Refs, RoutineId Self,
   uint32_t NDiags = R.u32();
   for (uint32_t I = 0; I != NDiags && !R.Bad; ++I) {
     Diagnostic D;
-    D.Sev = static_cast<Severity>(R.u8());
+    uint8_t Sev = R.u8();
     uint8_t Code = R.u8();
-    if (Code >= static_cast<uint8_t>(CheckCode::NumCheckCodes))
+    if (Sev > static_cast<uint8_t>(Severity::Error) ||
+        Code >= static_cast<uint8_t>(CheckCode::NumCheckCodes))
       return false;
+    D.Sev = static_cast<Severity>(Sev);
     D.Code = static_cast<CheckCode>(Code);
     D.Routine = Self;
     D.Block = R.u32();
@@ -257,24 +211,6 @@ bool decodeFacts(Reader &R, const RefTables &Refs, RoutineId Self,
     D.Line = R.u32();
     D.Message = R.str();
     F.Diags.push_back(std::move(D));
-  }
-  uint32_t NLoads = R.u32();
-  for (uint32_t I = 0; I != NLoads && !R.Bad; ++I) {
-    GlobalLoadSite L;
-    if (!Refs.global(R.u32(), L.Global))
-      return false;
-    L.Routine = Self;
-    L.Block = R.u32();
-    L.InstrIdx = R.u32();
-    L.Line = R.u32();
-    F.CandidateLoads.push_back(L);
-  }
-  uint32_t NUse = R.u32();
-  for (uint32_t I = 0; I != NUse && !R.Bad; ++I) {
-    GlobalId G = InvalidId;
-    if (!Refs.global(R.u32(), G))
-      return false;
-    F.GlobalUse.emplace_back(G, R.u8());
   }
   AnalysisSummary &Sum = F.Summary;
   Sum.NumParams = R.u32();
@@ -286,7 +222,7 @@ bool decodeFacts(Reader &R, const RefTables &Refs, RoutineId Self,
     uint32_t N = R.u32();
     for (uint32_t I = 0; I != N && !R.Bad; ++I) {
       AnalysisSummary::GlobalSite GS;
-      if (!Refs.global(R.u32(), GS.Global))
+      if (!Refs.Globals.bind(R.u32(), GS.Global))
         return false;
       GS.Block = R.u32();
       GS.InstrIdx = R.u32();
@@ -298,7 +234,7 @@ bool decodeFacts(Reader &R, const RefTables &Refs, RoutineId Self,
   uint32_t NSites = R.u32();
   for (uint32_t I = 0; I != NSites && !R.Bad; ++I) {
     AnalysisSummary::Site Site;
-    if (!Refs.routine(R.u32(), Site.Callee))
+    if (!Refs.Routines.bind(R.u32(), Site.Callee))
       return false;
     Site.Block = R.u32();
     Site.InstrIdx = R.u32();
@@ -321,7 +257,7 @@ bool decodeFacts(Reader &R, const RefTables &Refs, RoutineId Self,
   uint32_t NMust = R.u32();
   for (uint32_t I = 0; I != NMust && !R.Bad; ++I) {
     RoutineId Callee = InvalidId;
-    if (!Refs.routine(R.u32(), Callee))
+    if (!Refs.Routines.bind(R.u32(), Callee))
       return false;
     Sum.MustCallees.push_back(Callee);
   }
@@ -358,64 +294,12 @@ AnalysisSummaryCache::keys(const Program &P, ModuleId M,
   return K;
 }
 
-bool AnalysisSummaryCache::load(
-    const Program &P, ModuleId M, const ModuleKey &K,
-    std::vector<std::pair<RoutineId, RoutineFacts>> &Out) {
-  // A miss after the entry was read off disk marks the key for an
-  // overwriting re-store (self-heal); a plain absence does not.
-  bool HadFile = false;
-  auto Miss = [&] {
-    ++Misses;
-    if (HadFile)
-      InvalidOnDisk.push_back(K.Key);
-    return false;
-  };
-
-  std::vector<uint8_t> Bytes;
-  if (!cachedir::loadEntry(pathFor(K.Key), Bytes, Injector.get()))
-    return Miss();
-  HadFile = true;
-  if (!cachefmt::checkArtifactFrame(Bytes))
-    return Miss();
-
-  Reader R(Bytes, cachefmt::FrameBytes);
-  if (R.u32() != AnaFormatVersion)
-    return Miss();
-  // The second-seed check hash: a key collision (same filename, different
-  // module state) fails here instead of replaying someone else's facts.
-  if (R.u64() != K.Check)
-    return Miss();
-
-  RefTables Refs;
-  if (!Refs.read(P, R))
-    return Miss();
-
-  std::vector<RoutineId> Owned = ownedDefined(P, M);
-  if (R.u32() != Owned.size())
-    return Miss();
-
-  std::vector<std::pair<RoutineId, RoutineFacts>> Loaded;
-  Loaded.reserve(Owned.size());
-  for (RoutineId Self : Owned) {
-    RoutineFacts F;
-    if (!decodeFacts(R, Refs, Self, F))
-      return Miss();
-    Loaded.emplace_back(Self, std::move(F));
-  }
-  if (R.Bad || R.P != R.End)
-    return Miss();
-
-  Out = std::move(Loaded);
-  ++Hits;
-  return true;
-}
-
-void AnalysisSummaryCache::store(
-    const Program &P, ModuleId M, const ModuleKey &K,
+std::vector<uint8_t> scmo::encodeAnalysisEntry(
+    const Program &P, const AnalysisSummaryCache::ModuleKey &K,
     const std::vector<std::pair<RoutineId, const RoutineFacts *>> &Records) {
   // Encode records first: the reference tables fill as a side effect and
   // must precede the records in the payload.
-  RefTableWriter Refs;
+  RefTables Refs;
   Sink Body;
   Body.u32(static_cast<uint32_t>(Records.size()));
   for (const auto &Rec : Records)
@@ -432,17 +316,85 @@ void AnalysisSummaryCache::store(
   cachefmt::frameArtifact(File, Payload.Bytes);
   File.Bytes.insert(File.Bytes.end(), Payload.Bytes.begin(),
                     Payload.Bytes.end());
+  return std::move(File.Bytes);
+}
 
+bool scmo::readAnalysisEntry(
+    const Program &P, ModuleId M, const std::vector<uint8_t> &Entry,
+    const AnalysisSummaryCache::ModuleKey &K,
+    std::vector<std::pair<RoutineId, RoutineFacts>> &Out) {
+  if (!cachefmt::checkArtifactFrame(Entry))
+    return false;
+  Reader R(Entry, cachefmt::FrameBytes);
+  if (R.u32() != AnaFormatVersion)
+    return false;
+  // The second-seed check hash: a key collision (same filename, different
+  // module state) fails here instead of replaying someone else's facts.
+  if (R.u64() != K.Check)
+    return false;
+
+  RefTables Refs;
+  if (!Refs.read(P, R))
+    return false;
+
+  std::vector<RoutineId> Owned = ownedDefined(P, M);
+  if (R.u32() != Owned.size())
+    return false;
+
+  std::vector<std::pair<RoutineId, RoutineFacts>> Loaded;
+  Loaded.reserve(Owned.size());
+  for (RoutineId Self : Owned) {
+    RoutineFacts F;
+    if (!decodeFacts(R, Refs, Self, F))
+      return false;
+    Loaded.emplace_back(Self, std::move(F));
+  }
+  if (R.Bad || R.P != R.End)
+    return false;
+  // Accept only the bytes the encoder writes for what was decoded (flags
+  // 0/1, tables in first-use order, each symbol spelled as the writer
+  // spells it), so no two byte strings load as the same facts.
+  std::vector<std::pair<RoutineId, const RoutineFacts *>> Records;
+  for (const auto &[Self, F] : Loaded)
+    Records.emplace_back(Self, &F);
+  if (encodeAnalysisEntry(P, K, Records) != Entry)
+    return false;
+  Out = std::move(Loaded);
+  return true;
+}
+
+bool AnalysisSummaryCache::load(
+    const Program &P, ModuleId M, const ModuleKey &K,
+    std::vector<std::pair<RoutineId, RoutineFacts>> &Out) {
+  // A miss after the entry was read off disk marks the key for an
+  // overwriting re-store (self-heal); a plain absence does not.
+  std::vector<uint8_t> Bytes;
+  if (!cachedir::loadEntry(pathFor(K.Key), Bytes, Injector.get())) {
+    ++Misses;
+    return false;
+  }
+  if (!readAnalysisEntry(P, M, Bytes, K, Out)) {
+    ++Misses;
+    InvalidOnDisk.push_back(K.Key);
+    return false;
+  }
+  ++Hits;
+  return true;
+}
+
+void AnalysisSummaryCache::store(
+    const Program &P, const ModuleKey &K,
+    const std::vector<std::pair<RoutineId, const RoutineFacts *>> &Records) {
   if (!Writable) {
     // Shared read-only cache: the decode-failure (and cold-miss) re-store
     // is skipped so `--analyze --incremental` still runs, load-only.
     ++StoreSkips;
     return;
   }
-
+  std::vector<uint8_t> File = encodeAnalysisEntry(P, K, Records);
   bool Overwrite = std::find(InvalidOnDisk.begin(), InvalidOnDisk.end(),
                              K.Key) != InvalidOnDisk.end();
-  switch (cachedir::storeEntry(pathFor(K.Key), File.Bytes, Injector.get(),
+  switch (cachedir::storeEntry(pathFor(K.Key), File, Injector.get(),
                                /*CorruptSkip=*/cachefmt::FrameBytes,
                                /*LockWaitMs=*/2000, Overwrite)) {
   case cachedir::StoreOutcome::Stored:

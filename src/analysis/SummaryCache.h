@@ -9,8 +9,8 @@
 /// Content-addressed per-module cache for `scmoc --analyze --incremental`,
 /// built on the same envelope and rebinding rules as the PR-4 artifact
 /// cache (cache/CacheFormat.h). The unit of caching matches the unit of
-/// recomputation: the streaming phase's per-routine work (verify + four
-/// dataflow solves + summary extraction) is intraprocedural, so one
+/// recomputation: the streaming phase's per-routine work (verify, dataflow
+/// solves, summary extraction) is intraprocedural, so one
 /// module's record set rises and falls with that module's IL alone. The
 /// interprocedural phase is NOT cached — it is a cheap fixpoint over the
 /// summaries and re-runs every time, which is exactly what makes a warm
@@ -18,15 +18,16 @@
 /// (plus hashing) yet stay byte-identical to a cold run.
 ///
 /// An artifact stores, per owned defined routine in declaration order: the
-/// local diagnostics, the never-written-global-load candidates, the sparse
-/// global-use facts, and the full AnalysisSummary — every routine and
+/// local diagnostics and the full AnalysisSummary — every routine and
 /// global reference recorded by name so a cached module replays correctly
 /// after other modules' ids shifted. Keys hash the module's routine content
-/// hashes plus the analysis option fingerprint and every global's shape
-/// (a global's size/init feeds the zero-read checks of any module that
-/// touches it). A second-seed check hash inside the artifact turns key
-/// collisions into misses; a failed frame, version, count or name
-/// resolution likewise degrades to recomputation, never to a wrong report.
+/// hashes, the declared arity of every routine it calls (the verifier
+/// checks each call's argument count against it) and the analysis option
+/// fingerprint. No global's shape is key material: the zero-read checks
+/// read it from the program when they run. A second-seed check hash inside
+/// the artifact turns key collisions into misses; a failed frame, version,
+/// count or name resolution likewise degrades to recomputation, never to a
+/// wrong report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,10 +81,10 @@ public:
   bool load(const Program &P, ModuleId M, const ModuleKey &K,
             std::vector<std::pair<RoutineId, RoutineFacts>> &Out);
 
-  /// Stores module \p M's records after a cold scan. \p Records must be
-  /// the module's owned defined routines in declaration order. A store
-  /// failure only bumps StoreFailures — the analysis carries on.
-  void store(const Program &P, ModuleId M, const ModuleKey &K,
+  /// Stores a module's records after a cold scan. \p Records must be the
+  /// module's owned defined routines in declaration order. A store failure
+  /// only bumps StoreFailures — the analysis carries on.
+  void store(const Program &P, const ModuleKey &K,
              const std::vector<std::pair<RoutineId, const RoutineFacts *>>
                  &Records);
 
@@ -106,6 +107,22 @@ private:
   /// store overwrites (self-heal) instead of skipping as already-present.
   std::vector<uint64_t> InvalidOnDisk;
 };
+
+/// The framed entry bytes for one module's \p Records (owned defined
+/// routines in declaration order) under \p K.
+std::vector<uint8_t> encodeAnalysisEntry(
+    const Program &P, const AnalysisSummaryCache::ModuleKey &K,
+    const std::vector<std::pair<RoutineId, const RoutineFacts *>> &Records);
+
+/// The in-memory half of AnalysisSummaryCache::load: validates \p Entry's
+/// frame, version, check hash, reference tables and records against module
+/// \p M of \p P and only then fills \p Out. Accepts only the bytes
+/// encodeAnalysisEntry writes for what it decodes; false with \p Out
+/// untouched otherwise.
+bool readAnalysisEntry(const Program &P, ModuleId M,
+                       const std::vector<uint8_t> &Entry,
+                       const AnalysisSummaryCache::ModuleKey &K,
+                       std::vector<std::pair<RoutineId, RoutineFacts>> &Out);
 
 } // namespace scmo
 

@@ -203,7 +203,8 @@ std::vector<uint8_t> keyMaterial(const Program &P, const CacheUnit &U,
     const ModuleInfo &MI = P.module(M);
     S.str(P.Strings.text(MI.Name));
     // Owned routines only: foreign routines this module references are
-    // covered by the owned bodies' content hashes (callee names).
+    // covered by the owned bodies' content hashes (callee names) and by
+    // calleeArities below.
     for (RoutineId R : MI.Routines) {
       const RoutineInfo &RI = P.routine(R);
       if (RI.Owner != M)
@@ -226,6 +227,7 @@ std::vector<uint8_t> keyMaterial(const Program &P, const CacheUnit &U,
       S.i64(GV.Init);
       S.u8(GV.IsStatic ? 1 : 0);
     }
+    cachefmt::calleeArities(S, P, M);
     S.str("|end");
   }
   return std::move(S.Bytes);

@@ -186,6 +186,18 @@ inline GlobalId resolveGlobalByName(const Program &P, const std::string &Name,
   return P.findGlobal(Name);
 }
 
+/// Key material for the calls a module makes by name: the declared arity
+/// of every routine it references (its RefRoutine touches). An owned body's
+/// content hash names a foreign callee only by name, yet the verifier checks
+/// each call's argument count against the callee's declaration, so a
+/// changed arity elsewhere must change this module's keys.
+inline void calleeArities(Sink &S, const Program &P, ModuleId M) {
+  S.str("|arities");
+  for (const SymbolTouch &T : P.module(M).Touches)
+    if (T.K == SymbolTouch::Kind::RefRoutine)
+      S.u32(P.routine(T.Id).NumParams);
+}
+
 /// Hex key spelling shared by every artifact filename.
 inline std::string hexKey(uint64_t V) {
   char Buf[17];

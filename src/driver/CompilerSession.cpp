@@ -148,21 +148,20 @@ std::string CompilerSession::verifyRoutines(ThreadPool &Pool,
   }
   // Each task writes its own slot; the first failure (by routine id, not by
   // completion order) is reported, so diagnostics match the serial compiler.
-  std::vector<std::string> Errors(Ids.size());
+  std::vector<DiagnosticEngine> Diags(Ids.size());
   std::atomic<bool> SawError{false};
   Pool.parallelFor(Ids.size(), [&](size_t I) {
     if (SawError.load(std::memory_order_relaxed))
       return;
     RoutineId R = Ids[I];
-    const RoutineBody &Body = Ldr->acquireRead(R);
-    Errors[I] = verifyRoutine(*Prog, R, Body);
+    bool Ok = verifyRoutine(*Prog, R, Ldr->acquireRead(R), Diags[I]);
     Ldr->release(R);
-    if (!Errors[I].empty())
+    if (!Ok)
       SawError.store(true, std::memory_order_relaxed);
   });
-  for (std::string &Err : Errors)
-    if (!Err.empty())
-      return std::move(Err);
+  for (const DiagnosticEngine &D : Diags)
+    if (D.size())
+      return DiagnosticEngine::render(*Prog, D.diagnostics()[0]);
   return "";
 }
 
@@ -642,7 +641,6 @@ struct CompilerSession::BuildState {
           if (S.Prog->routine(R).IsDefined && S.Prog->routine(R).Owner == M)
             B.CmoSet.push_back(R);
       HloOptions HOpts;
-      HOpts.Interprocedural = true;
       HOpts.WholeProgram = B.Result.Selectivity.DefaultModules.empty();
       HOpts.Pbo = B.UsableProfile && S.Opts.PboInlining;
       HOpts.EnableIpcp = S.Opts.EnableIpcp;

@@ -142,12 +142,13 @@ private:
   /// Recomputes structural checksums of every defined routine, fanned out
   /// over \p Pool; each worker writes only its own routine's field.
   void computeChecksums(ThreadPool &Pool);
-  /// Verifies every defined routine in parallel. Returns the failing
-  /// routine's message with the lowest id, or "" — so a single IL bug
-  /// reports identically at any thread count. When \p SkipOwner is
-  /// non-null, routines owned by a flagged module are exempt (incremental
-  /// rebuilds: a cached module's machine code is already loaded, so its IL
-  /// is never compiled). The post-HLO verify runs inside LTRANS.
+  /// Verifies every defined routine in parallel. Returns the rendered
+  /// scmo-verify diagnostic of the failing routine with the lowest id, or
+  /// "" — so a single IL bug reports identically at any thread count. When
+  /// \p SkipOwner is non-null, routines owned by a flagged module are
+  /// exempt (incremental rebuilds: a cached module's machine code is
+  /// already loaded, so its IL is never compiled). The post-HLO verify runs
+  /// inside LTRANS.
   std::string verifyRoutines(ThreadPool &Pool,
                              const std::vector<bool> *SkipOwner = nullptr);
 

@@ -42,8 +42,6 @@ class ThreadPool;
 
 /// HLO pipeline configuration.
 struct HloOptions {
-  /// Run interprocedural phases (IPCP, cloning, inlining across routines).
-  bool Interprocedural = true;
   /// The set passed to runHlo covers every defined routine of the final
   /// link: interprocedural facts about extern symbols become trustworthy and
   /// unreachable routines can be dropped.
@@ -73,7 +71,8 @@ HloPlan planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
 /// it. Per-task counters merge in ascending id order, so totals match the
 /// serial run. Once the heap cap trips, remaining tasks are skipped; the
 /// caller checks the tracker after the join. Bodies end the run released
-/// to the loader. Returns the lowest-id verify failure ("" when none).
+/// to the loader. Returns the lowest-id verify failure, rendered as its
+/// scmo-verify diagnostic ("" when none).
 std::string runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
                       const HloPlan *Plan, bool Verify,
                       ThreadPool *Pool = nullptr);

@@ -388,6 +388,29 @@ bool scmo::runDce(Program &P, RoutineBody &Body, Statistics &Stats) {
   return Nops || DeadInstrs || DeadResults;
 }
 
-// runCleanupPipeline / runBasicCleanup live in PassManager.cpp: both are
-// expressed as RoutinePassPipeline sequences so the pass manager owns every
-// pipeline definition.
+//===----------------------------------------------------------------------===//
+// Cleanup pipelines
+//===----------------------------------------------------------------------===//
+
+void scmo::runCleanupPipeline(Program &P, RoutineBody &Body,
+                              Statistics &Stats) {
+  bool Any = false;
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    // Every pass runs every round, in this order.
+    bool Changed = runConstProp(P, Body, Stats);
+    Changed |= runSimplifyCfg(P, Body, Stats);
+    Changed |= runDce(P, Body, Stats);
+    Any |= Changed;
+    if (!Changed)
+      break;
+  }
+  if (Any)
+    P.invalidateCallGraph();
+}
+
+void scmo::runBasicCleanup(Program &P, RoutineBody &Body, Statistics &Stats) {
+  bool Changed = runConstProp(P, Body, Stats);
+  Changed |= runDce(P, Body, Stats);
+  if (Changed)
+    P.invalidateCallGraph();
+}

@@ -38,13 +38,14 @@ bool runSimplifyCfg(Program &P, RoutineBody &Body, Statistics &Stats);
 bool runDce(Program &P, RoutineBody &Body, Statistics &Stats);
 
 /// The standard cleanup pipeline run on every optimized routine:
-/// constprop -> simplify -> dce, iterated to a small fixpoint. Defined as
-/// RoutinePassPipeline::cleanup() in PassManager.h; this is the veneer.
+/// constprop -> simplify -> dce, repeated until a round changes nothing, at
+/// most four rounds. Invalidates the shared call graph when anything
+/// changed.
 void runCleanupPipeline(Program &P, RoutineBody &Body, Statistics &Stats);
 
 /// One light round (constprop + dce, no CFG rewriting) for routines in the
-/// Basic tier of multi-layered selectivity
-/// (RoutinePassPipeline::basicCleanup()).
+/// Basic tier of multi-layered selectivity; invalidates the shared call
+/// graph when anything changed.
 void runBasicCleanup(Program &P, RoutineBody &Body, Statistics &Stats);
 
 } // namespace scmo

@@ -7,7 +7,7 @@
 
 #include "ir/Verifier.h"
 
-#include <sstream>
+#include <string>
 
 using namespace scmo;
 
@@ -175,37 +175,10 @@ private:
   Diagnostic First;
 };
 
-/// Renders a verifier diagnostic in the historical shim format.
-std::string renderShim(const Program &P, const Diagnostic &D) {
-  std::ostringstream OS;
-  OS << "verify failed in " << P.displayName(D.Routine) << " bb" << D.Block
-     << ": " << D.Message;
-  return OS.str();
-}
-
 } // namespace
 
 bool scmo::verifyRoutine(const Program &P, RoutineId R,
                          const RoutineBody &Body, DiagnosticEngine &Diags,
                          uint32_t NumProbes) {
   return RoutineVerifier(P, R, Body, NumProbes).run(Diags);
-}
-
-std::string scmo::verifyRoutine(const Program &P, RoutineId R,
-                                const RoutineBody &Body) {
-  DiagnosticEngine Diags;
-  if (verifyRoutine(P, R, Body, Diags))
-    return "";
-  return renderShim(P, Diags.diagnostics().front());
-}
-
-std::string scmo::verifyProgram(const Program &P) {
-  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
-    const RoutineInfo &RI = P.routine(R);
-    if (RI.Slot.State != PoolState::Expanded)
-      continue;
-    if (std::string E = verifyRoutine(P, R, *RI.Slot.Body); !E.empty())
-      return E;
-  }
-  return "";
 }

@@ -12,9 +12,8 @@
 /// broke a program, and the verifier is the first line of that defense.
 ///
 /// Violations are reported as structured Diagnostics (check code
-/// scmo-verify, severity error) so the analysis engine can merge them with
-/// lint findings; the original string-returning entry points remain as thin
-/// shims over the diagnostic form.
+/// scmo-verify, severity error), so a failed build and `--analyze` render
+/// the same line and the analysis engine merges them with lint findings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +22,6 @@
 
 #include "analysis/Diagnostic.h"
 #include "ir/Program.h"
-
-#include <string>
 
 namespace scmo {
 
@@ -44,17 +41,6 @@ namespace scmo {
 /// scmo-verify diagnostic. \returns true when the routine is well formed.
 bool verifyRoutine(const Program &P, RoutineId R, const RoutineBody &Body,
                    DiagnosticEngine &Diags, uint32_t NumProbes = InvalidId);
-
-/// String shim: \returns an empty string if valid, otherwise a one-line
-/// rendering of the first violation.
-std::string verifyRoutine(const Program &P, RoutineId R,
-                          const RoutineBody &Body);
-
-/// Verifies every expanded routine in \p P; returns first diagnostic or "".
-/// Read-only: bodies already expanded are inspected in place, unexpanded
-/// ones are skipped (streaming whole-program verification goes through the
-/// analysis engine, which owns a loader).
-std::string verifyProgram(const Program &P);
 
 } // namespace scmo
 

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "analysis/Analysis.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Passes.h"
@@ -27,6 +28,7 @@
 #include <fstream>
 
 using namespace scmo;
+using namespace scmo::test;
 
 namespace {
 
@@ -72,16 +74,16 @@ RoutineFacts localFacts(std::unique_ptr<RoutineBody> Body,
     P.addGlobal(M, "g" + std::to_string(G), 1, 0, false);
   RoutineId R = P.declareRoutine(M, "f", Body->NumParams, false);
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_EQ(verifyRoutine(P, R, P.body(R)), "");
+  EXPECT_EQ(verifyMessage(P, R, P.body(R)), "");
   RoutineFacts Facts;
-  runLocalChecks(P, R, P.body(R), Facts);
+  runLocalChecks(R, P.body(R), Facts);
   return Facts;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// CFG and dataflow solver
+// Reachability and forward dataflow solver
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -106,37 +108,25 @@ std::unique_ptr<RoutineBody> diamondBody() {
 
 } // namespace
 
-TEST(Cfg, EdgesAndReachabilityFollowTerminators) {
-  auto Body = diamondBody();
-  Cfg C = Cfg::build(*Body);
-  ASSERT_EQ(C.Succs.size(), 4u);
-  EXPECT_EQ(C.Succs[0], (std::vector<BlockId>{1, 2}));
-  EXPECT_EQ(C.Succs[1], (std::vector<BlockId>{3}));
-  EXPECT_EQ(C.Preds[3], (std::vector<BlockId>{1, 2}));
-  EXPECT_TRUE(C.Succs[3].empty());
-  auto Reach = C.reachableFromEntry();
-  EXPECT_EQ(Reach, (std::vector<bool>{true, true, true, true}));
-}
-
-TEST(Cfg, UnreachableBlockHasNoEntryPath) {
+TEST(Dataflow, ReachableFromEntryFollowsTerminators) {
+  // Every arm of the diamond is reachable.
+  EXPECT_EQ(reachableFromEntry(*diamondBody()),
+            (std::vector<bool>{true, true, true, true}));
+  // A block no terminator targets is not.
   auto Body = skeleton(2, 1);
   ret(*Body, 0, Operand::imm(0));
   ret(*Body, 1, Operand::imm(1));
-  Cfg C = Cfg::build(*Body);
-  auto Reach = C.reachableFromEntry();
-  EXPECT_TRUE(Reach[0]);
-  EXPECT_FALSE(Reach[1]);
+  EXPECT_EQ(reachableFromEntry(*Body), (std::vector<bool>{true, false}));
 }
 
 TEST(Dataflow, ForwardUnionMergesBothDiamondArms) {
   auto Body = diamondBody();
-  Cfg C = Cfg::build(*Body);
   const uint32_t U = 3;
   std::vector<BlockTransfer> T(4, BlockTransfer(U));
   T[1].Gen.set(1);
   T[2].Gen.set(2);
   RegBitSet Boundary(U);
-  DataflowResult R = solveForward(C, T, Boundary, MeetOp::Union, U);
+  DataflowResult R = solveForward(*Body, T, Boundary, MeetOp::Union, U);
   // May-analysis: the merge sees facts from either arm.
   EXPECT_TRUE(R.In[3].test(1));
   EXPECT_TRUE(R.In[3].test(2));
@@ -148,45 +138,17 @@ TEST(Dataflow, ForwardUnionMergesBothDiamondArms) {
 
 TEST(Dataflow, ForwardIntersectKeepsOnlyAllPathFacts) {
   auto Body = diamondBody();
-  Cfg C = Cfg::build(*Body);
   const uint32_t U = 3;
   std::vector<BlockTransfer> T(4, BlockTransfer(U));
   T[0].Gen.set(0); // Available on every path.
   T[1].Gen.set(1); // Only through bb1.
   T[2].Gen.set(2); // Only through bb2.
   RegBitSet Boundary(U);
-  DataflowResult R = solveForward(C, T, Boundary, MeetOp::Intersect, U);
+  DataflowResult R = solveForward(*Body, T, Boundary, MeetOp::Intersect, U);
   // Must-analysis: one-arm facts die at the merge, all-path facts survive.
   EXPECT_TRUE(R.In[3].test(0));
   EXPECT_FALSE(R.In[3].test(1));
   EXPECT_FALSE(R.In[3].test(2));
-}
-
-TEST(Dataflow, BackwardLivenessCirculatesAroundLoop) {
-  // bb0 -> bb1 (loop: br back to bb1 or on to bb2) -> bb2.
-  auto Body = skeleton(3, 2);
-  Instr *Jmp = push(*Body, 0, Opcode::Jmp);
-  Jmp->T1 = 1;
-  Instr *Br = push(*Body, 1, Opcode::Br);
-  Br->A = Operand::reg(0);
-  Br->T1 = 1;
-  Br->T2 = 2;
-  ret(*Body, 2, Operand::reg(1));
-  Cfg C = Cfg::build(*Body);
-  const uint32_t U = 2;
-  std::vector<BlockTransfer> T(3, BlockTransfer(U));
-  T[1].Gen.set(0); // The loop reads r0 every iteration.
-  T[2].Gen.set(1); // The exit reads r1.
-  RegBitSet Boundary(U);
-  DataflowResult R = solveBackward(C, T, Boundary, MeetOp::Union, U);
-  // r0 is live around the back edge and into the preheader.
-  EXPECT_TRUE(R.Out[1].test(0));
-  EXPECT_TRUE(R.In[1].test(0));
-  EXPECT_TRUE(R.In[0].test(0));
-  // r1 is live through the loop (no kill) but dead after the exit reads it.
-  EXPECT_TRUE(R.Out[1].test(1));
-  EXPECT_TRUE(R.In[0].test(1));
-  EXPECT_FALSE(R.Out[2].test(1));
 }
 
 TEST(Dataflow, KillStopsPropagation) {
@@ -195,13 +157,12 @@ TEST(Dataflow, KillStopsPropagation) {
   push(*Body, 0, Opcode::Jmp)->T1 = 1;
   push(*Body, 1, Opcode::Jmp)->T1 = 2;
   ret(*Body, 2, Operand::imm(0));
-  Cfg C = Cfg::build(*Body);
   const uint32_t U = 1;
   std::vector<BlockTransfer> T(3, BlockTransfer(U));
   T[0].Gen.set(0);
   T[1].Kill.set(0);
   RegBitSet Boundary(U);
-  DataflowResult R = solveForward(C, T, Boundary, MeetOp::Union, U);
+  DataflowResult R = solveForward(*Body, T, Boundary, MeetOp::Union, U);
   EXPECT_TRUE(R.In[1].test(0));
   EXPECT_FALSE(R.Out[1].test(0));
   EXPECT_FALSE(R.In[2].test(0));
@@ -290,9 +251,9 @@ TEST(Checks, DeadStoreSparesReadValuesAndCalls) {
   Call->NumArgs = 0;
   ret(*Body, 0, Operand::imm(0));
   P.defineRoutine(R, M, std::move(Body));
-  ASSERT_EQ(verifyRoutine(P, R, P.body(R)), "");
+  ASSERT_EQ(verifyMessage(P, R, P.body(R)), "");
   RoutineFacts Facts;
-  runLocalChecks(P, R, P.body(R), Facts);
+  runLocalChecks(R, P.body(R), Facts);
   EXPECT_EQ(countCode(Facts.Diags, CheckCode::DeadStore), 0u);
 }
 
@@ -1143,4 +1104,61 @@ TEST(IncrementalAnalysis, CorruptArtifactDegradesToRescanAndHeals) {
   EXPECT_EQ(Healed.CacheMisses, 0u);
   EXPECT_EQ(Healed.CacheHits, Cold.CacheMisses);
   EXPECT_EQ(Healed.Report, Cold.Report);
+}
+
+TEST(IncrementalAnalysis, GlobalInitializerEditRescansNothing) {
+  // No cached fact depends on a global's initializer: the zero-read checks
+  // read it from the program when they run. Giving a never-stored zero
+  // scalar an initializer drops its never-written-global-load findings
+  // without rescanning any module.
+  GeneratedProgram GP = plantedProgram(2000);
+  AnalysisOptions AOpts;
+  AOpts.Incremental = true;
+  AOpts.CacheDir = freshAnaCacheDir();
+  AnalysisResult Cold = analyzeGenerated(GP, AOpts);
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  ASSERT_NE(Cold.Report.find("global 'lint_zero' which is never stored"),
+            std::string::npos);
+
+  size_t Edits = 0;
+  for (GeneratedModule &GM : GP.Modules)
+    for (size_t At; (At = GM.Source.find("global lint_zero;")) !=
+                    std::string::npos;
+         ++Edits)
+      GM.Source.replace(At, 17, "global lint_zero = 5;");
+  ASSERT_EQ(Edits, 1u);
+
+  AnalysisResult Warm = analyzeGenerated(GP, AOpts);
+  ASSERT_TRUE(Warm.Ok) << Warm.Error;
+  EXPECT_EQ(Warm.CacheMisses, 0u);
+  EXPECT_EQ(Warm.RoutinesRescanned, 0u);
+  AnalysisResult Base = analyzeGenerated(GP, AnalysisOptions{});
+  ASSERT_TRUE(Base.Ok) << Base.Error;
+  EXPECT_EQ(Warm.Report, Base.Report);
+  EXPECT_EQ(Warm.Report.find("lint_zero"), std::string::npos);
+}
+
+TEST(IncrementalAnalysis, CalleeArityEditRescansTheCaller) {
+  // app calls f before lib declares it, so app's IL names f only by name.
+  // lib's edit changes f's arity: app's call no longer verifies, and the
+  // warm run must report that as a cold run does, not replay app's facts.
+  std::vector<std::pair<std::string, std::string>> Srcs = {
+      {"app", "func main() { print(f(1)); return 0; }\n"},
+      {"lib", "func f(x) { return x + 1; }\n"}};
+  AnalysisOptions AOpts;
+  AOpts.Incremental = true;
+  AOpts.CacheDir = freshAnaCacheDir();
+  AnalysisResult Cold = analyzeSources(Srcs, AOpts);
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  EXPECT_EQ(Cold.Errors, 0u);
+
+  Srcs[1].second = "func f(x, y) { return x + y; }\n";
+  AnalysisResult Base = analyzeSources(Srcs);
+  ASSERT_TRUE(Base.Ok) << Base.Error;
+  EXPECT_EQ(Base.Errors, 1u);
+  AnalysisResult Warm = analyzeSources(Srcs, AOpts);
+  ASSERT_TRUE(Warm.Ok) << Warm.Error;
+  EXPECT_EQ(Warm.CacheMisses, 2u);
+  EXPECT_EQ(Warm.Errors, Base.Errors);
+  EXPECT_EQ(Warm.Report, Base.Report);
 }

@@ -17,11 +17,13 @@
 /// can run safely. It also covers the profile database's text: a mutant is
 /// rejected or round-trips through serialize(); and the NAIM repository's
 /// record frames: a fetch from a mutated file fails or returns exactly the
-/// stored record.
+/// stored record. The analysis cache's entries: a mutant misses with
+/// nothing loaded or decodes to facts that re-encode to its bytes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "analysis/SummaryCache.h"
 #include "bytecode/Compact.h"
 #include "bytecode/ObjectFile.h"
 #include "cache/ArtifactCache.h"
@@ -650,6 +652,102 @@ TEST(DecoderFuzz, SourceEntryMutantsMissCleanlyOrReencodeExactly) {
         << "mutant " << I;
     P = C.context();
   }
+}
+
+TEST(DecoderFuzz, AnalysisEntryMutantsMissCleanlyOrReencodeExactly) {
+  // A program with every planted lint defect, compiled whole. The lint-bait
+  // module's records carry local findings, global and call sites, every
+  // reference by name; a second module's records are the splice donor.
+  WorkloadParams Params;
+  Params.Seed = 78;
+  Params.NumModules = 4;
+  Params.ColdRoutinesPerModule = 3;
+  Params.HotRoutines = 4;
+  Params.PlantDefects = true;
+  GeneratedProgram GP = generateProgram(Params);
+  Program P;
+  ModuleId Bait = InvalidId;
+  for (const GeneratedModule &GM : GP.Modules) {
+    FrontendResult FR = compileSource(P, GM.Name, GM.Source);
+    ASSERT_TRUE(FR.Ok) << FR.Error;
+    if (GM.Source.find("lint_zero") != std::string::npos)
+      Bait = FR.Module;
+  }
+  ASSERT_NE(Bait, InvalidId);
+  using Facts = std::vector<std::pair<RoutineId, RoutineFacts>>;
+  auto Scan = [&](ModuleId M) {
+    Facts Out;
+    for (RoutineId R : P.module(M).Routines)
+      if (P.routine(R).IsDefined && P.routine(R).Owner == M) {
+        Out.emplace_back(R, RoutineFacts());
+        runLocalChecks(R, P.body(R), Out.back().second);
+      }
+    return Out;
+  };
+  const AnalysisSummaryCache::ModuleKey K{0x1234, 0x5678};
+  auto Encode = [&](const Facts &Records) {
+    std::vector<std::pair<RoutineId, const RoutineFacts *>> Ptrs;
+    for (const auto &[R, F] : Records)
+      Ptrs.emplace_back(R, &F);
+    return encodeAnalysisEntry(P, K, Ptrs);
+  };
+  Facts Records = Scan(Bait);
+  std::vector<uint8_t> Entry = Encode(Records);
+  std::vector<uint8_t> Other = Encode(Scan(ModuleId(Bait == 0 ? 1 : 0)));
+  {
+    Facts Loaded;
+    ASSERT_TRUE(readAnalysisEntry(P, Bait, Entry, K, Loaded));
+    ASSERT_EQ(Loaded.size(), Records.size());
+    size_t Diags = 0, Loads = 0, Sites = 0;
+    for (const auto &Rec : Loaded) {
+      Diags += Rec.second.Diags.size();
+      Loads += Rec.second.Summary.Loads.size();
+      Sites += Rec.second.Summary.Sites.size();
+    }
+    EXPECT_GT(Diags, 0u);
+    EXPECT_GT(Loads, 0u);
+    EXPECT_GT(Sites, 0u);
+    EXPECT_EQ(Encode(Loaded), Entry);
+  }
+  {
+    // A severity byte past Error is rejected like a bad check code, not
+    // rendered as `?[scmo-...]`.
+    Facts Bad = Scan(Bait);
+    for (auto &Rec : Bad)
+      for (Diagnostic &D : Rec.second.Diags)
+        D.Sev = static_cast<Severity>(3);
+    Facts Loaded;
+    EXPECT_FALSE(readAnalysisEntry(P, Bait, Encode(Bad), K, Loaded));
+  }
+  std::vector<uint8_t> Payload(Entry.begin() + cachefmt::FrameBytes,
+                               Entry.end());
+  std::vector<uint8_t> OtherPayload(Other.begin() + cachefmt::FrameBytes,
+                                    Other.end());
+  Prng Rng(0x5eed4);
+  size_t Decoded = 0;
+  for (int I = 0; I != 4000; ++I) {
+    // Half the mutants hit the file as stored; the other half mutate the
+    // payload and are framed afresh, so they get past the checksum into the
+    // reference tables and records.
+    std::vector<uint8_t> Mutant;
+    if (I % 2 == 0) {
+      Mutant = mutate(Rng, Entry, Other);
+    } else {
+      std::vector<uint8_t> Body = mutate(Rng, Payload, OtherPayload);
+      cachefmt::Sink File;
+      cachefmt::frameArtifact(File, Body);
+      Mutant = File.Bytes;
+      Mutant.insert(Mutant.end(), Body.begin(), Body.end());
+    }
+    Facts Loaded(1);
+    if (!readAnalysisEntry(P, Bait, Mutant, K, Loaded)) {
+      ASSERT_EQ(Loaded.size(), 1u) << "mutant " << I;
+      continue;
+    }
+    ++Decoded;
+    ASSERT_EQ(Encode(Loaded), Mutant) << "mutant " << I;
+  }
+  EXPECT_GT(Decoded, 0u);
 }
 
 namespace {

@@ -317,7 +317,7 @@ func f(a, b, c) {
 func main() { return f(1, 2, 3); }
 )");
   ASSERT_TRUE(FR.Ok) << FR.Error;
-  EXPECT_EQ(verifyProgram(P), "");
+  EXPECT_EQ(verifyExpanded(P), "");
 }
 
 TEST(Frontend, RecordsSourceLinesAndDebugInfo) {

@@ -206,7 +206,7 @@ func main() {
   runCleanupPipeline(F.P, F.body("main"), F.Stats);
   // Everything folds into a single straight-line block.
   EXPECT_EQ(F.body("main").Blocks.size(), 1u);
-  std::string Err = verifyRoutine(F.P, F.P.findRoutine("main"),
+  std::string Err = verifyMessage(F.P, F.P.findRoutine("main"),
                                   F.body("main"));
   EXPECT_EQ(Err, "");
 }
@@ -241,10 +241,10 @@ TEST(SimplifyCfg, RandomBodiesStayValidAndEquivalent) {
     if (Body->NextReg < 2)
       Body->NextReg = 2;
     P.defineRoutine(R, M, std::move(Body));
-    ASSERT_EQ(verifyRoutine(P, R, P.body(R)), "") << "seed " << Seed;
+    ASSERT_EQ(verifyMessage(P, R, P.body(R)), "") << "seed " << Seed;
     Statistics Stats;
     runCleanupPipeline(P, P.body(R), Stats);
-    EXPECT_EQ(verifyRoutine(P, R, P.body(R)), "") << "seed " << Seed;
+    EXPECT_EQ(verifyMessage(P, R, P.body(R)), "") << "seed " << Seed;
   }
 }
 
@@ -520,7 +520,7 @@ TEST(Inliner, InlineCallSitePreservesBehaviour) {
   ASSERT_NE(B, InvalidId);
   ASSERT_TRUE(inlineCallSite(F.P, Mid, F.body("leaf"), B, Idx));
   EXPECT_EQ(countOps(Mid, Opcode::Call), 0u);
-  EXPECT_EQ(verifyRoutine(F.P, F.P.findRoutine("mid"), Mid), "");
+  EXPECT_EQ(verifyMessage(F.P, F.P.findRoutine("mid"), Mid), "");
   EXPECT_EQ(F.interpret(), Before);
 }
 
@@ -532,7 +532,7 @@ TEST(Inliner, CollapsesStaticChains) {
   EXPECT_GE(F.Stats.get("inline.sites"), 2u);
   EXPECT_EQ(countOps(F.body("main"), Opcode::Call), 0u);
   EXPECT_EQ(F.interpret(), Before);
-  EXPECT_EQ(verifyProgram(F.P), "");
+  EXPECT_EQ(verifyExpanded(F.P), "");
 }
 
 TEST(Inliner, RecursiveCalleesAreSkipped) {
@@ -685,7 +685,7 @@ func main() {
   EXPECT_EQ(F.Stats.get("clone.sites_redirected"), 1u);
   EXPECT_EQ(Set.size(), F.allDefined().size()); // Clone joined the set.
   EXPECT_EQ(F.interpret(), Before);
-  EXPECT_EQ(verifyProgram(F.P), "");
+  EXPECT_EQ(verifyExpanded(F.P), "");
 }
 
 TEST(Cloner, NoProfileMeansNoClones) {
@@ -760,7 +760,7 @@ TEST(HloPipeline, RunHloPreservesBehaviourOnRandomPrograms) {
     HloOptions Opts;
     Opts.Pbo = false;
     runHlo(*F.Ctx, Set, Opts);
-    EXPECT_EQ(verifyProgram(F.P), "") << "seed " << Seed;
+    EXPECT_EQ(verifyExpanded(F.P), "") << "seed " << Seed;
     EXPECT_EQ(F.interpret(), Before) << "seed " << Seed;
   }
 }

@@ -561,42 +561,70 @@ TEST(Incremental, EditedModuleAmongReplayedObjectsMatchesAColdBuild) {
   }
 }
 
+namespace {
+
+using Sources = std::vector<std::pair<std::string, std::string>>;
+
+/// An O2 build of \p Srcs, in order, against \p Dir (empty = caching off).
+BuildResult buildSources(const Sources &Srcs, const std::string &Dir) {
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O2;
+  if (!Dir.empty()) {
+    Opts.Incremental = true;
+    Opts.CacheDir = Dir;
+  }
+  CompilerSession Session(Opts);
+  for (const auto &[Name, Src] : Srcs)
+    Session.addSource(Name, Src);
+  return Session.build();
+}
+
+} // namespace
+
 TEST(Incremental, EntryThatNoLongerLinksIsAMissAndTheFrontendReports) {
   // app's source is unchanged, but lib's edit changed the arity app calls.
   // Replaying app's object would have to bind the call anyway; instead the
   // entry is a miss, app is parsed, and the build fails exactly as a cold
   // build of the same sources does.
-  std::vector<std::pair<std::string, std::string>> Before = {
-      {"lib", "func f(a) { return a + 1; }\n"},
-      {"app", "func main() { return f(41); }\n"}};
-  auto After = Before;
+  Sources Before = {{"lib", "func f(a) { return a + 1; }\n"},
+                    {"app", "func main() { return f(41); }\n"}};
+  Sources After = Before;
   After[0].second = "func f(a, b) { return a + b; }\n";
-  auto Build = [](const std::vector<std::pair<std::string, std::string>> &Srcs,
-                  const std::string &Dir) {
-    CompileOptions Opts;
-    Opts.Level = OptLevel::O2;
-    if (!Dir.empty()) {
-      Opts.Incremental = true;
-      Opts.CacheDir = Dir;
-    }
-    CompilerSession Session(Opts);
-    for (const auto &[Name, Src] : Srcs)
-      Session.addSource(Name, Src);
-    return Session.build();
-  };
   std::string Dir = freshCacheDir();
-  BuildResult Cold = Build(Before, Dir);
+  BuildResult Cold = buildSources(Before, Dir);
   ASSERT_TRUE(Cold.Ok) << Cold.Error;
-  BuildResult Plain = Build(After, "");
+  BuildResult Plain = buildSources(After, "");
   ASSERT_FALSE(Plain.Ok);
-  BuildResult Warm = Build(After, Dir);
+  BuildResult Warm = buildSources(After, Dir);
   ASSERT_FALSE(Warm.Ok);
   EXPECT_EQ(Warm.Error, Plain.Error);
   // Back to the original sources: both entries replay again.
-  BuildResult Back = Build(Before, Dir);
+  BuildResult Back = buildSources(Before, Dir);
   ASSERT_TRUE(Back.Ok) << Back.Error;
   EXPECT_EQ(Back.Stats.get("cache.source_hits"), 2u);
   EXPECT_TRUE(exesIdentical(Cold.Exe, Back.Exe));
+}
+
+TEST(Incremental, CalleeArityEditFailsVerificationWarmAsCold) {
+  // app calls f before lib declares it, so app's IL and both of its cache
+  // entries name f only by name; app's source entry still replays. lib's
+  // edit changes f's arity, so app's call no longer verifies: the warm
+  // build must fail as the cold one does, not link app's stored code.
+  Sources Before = {{"app", "func main() { print(f(1)); return 0; }\n"},
+                    {"lib", "func f(x) { return x + 1; }\n"}};
+  Sources After = Before;
+  After[1].second = "func f(x, y) { return x + y; }\n";
+  std::string Dir = freshCacheDir();
+  BuildResult Cold = buildSources(Before, Dir);
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  BuildResult Plain = buildSources(After, "");
+  ASSERT_FALSE(Plain.Ok);
+  EXPECT_EQ(Plain.Error, "error[scmo-verify] main bb0 #0 line 1: (call) call "
+                         "argument count mismatch");
+  BuildResult Warm = buildSources(After, Dir);
+  ASSERT_FALSE(Warm.Ok);
+  EXPECT_EQ(Warm.Stats.get("cache.source_hits"), 1u);
+  EXPECT_EQ(Warm.Error, Plain.Error);
 }
 
 TEST(Incremental, CorruptSourceEntryFallsBackToParsing) {

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "bytecode/Compact.h"
 #include "ir/CallGraph.h"
 #include "ir/Checksum.h"
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 using namespace scmo;
+using namespace scmo::test;
 
 namespace {
 
@@ -201,7 +203,7 @@ TEST(Verifier, AcceptsMinimalValidRoutine) {
   ModuleId M = P.addModule("m");
   RoutineId R = P.declareRoutine(M, "f", 0, false);
   P.defineRoutine(R, M, trivialBody());
-  EXPECT_EQ(verifyRoutine(P, R, P.body(R)), "");
+  EXPECT_EQ(verifyMessage(P, R, P.body(R)), "");
 }
 
 TEST(Verifier, RejectsMissingTerminator) {
@@ -216,7 +218,7 @@ TEST(Verifier, RejectsMissingTerminator) {
   MovI->A = Operand::imm(1);
   Body->Blocks[0].Instrs.push_back(MovI);
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("terminator"),
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("terminator"),
             std::string::npos);
 }
 
@@ -227,7 +229,7 @@ TEST(Verifier, RejectsRegisterOutOfRange) {
   auto Body = trivialBody();
   Body->Blocks[0].Instrs.back()->A = Operand::reg(99);
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("register"),
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("register"),
             std::string::npos);
 }
 
@@ -241,7 +243,7 @@ TEST(Verifier, RejectsBranchTargetOutOfRange) {
   Term->A = Operand::none();
   Term->T1 = 7;
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("target"), std::string::npos);
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("target"), std::string::npos);
 }
 
 TEST(Verifier, RejectsCallArityMismatch) {
@@ -253,7 +255,7 @@ TEST(Verifier, RejectsCallArityMismatch) {
   auto Body = trivialBody();
   insertCall(*Body, Callee, 2); // Wrong arity.
   P.defineRoutine(Caller, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, Caller, P.body(Caller)).find("argument count"),
+  EXPECT_NE(verifyMessage(P, Caller, P.body(Caller)).find("argument count"),
             std::string::npos);
 }
 
@@ -264,7 +266,7 @@ TEST(Verifier, RejectsEmptyBlock) {
   auto Body = trivialBody();
   Body->newBlock(); // Left empty.
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("empty"), std::string::npos);
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("empty"), std::string::npos);
 }
 
 TEST(Verifier, RejectsMissingBranchCondition) {
@@ -282,7 +284,7 @@ TEST(Verifier, RejectsMissingBranchCondition) {
   Term->T1 = 1;
   Term->T2 = 1;
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("condition"),
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("condition"),
             std::string::npos);
 }
 
@@ -297,7 +299,7 @@ TEST(Verifier, RejectsProbeIdOutOfRange) {
   Ins.insert(Ins.begin(), Probe);
   P.defineRoutine(R, M, std::move(Body));
   // Without a probe-table size the id is unchecked (pre-instrumentation IL).
-  EXPECT_EQ(verifyRoutine(P, R, P.body(R)), "");
+  EXPECT_EQ(verifyMessage(P, R, P.body(R)), "");
   // With a 3-entry table, probe id 5 is a corrupt reference.
   DiagnosticEngine Diags;
   EXPECT_FALSE(verifyRoutine(P, R, P.body(R), Diags, /*NumProbes=*/3));
@@ -319,7 +321,7 @@ TEST(Verifier, RejectsNopWithOperands) {
   auto &Ins = Body->Blocks[0].Instrs;
   Ins.insert(Ins.begin(), Nop);
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_NE(verifyRoutine(P, R, P.body(R)).find("nop carries operands"),
+  EXPECT_NE(verifyMessage(P, R, P.body(R)).find("nop carries operands"),
             std::string::npos);
 }
 
@@ -335,7 +337,7 @@ TEST(Verifier, AcceptsRetiredProbeNop) {
   auto &Ins = Body->Blocks[0].Instrs;
   Ins.insert(Ins.begin(), Nop);
   P.defineRoutine(R, M, std::move(Body));
-  EXPECT_EQ(verifyRoutine(P, R, P.body(R)), "");
+  EXPECT_EQ(verifyMessage(P, R, P.body(R)), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -415,7 +417,7 @@ TEST(RoutineBody, RepackKeepsLiveIlInOneExactSlab) {
   EXPECT_EQ(Body.irBytes(), Live);
   EXPECT_EQ(T.liveBytes(MemCategory::HloIr), Live);
   EXPECT_EQ(printRoutine(P, R, Body), Before);
-  EXPECT_EQ(verifyRoutine(P, R, Body), "");
+  EXPECT_EQ(verifyMessage(P, R, Body), "");
 
   expectInstrsThenArgs(Body);
   const Instr *NewCall = Body.Blocks[0].Instrs[0];

@@ -17,6 +17,7 @@
 
 #include "driver/CompilerSession.h"
 #include "ir/Printer.h"
+#include "ir/Verifier.h"
 #include "support/Prng.h"
 #include "vm/IlInterp.h"
 
@@ -24,6 +25,26 @@
 
 namespace scmo {
 namespace test {
+
+/// The verifier's message for \p Body ("" when it is well formed).
+inline std::string verifyMessage(const Program &P, RoutineId R,
+                                 const RoutineBody &Body) {
+  DiagnosticEngine Diags;
+  return verifyRoutine(P, R, Body, Diags) ? ""
+                                          : Diags.diagnostics()[0].Message;
+}
+
+/// verifyMessage of the first expanded routine that fails, or "".
+inline std::string verifyExpanded(const Program &P) {
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    const RoutineInfo &RI = P.routine(R);
+    if (RI.Slot.State != PoolState::Expanded)
+      continue;
+    if (std::string E = verifyMessage(P, R, *RI.Slot.Body); !E.empty())
+      return E;
+  }
+  return "";
+}
 
 /// Decodes \p MR's encoded code; empty (plus a test failure) if malformed.
 inline std::vector<MInstr> decodeMachine(const MachineRoutine &MR) {
