@@ -32,6 +32,8 @@ const char *stateName(PoolState S) {
     return "compact";
   case PoolState::Offloaded:
     return "offloaded";
+  case PoolState::Retired:
+    return "retired";
   }
   return "?";
 }

@@ -353,9 +353,9 @@ struct CompilerSession::BuildState {
   BuildResult Result;
   Timer Total;
   /// The worker pool for the per-routine backend phases (verification,
-  /// checksums, content hashes, LTRANS, LLO). Only WPA planning
-  /// stays serial: it is the interprocedural sequential section of the
-  /// pipeline.
+  /// checksums, content hashes, the LTRANS visit with its lowering). Only
+  /// WPA planning stays serial: it is the interprocedural sequential
+  /// section of the pipeline.
   ThreadPool Pool;
 
   bool UsableProfile = false;
@@ -654,26 +654,27 @@ struct CompilerSession::BuildState {
     }
   };
 
-  /// LTRANS: one task per routine on the worker pool. CMO-set routines get
-  /// the WPA plan, default-set routines the O2 cleanup (graded by tier when
-  /// multi-layered selectivity is active), and with VerifyIl each emitted
-  /// routine is verified under the same acquire. Routines whose module came
-  /// out of the cache are left alone: their IL is never lowered. The
-  /// executable is byte-identical at any job count.
+  /// The backend visit: one LTRANS task per routine on the worker pool.
+  /// CMO-set routines get the WPA plan, default-set routines the O2 cleanup
+  /// (graded by tier when multi-layered selectivity is active; none at all
+  /// under +O1 and +I), and with VerifyIl each emitted routine is verified
+  /// under the same acquire. Then the task lowers the routine and retires
+  /// its IL (releases it under KeepIl). Routines whose module came out of
+  /// the cache are left alone: their IL is never lowered. The executable is
+  /// byte-identical at any job count.
   struct LtransStage final : PipelineStage {
     BuildState &B;
     explicit LtransStage(BuildState &B)
         : PipelineStage("ltrans", "HLO plan, IL program",
-                        "optimized IL, clone bodies"),
+                        "clone bodies, lowered machine routines"),
           B(B) {}
     bool run(bool &Skipped) override {
       CompilerSession &S = B.S;
-      if (S.Opts.Instrument || S.Opts.Level == OptLevel::O1) {
-        Skipped = true;
-        return true;
-      }
+      // The raw-IL builds: instrumented ones keep every probe with its
+      // raw-IL meaning, +O1 does basic-block-local codegen only.
+      const bool RawIl = S.Opts.Instrument || S.Opts.Level == OptLevel::O1;
       for (ModuleId M : B.Result.Selectivity.DefaultModules)
-        if (B.moduleCached(M))
+        if (!RawIl && B.moduleCached(M))
           S.Stats.add("cache.skip.cleanup");
       // Every defined routine (and every clone the plan declared) whose
       // owner is compiled cold this build.
@@ -685,10 +686,43 @@ struct CompilerSession::BuildState {
         if (RI.IsDefined || (B.Plan && B.Plan->cloneFor(R)))
           Ids.push_back(R);
       }
+      LloOptions LOpts;
+      LOpts.RegAlloc = LOpts.Schedule = S.Opts.Level != OptLevel::O1;
+      LOpts.ProfileLayout = S.Opts.Level != OptLevel::O1 && B.UsableProfile &&
+                            S.Opts.PboLayout;
+      // Each task lowers into its own slot and accumulates into its own
+      // LloStats; slots keep the link order (ascending routine id) and the
+      // merged stats identical at any --jobs width.
+      std::vector<MachineRoutine> Lowered(Ids.size());
+      std::vector<LloStats> TaskStats(Ids.size());
+      std::atomic<uint64_t> LoweredBytes{0};
+      LtransOptions TOpts;
+      TOpts.Plan = B.Plan.get();
+      TOpts.Cleanup = !RawIl;
+      TOpts.Verify = S.Opts.VerifyIl && !RawIl;
+      TOpts.Finish = [&](size_t I, RoutineId R, const RoutineBody &Body) {
+        LloOptions RoutineOpts = LOpts;
+        if (S.Prog->routine(R).Tier == OptTier::None) {
+          // Never-executed code under multi-layered selectivity: quick,
+          // cheap codegen (no allocation, scheduling or layout work).
+          RoutineOpts.RegAlloc = false;
+          RoutineOpts.Schedule = false;
+          RoutineOpts.ProfileLayout = false;
+        }
+        Lowered[I] = lowerRoutine(*S.Prog, R, Body, RoutineOpts, &TaskStats[I]);
+        // The generated machine code accumulates until link time, in its
+        // dense encoding: the linear component of "overall compiler"
+        // memory in Figure 4.
+        uint64_t Bytes = Lowered[I].Code.size();
+        LoweredBytes.fetch_add(Bytes, std::memory_order_relaxed);
+        S.Tracker->allocate(MemCategory::Other, Bytes);
+        return !S.Opts.KeepIl;
+      };
       HloContext Ctx(*S.Prog, *S.Ldr, S.Stats);
-      std::string Err =
-          runLtrans(Ctx, Ids, B.Plan.get(), S.Opts.VerifyIl, &B.Pool);
+      std::string Err = runLtrans(Ctx, Ids, TOpts, &B.Pool);
       B.Plan.reset(); // Snapshots are dead weight past this point.
+      for (const LloStats &St : TaskStats)
+        B.Result.Llo.merge(St);
       if (!S.checkHeap(B.Result, "LTRANS"))
         return false;
       if (!Err.empty()) {
@@ -697,16 +731,22 @@ struct CompilerSession::BuildState {
       }
       if (!S.checkLoader(B.Result, "LTRANS"))
         return false;
+      B.MachineBytes = LoweredBytes.load(std::memory_order_relaxed);
+      for (MachineRoutine &MR : Lowered)
+        if (MR.Routine != InvalidId) // Emitted routines only.
+          B.Machines.push_back(std::move(MR));
       Skipped = B.cacheOn() && Ids.empty();
       return true;
     }
   };
 
-  /// Gather call-edge weights for the linker's routine clustering before
-  /// lowering (the IL is the last place the counts are visible). Cached
-  /// units contribute their stored caller-side slices; the merge happens in
-  /// one id-ordered map, so the linker sees the same edges in the same
-  /// order a cold build produces.
+  /// Gather call-edge weights for the linker's routine clustering from the
+  /// optimized IL's summaries (the IL is the last place the counts are
+  /// visible): the backend visit retired the bodies, but the loader kept a
+  /// summary of each, so nothing is acquired here. Cached units contribute
+  /// their stored caller-side slices; the merge happens in one id-ordered
+  /// map, so the linker sees the same edges in the same order a cold build
+  /// produces.
   struct EdgeWeightsStage final : PipelineStage {
     BuildState &B;
     explicit EdgeWeightsStage(BuildState &B)
@@ -768,75 +808,19 @@ struct CompilerSession::BuildState {
     }
   };
 
-  /// LLO: lower every emitted routine that isn't covered by a cache hit,
-  /// then merge with the cached machine code in ascending RoutineId order —
-  /// identical to a cold build's emit order, so the executable bytes cannot
-  /// depend on what was cached.
+  /// LLO: the backend visit lowered every emitted routine that isn't
+  /// covered by a cache hit; merge that code with the cached machine code in
+  /// ascending RoutineId order — identical to a cold build's emit order, so
+  /// the executable bytes cannot depend on what was cached.
   struct LloStage final : PipelineStage {
     BuildState &B;
     explicit LloStage(BuildState &B)
-        : PipelineStage("llo", "optimized IL, tiers", "machine routines"),
+        : PipelineStage("llo", "lowered and cached machine routines",
+                        "machine routines in link order"),
           B(B) {}
     bool run(bool &Skipped) override {
       CompilerSession &S = B.S;
-      LloOptions LOpts;
-      if (S.Opts.Level == OptLevel::O1) {
-        LOpts.RegAlloc = false;
-        LOpts.Schedule = false;
-        LOpts.ProfileLayout = false;
-      } else {
-        LOpts.RegAlloc = true;
-        LOpts.Schedule = true;
-        LOpts.ProfileLayout = B.UsableProfile && S.Opts.PboLayout;
-      }
-      std::vector<RoutineId> EmitIds;
-      for (RoutineId R = 0; R != S.Prog->numRoutines(); ++R) {
-        const RoutineInfo &RI = S.Prog->routine(R);
-        if (RI.IsDefined && RI.Emit && !B.moduleCached(RI.Owner))
-          EmitIds.push_back(R);
-      }
-      // Each task lowers one routine into its own slot and accumulates into
-      // its own LloStats; slots keep the link order (ascending routine id)
-      // and the merged stats identical at any --jobs width. Once the heap
-      // cap trips, remaining tasks are skipped and the post-join checkHeap
-      // reports it.
-      std::vector<MachineRoutine> Lowered(EmitIds.size());
-      std::vector<LloStats> TaskStats(EmitIds.size());
-      std::atomic<uint64_t> LoweredBytes{0};
-      std::atomic<bool> Stop{false};
-      B.Pool.parallelFor(EmitIds.size(), [&](size_t I) {
-        if (Stop.load(std::memory_order_relaxed))
-          return;
-        RoutineId R = EmitIds[I];
-        const RoutineBody &Body = S.Ldr->acquireRead(R);
-        LloOptions RoutineOpts = LOpts;
-        if (S.Prog->routine(R).Tier == OptTier::None) {
-          // Never-executed code under multi-layered selectivity: quick,
-          // cheap codegen (no allocation, scheduling or layout work).
-          RoutineOpts.RegAlloc = false;
-          RoutineOpts.Schedule = false;
-          RoutineOpts.ProfileLayout = false;
-        }
-        Lowered[I] = lowerRoutine(*S.Prog, R, Body, RoutineOpts, &TaskStats[I]);
-        S.Ldr->release(R);
-        // The generated machine code accumulates until link time, in its
-        // dense encoding: the linear component of "overall compiler"
-        // memory in Figure 4.
-        uint64_t Bytes = Lowered[I].Code.size();
-        LoweredBytes.fetch_add(Bytes, std::memory_order_relaxed);
-        S.Tracker->allocate(MemCategory::Other, Bytes);
-        S.Tracker->takeHloSample();
-        if (S.Tracker->heapExhausted())
-          Stop.store(true, std::memory_order_relaxed);
-      });
-      for (const LloStats &St : TaskStats)
-        B.Result.Llo.merge(St);
-      if (!S.checkHeap(B.Result, "LLO"))
-        return false;
-      if (!S.checkLoader(B.Result, "LLO"))
-        return false;
-      B.MachineBytes = LoweredBytes.load(std::memory_order_relaxed);
-      B.Machines = std::move(Lowered);
+      Skipped = B.cacheOn() && B.Machines.empty();
       for (size_t I = 0; I != B.Units.size(); ++I) {
         if (!B.UnitHit[I])
           continue;
@@ -853,7 +837,6 @@ struct CompilerSession::BuildState {
                   return A.Routine < C.Routine;
                 });
       S.Tracker->takeHloSample();
-      Skipped = B.cacheOn() && EmitIds.empty();
       return true;
     }
   };

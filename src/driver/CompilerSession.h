@@ -70,7 +70,10 @@ struct BuildResult {
   std::vector<Diagnostic> Warnings;
   std::string WarningsText;
 
-  // Compile-time metrics (the y-axes of Figures 4/5/6).
+  // Compile-time metrics (the y-axes of Figures 4/5/6). HloSeconds covers
+  // the wpa and ltrans stages, and LTRANS lowers each routine it finishes,
+  // so lowering time is in it; LloSeconds is the llo stage, the merge with
+  // cached code (Llo.PhaseNanos splits the lowering time itself).
   double FrontendSeconds = 0;
   double HloSeconds = 0;
   double LloSeconds = 0;

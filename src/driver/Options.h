@@ -55,9 +55,9 @@ struct CompileOptions {
   bool MultiLayered = false;
 
   /// Parallel backend width (the scmoc --jobs=N knob). The per-routine
-  /// backend phases — IL verification, checksum computation, LTRANS (plan
-  /// application, default-set cleanup, post-HLO verify) and LLO lowering —
-  /// fan out over this many threads; work is written into slots indexed by
+  /// backend phases — IL verification, checksum computation and the LTRANS
+  /// visit (plan application, default-set cleanup, post-HLO verify, LLO
+  /// lowering) — fan out over this many threads; work is written into slots indexed by
   /// routine so the linked executable is bit-identical at any thread count.
   /// 0 = hardware concurrency; 1 = fully serial, the exact pre-parallel
   /// behavior. Only the WPA planning phase stays serial: it is the
@@ -90,6 +90,13 @@ struct CompileOptions {
   /// Run the IL verifier after the frontend and after HLO.
   bool VerifyIl = true;
 
+  /// Keep every routine's optimized IL after it is lowered, for readers
+  /// after build() (scmoc --emit-il and --dump-dot, tests). Off, the
+  /// backend frees each body as soon as its machine code exists, so the IL
+  /// of the whole program is never resident at once after HLO. Resource
+  /// only: the executable is the same either way.
+  bool KeepIl = false;
+
   /// HLO transformation budget (Section 6.3 bisection support).
   uint64_t HloOpLimit = UINT64_MAX;
 
@@ -116,8 +123,8 @@ struct CompileOptions {
   /// sessions with equal fingerprints and equal IL produce byte-identical
   /// executables, so the fingerprint is cache-key material. Deliberately
   /// excludes knobs that only affect resource usage or diagnostics (Jobs,
-  /// Naim, FaultInject, HeapCapBytes, VerifyIl, ObjectDir/WriteObjects,
-  /// Incremental/CacheDir themselves).
+  /// Naim, FaultInject, HeapCapBytes, VerifyIl, KeepIl,
+  /// ObjectDir/WriteObjects, Incremental/CacheDir themselves).
   uint64_t fingerprint() const;
 };
 

@@ -61,13 +61,15 @@ HloPlan scmo::planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
 
 namespace {
 
-/// One LTRANS task: everything the backend does to routine \p R before
-/// lowering, under a single loader acquire so the loader sees one
-/// deterministic access per routine however many rewrites it receives.
-/// Counters go to the task-private \p Stats, a verify failure to \p Diags.
-void ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
-                   bool Verify, Statistics &Stats, DiagnosticEngine &Diags) {
+/// One LTRANS task: everything the backend does to routine \p R, under a
+/// single loader acquire so the loader sees one deterministic access per
+/// routine however many rewrites it receives. Counters go to the
+/// task-private \p Stats, a verify failure to \p Diags.
+void ltransRoutine(HloContext &Ctx, size_t I, RoutineId R,
+                   const LtransOptions &Opts, Statistics &Stats,
+                   DiagnosticEngine &Diags) {
   Program &P = Ctx.P;
+  const HloPlan *Plan = Opts.Plan;
   const RoutineInfo &RI = P.routine(R);
   const bool Cmo = Plan && P.module(RI.Owner).InCmoSet;
   if (Cmo && !RI.Emit)
@@ -82,36 +84,43 @@ void ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
     return;
   const bool Transform =
       Cmo ? RI.Selected || Plan->ipcpFor(R) || Plan->opsFor(R)
-          : RI.Tier != OptTier::None; // None: quick codegen only (Section 8).
-  Verify = Verify && RI.Emit;
-  if (!Transform) {
-    if (Verify) {
-      verifyRoutine(P, R, Ctx.L.acquireRead(R), Diags);
-      Ctx.L.release(R);
-    }
+          : Opts.Cleanup &&
+                RI.Tier != OptTier::None; // None: quick codegen (Section 8).
+  const bool Verify = Opts.Verify && RI.Emit;
+  const bool Finish = Opts.Finish && RI.Emit;
+  if (!Transform && !Verify && !Finish)
     return;
-  }
-  RoutineBody &Body = Ctx.L.acquire(R);
-  if (Cmo) {
-    applyRoutinePlan(Ctx, Body, R, *Plan, Cache);
-    if (RI.Selected) {
+  const RoutineBody *Done;
+  if (Transform) {
+    RoutineBody &Body = Ctx.L.acquire(R);
+    if (Cmo) {
+      applyRoutinePlan(Ctx, Body, R, *Plan, Cache);
+      if (RI.Selected) {
+        runCleanupPipeline(P, Body, Stats);
+        Stats.add("hlo.routines_optimized");
+      }
+    } else if (RI.Tier == OptTier::Basic) {
+      runBasicCleanup(P, Body, Stats);
+    } else {
       runCleanupPipeline(P, Body, Stats);
-      Stats.add("hlo.routines_optimized");
     }
-  } else if (RI.Tier == OptTier::Basic) {
-    runBasicCleanup(P, Body, Stats);
+    // Copy-collect what the rewrites left behind: a roomy NAIM budget never
+    // compacts this body, so without this its garbage would live until the
+    // body is lowered, or to the end of the build when the IL is kept. The
+    // verify and the lowering below read the repacked copy.
+    const uint64_t Before = Body.irBytes();
+    Body.repack();
+    Stats.add("hlo.reclaimed_bytes", Before - Body.irBytes());
+    Done = &Body;
   } else {
-    runCleanupPipeline(P, Body, Stats);
+    Done = &Ctx.L.acquireRead(R);
   }
-  // Copy-collect what the rewrites left behind: a roomy NAIM budget never
-  // compacts this body, so without this its garbage would live to the end
-  // of the build. The verify below checks the repacked copy.
-  const uint64_t Before = Body.irBytes();
-  Body.repack();
-  Stats.add("hlo.reclaimed_bytes", Before - Body.irBytes());
   if (Verify)
-    verifyRoutine(P, R, Body, Diags);
-  Ctx.L.release(R);
+    verifyRoutine(P, R, *Done, Diags);
+  if (Finish && Opts.Finish(I, R, *Done))
+    Ctx.L.retire(R);
+  else
+    Ctx.L.release(R);
   if (MemoryTracker *Tracker = P.tracker())
     Tracker->takeHloSample();
 }
@@ -119,8 +128,7 @@ void ltransRoutine(HloContext &Ctx, RoutineId R, const HloPlan *Plan,
 } // namespace
 
 std::string scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
-                            const HloPlan *Plan, bool Verify,
-                            ThreadPool *Pool) {
+                            const LtransOptions &Opts, ThreadPool *Pool) {
   std::string FirstError;
   {
     // Task-private counters and verify slots, folded in ascending id order:
@@ -132,8 +140,7 @@ std::string scmo::runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
     auto Task = [&](size_t I) {
       if (Stop.load(std::memory_order_relaxed))
         return;
-      ltransRoutine(Ctx, Routines[I], Plan, Verify, TaskStats[I],
-                    TaskDiags[I]);
+      ltransRoutine(Ctx, I, Routines[I], Opts, TaskStats[I], TaskDiags[I]);
       if (Tracker && Tracker->heapExhausted())
         Stop.store(true, std::memory_order_relaxed);
     };
@@ -161,5 +168,7 @@ void scmo::runHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
   HloPlan Plan = planHlo(Ctx, Set, Opts);
   std::vector<RoutineId> Ids = Set;
   std::sort(Ids.begin(), Ids.end());
-  runLtrans(Ctx, Ids, &Plan, /*Verify=*/false, Pool);
+  LtransOptions LOpts;
+  LOpts.Plan = &Plan;
+  runLtrans(Ctx, Ids, LOpts, Pool);
 }

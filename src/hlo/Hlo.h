@@ -15,8 +15,10 @@
 ///
 ///  - runLtrans (LTRANS): one task per routine, in ascending RoutineId, on a
 ///    thread pool. Under a single loader acquire each task applies the plan
-///    (CMO-set routines) or the tier's cleanup (default-set routines), then
-///    optionally verifies the body it still holds. Tasks read only the
+///    (CMO-set routines) or the tier's cleanup (default-set routines),
+///    optionally verifies the body it still holds, and hands an emitted
+///    routine's finished body to the caller's finish callback (the driver
+///    lowers it there, so HLO never depends on LLO). Tasks read only the
 ///    immutable plan and their own body, so the output bytes are identical
 ///    at any job count.
 ///
@@ -33,6 +35,7 @@
 #include "hlo/Inliner.h"
 #include "hlo/Wpa.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,20 +65,40 @@ struct HloOptions {
 HloPlan planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
                 const HloOptions &Opts);
 
+/// The last step of an LTRANS task for an emitted routine: called on the
+/// task's worker with the finished body (rewritten, repacked, verified),
+/// still under the task's one acquire. \p I indexes the list passed to
+/// runLtrans; calls for distinct routines run concurrently. Returns true
+/// when nothing reads the routine's IL again, and the task then retires the
+/// body (Loader::retire) instead of releasing it.
+using LtransFinish =
+    std::function<bool(size_t I, RoutineId R, const RoutineBody &Body)>;
+
+/// What runLtrans does to each routine.
+struct LtransOptions {
+  /// Rewrites for routines of CMO-set modules (null: no CMO work).
+  const HloPlan *Plan = nullptr;
+  /// Give every other routine the cleanup its Tier names. Off for builds
+  /// that lower the frontend's IL as it is (+O1, +I).
+  bool Cleanup = true;
+  /// Verify each emitted routine on the body the task holds.
+  bool Verify = false;
+  /// Called once per emitted routine; unset: bodies are only released.
+  LtransFinish Finish;
+};
+
 /// LTRANS: one task per routine of \p Routines (ascending RoutineId), fanned
 /// out over \p Pool (serial when null). A routine of a CMO-set module gets
-/// \p Plan's rewrites, plus full cleanup when Selected; dead ones are
-/// skipped. Any other routine gets the cleanup its Tier names. With \p
-/// Verify, each emitted routine is then verified on the body the task
-/// holds; emitted routines nothing transforms get a read-only acquire for
-/// it. Per-task counters merge in ascending id order, so totals match the
-/// serial run. Once the heap cap trips, remaining tasks are skipped; the
-/// caller checks the tracker after the join. Bodies end the run released
-/// to the loader. Returns the lowest-id verify failure, rendered as its
-/// scmo-verify diagnostic ("" when none).
+/// the plan's rewrites, plus full cleanup when Selected; dead ones are
+/// skipped. Any other routine gets the cleanup its Tier names. Then, under
+/// the same acquire, each emitted routine is verified (Verify) and handed
+/// to Finish; an emitted routine nothing transforms is acquired read-only
+/// for that. Per-task counters merge in ascending id order, so totals match
+/// the serial run. Once the heap cap trips, remaining tasks are skipped;
+/// the caller checks the tracker after the join. Returns the lowest-id
+/// verify failure, rendered as its scmo-verify diagnostic ("" when none).
 std::string runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
-                      const HloPlan *Plan, bool Verify,
-                      ThreadPool *Pool = nullptr);
+                      const LtransOptions &Opts, ThreadPool *Pool = nullptr);
 
 /// Runs the full HLO pipeline: planHlo followed by runLtrans.
 void runHlo(HloContext &Ctx, std::vector<RoutineId> &Set,

@@ -37,7 +37,8 @@ enum class PoolState : uint8_t {
   None,     ///< No body (external declaration only).
   Expanded, ///< Full pointer-linked in-memory form.
   Compact,  ///< Relocatable in-memory byte form (swizzled to PIDs).
-  Offloaded ///< Compact form resides in the disk repository.
+  Offloaded, ///< Compact form resides in the disk repository.
+  Retired    ///< Lowered and freed: no form of the body exists any more.
 };
 
 /// A global (or module-static) variable. Scalars have Size == 1; arrays have

@@ -191,6 +191,13 @@ RoutineBody &Loader::acquireImpl(RoutineId R, bool Mutable) {
       poisonPoolLocked(R, std::move(St));
     break;
   }
+  case PoolState::Retired:
+    // The IL went with the lowering; handing out a stub keeps the caller
+    // alive and the latched error fails the build.
+    poisonPoolLocked(R, Status::error(StatusCode::Unavailable,
+                                      "IL of " + P.displayName(R) +
+                                          " was retired after lowering"));
+    break;
   case PoolState::None:
     scmo_unreachable("defined routine with no pool");
   }
@@ -219,6 +226,42 @@ void Loader::release(RoutineId R) {
     return;
   unpinLocked(R);
   enforceBudgetLocked(L, /*Everything=*/false);
+}
+
+void Loader::retire(RoutineId R) {
+  RoutineSlot &S = P.routine(R).Slot;
+  bool NeedSummary;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
+      return;
+    NeedSummary = !S.Summary || S.ResummarizeOnRelease;
+  }
+  // The caller's pin keeps the body resident and unchanged, so the scan
+  // runs unlocked; only one worker ever holds a routine in LTRANS.
+  std::unique_ptr<RoutineIlSummary> Sum;
+  if (NeedSummary)
+    Sum = summarizeBody(*S.Body);
+  std::unique_ptr<RoutineBody> Dead;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (S.Pins > 1) {
+      --S.Pins;
+      return;
+    }
+    if (Sum) {
+      S.Summary = std::move(Sum);
+      S.ResummarizeOnRelease = false;
+    }
+    Dead = std::move(S.Body);
+    S.Pins = 0;
+    S.State = PoolState::Retired;
+    S.CleanSinceRepo = false;
+    S.RepoOffset = S.RepoSize = 0;
+    S.LastRepoOffset = S.LastRepoSize = S.LastRepoHash = 0;
+  }
+  // Freed outside the mutex: the arena's slabs go back to the allocator
+  // and the tracker (atomic) without holding up other workers.
 }
 
 void Loader::unpinLocked(RoutineId R) {
@@ -487,12 +530,10 @@ Status Loader::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   std::unique_ptr<RoutineBody> Body;
   if (Err.ok()) {
     // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form,
-    // then drop the decode arena's slab tails; the body stays resident
-    // until the budget evicts it.
-    Body = expandRoutine(Bytes, P.tracker());
-    if (Body)
-      Body->repack();
-    else
+    // straight into an exact-size slab; the body stays resident until the
+    // budget evicts it.
+    Body = expandRoutineExact(Bytes.data(), Bytes.size(), P.tracker());
+    if (!Body)
       Err = Status::error(StatusCode::Corruption,
                           "corrupt compact pool for " + P.displayName(R));
   }

@@ -23,6 +23,12 @@
 ///        |                                  v offload
 ///        +------fetch+uncompact----- Offloaded (in disk repository)
 ///
+///   Expanded (pinned) --retire--> Retired (body freed; summary kept)
+///
+/// Retirement is the backend's exit from the state machine: once a routine
+/// is lowered nothing reads its IL again, so the body is freed rather than
+/// parked. It is not the spill path — nothing is encoded or stored.
+///
 /// Thresholding (Section 4.3): NAIM functionality turns on in stages tied to
 /// the configured "machine memory" so small compilations pay nothing.
 ///
@@ -241,6 +247,17 @@ public:
   /// unload-pending and joins the cache; while the cache is over budget the
   /// loader then lazily compacts (and offloads) its LRU pools.
   void release(RoutineId R);
+
+  /// Drops the caller's pin on \p R for good: \p R has been lowered and
+  /// nothing reads its IL again, so when this is the last pin the body is
+  /// freed instead of parked, and the pool becomes Retired. Not the spill
+  /// path: nothing is encoded or stored, and no compaction or offload is
+  /// counted. The routine keeps a summary (computed now, from the body the
+  /// caller holds, when it has none), so summary readers never touch the
+  /// pool again. A later acquire of a retired routine gets the poisoned
+  /// pool's stub body and latches an error naming the routine. While
+  /// another holder still pins \p R, retire only drops this pin.
+  void retire(RoutineId R);
 
   /// Releases every pinned routine (phase boundaries).
   void releaseAll();

@@ -353,6 +353,9 @@ int main(int argc, char **argv) {
     Opts.Level = OptLevel::O2;
   }
 
+  // Both read optimized IL after the build, which otherwise frees each
+  // routine's IL once it is lowered.
+  Opts.KeepIl = !EmitIlRoutine.empty() || !DumpDotPrefix.empty();
   CompilerSession Session(Opts);
   for (const std::string &File : Files) {
     std::string Source;

@@ -156,10 +156,11 @@ func main() {
 }
 )",
                         0});
-  // Instrumented build through the pipeline.
+  // Instrumented build through the pipeline; the IL stays to be read.
   CompileOptions Opts;
   Opts.Level = OptLevel::O2;
   Opts.Instrument = true;
+  Opts.KeepIl = true;
   CompilerSession Session(Opts);
   ASSERT_TRUE(Session.addGenerated(GP));
   BuildResult Build = Session.build();
@@ -174,6 +175,48 @@ func main() {
   ASSERT_TRUE(IlRun.Ok) << IlRun.Error;
   EXPECT_EQ(IlRun.Probes, VmRun.Probes);
   EXPECT_EQ(IlRun.OutputChecksum, VmRun.OutputChecksum);
+}
+
+TEST(Differential, OptimizedIlInterpretsLikeTheExecutable) {
+  // The IL HLO hands to LLO is a program in its own right: interpreting
+  // the optimized IL of a selective CMO+PBO build (kept past lowering)
+  // must print, return and count exactly what the linked executable does.
+  WorkloadParams Params;
+  Params.Seed = 41;
+  Params.NumModules = 6;
+  Params.ColdRoutinesPerModule = 4;
+  Params.HotRoutines = 6;
+  Params.WarmRoutines = 4;
+  Params.OuterIterations = 200;
+  Params.HotModuleFraction = 0.4;
+  GeneratedProgram GP = generateProgram(Params);
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.Pbo = true;
+  Opts.SelectivityPercent = 20;
+  Opts.KeepIl = true;
+  CompilerSession Session(Opts);
+  ASSERT_TRUE(Session.addGenerated(GP));
+  Session.attachProfile(Db);
+  BuildResult Build = Session.build();
+  ASSERT_TRUE(Build.Ok) << Build.Error;
+  ASSERT_GT(Build.Stats.get("hlo.routines_optimized"), 0u);
+  RunResult VmRun = runExecutable(Build.Exe);
+  ASSERT_TRUE(VmRun.Ok) << VmRun.Error;
+  IlRunResult IlRun = interpretProgram(Session.program(), &Session.loader());
+  ASSERT_TRUE(IlRun.Ok) << IlRun.Error;
+  EXPECT_TRUE(Session.loader().firstError().ok())
+      << Session.loader().firstError().toString();
+  EXPECT_EQ(IlRun.ExitValue, VmRun.ExitValue);
+  EXPECT_EQ(IlRun.OutputChecksum, VmRun.OutputChecksum);
+  EXPECT_EQ(IlRun.OutputCount, VmRun.OutputCount);
+  EXPECT_EQ(IlRun.FirstOutputs, VmRun.FirstOutputs);
+  EXPECT_EQ(IlRun.Probes, VmRun.Probes); // Neither carries probes.
+  // And both agree with the frontend's IL.
+  EXPECT_EQ(IlRun.OutputChecksum, reference(GP).OutputChecksum);
 }
 
 TEST(Differential, InterpreterWorksThroughTightNaimLoader) {

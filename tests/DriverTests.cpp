@@ -15,9 +15,13 @@
 #include "TestUtil.h"
 #include "driver/Isolate.h"
 #include "driver/StatsRender.h"
+#include "ir/Printer.h"
 #include "frontend/Frontend.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace scmo;
 using namespace scmo::test;
@@ -312,6 +316,131 @@ TEST(Driver, FrontendErrorSurfacesFromBuild) {
   BuildResult Build = Session.build();
   EXPECT_FALSE(Build.Ok);
   EXPECT_NE(Build.Error.find("bad:"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Retiring lowered IL
+//===----------------------------------------------------------------------===//
+
+TEST(Retire, EveryLoweredRoutineLeavesNoIlBehind) {
+  // The backend visit lowers each emitted routine and frees its IL, at
+  // every level: CMO+PBO (whose edge weights read summaries after the
+  // visit), plain O2, and the raw-IL builds +O1 and +I. What stays is the
+  // IL of routines nothing lowers; KeepIl keeps the rest and changes no
+  // byte of the executable.
+  GeneratedProgram GP = testProgram(13);
+  std::string Error;
+  ProfileDb Db = trainProfile(GP, Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  struct Spec {
+    OptLevel Level;
+    bool Pbo, Instrument;
+    const char *Name;
+  };
+  for (const Spec &Sp : {Spec{OptLevel::O4, true, false, "O4+P"},
+                         Spec{OptLevel::O2, false, false, "O2"},
+                         Spec{OptLevel::O1, false, false, "O1"},
+                         Spec{OptLevel::O2, false, true, "O2+I"}}) {
+    CompileOptions Opts;
+    Opts.Level = Sp.Level;
+    Opts.Pbo = Sp.Pbo;
+    Opts.Instrument = Sp.Instrument;
+    Opts.Jobs = 2;
+    CompilerSession Session(Opts);
+    ASSERT_TRUE(Session.addGenerated(GP)) << Session.firstError();
+    if (Sp.Pbo)
+      Session.attachProfile(Db);
+    BuildResult Build = Session.build();
+    ASSERT_TRUE(Build.Ok) << Sp.Name << ": " << Build.Error;
+    const Program &P = Session.program();
+    uint64_t Unlowered = 0;
+    size_t Retired = 0;
+    for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+      const RoutineInfo &RI = P.routine(R);
+      if (!RI.IsDefined)
+        continue;
+      if (RI.Emit) {
+        EXPECT_EQ(RI.Slot.State, PoolState::Retired)
+            << Sp.Name << " " << P.displayName(R);
+        Retired += RI.Slot.State == PoolState::Retired;
+      } else if (RI.Slot.State == PoolState::Expanded) {
+        Unlowered += RI.Slot.Body->irBytes();
+      }
+    }
+    EXPECT_EQ(Retired, Build.Llo.RoutinesLowered) << Sp.Name;
+    EXPECT_LE(Session.tracker().liveBytes(MemCategory::HloIr), Unlowered)
+        << Sp.Name;
+    EXPECT_EQ(Build.Loader.Compactions, 0u) << Sp.Name;
+    EXPECT_TRUE(Session.loader().firstError().ok()) << Sp.Name;
+
+    Opts.KeepIl = true;
+    CompilerSession Keep(Opts);
+    ASSERT_TRUE(Keep.addGenerated(GP));
+    if (Sp.Pbo)
+      Keep.attachProfile(Db);
+    BuildResult Kept = Keep.build();
+    ASSERT_TRUE(Kept.Ok) << Sp.Name << ": " << Kept.Error;
+    EXPECT_TRUE(exesIdentical(Build.Exe, Kept.Exe)) << Sp.Name;
+    for (RoutineId R = 0; R != Keep.program().numRoutines(); ++R)
+      EXPECT_NE(Keep.program().routine(R).Slot.State, PoolState::Retired)
+          << Sp.Name;
+    EXPECT_GT(Keep.tracker().liveBytes(MemCategory::HloIr),
+              Session.tracker().liveBytes(MemCategory::HloIr))
+        << Sp.Name;
+  }
+}
+
+TEST(Retire, ReadingRetiredIlFailsWithTheRoutinesName) {
+  GeneratedProgram GP = testProgram(14);
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  CompilerSession Session(Opts);
+  ASSERT_TRUE(Session.addGenerated(GP));
+  BuildResult Build = Session.build();
+  ASSERT_TRUE(Build.Ok) << Build.Error;
+  RoutineId Main = Session.program().findRoutine("main");
+  ASSERT_NE(Main, InvalidId);
+  const RoutineBody &Stub = Session.loader().acquireRead(Main);
+  EXPECT_EQ(Stub.instrCount(), 1u);
+  Session.loader().release(Main);
+  Status Err = Session.loader().firstError();
+  ASSERT_FALSE(Err.ok());
+  EXPECT_EQ(Err.code(), StatusCode::Unavailable);
+  EXPECT_NE(Err.message().find("main"), std::string::npos) << Err.message();
+}
+
+TEST(Retire, KeptIlOfTheExamplesMatchesTheGolden) {
+  // scmoc --emit-il keeps the IL (KeepIl); what it prints for each routine
+  // of examples/mc is pinned byte for byte, in the order the golden was
+  // written: for R in clamp blend initLut main,
+  //   scmoc +O4 --emit-il R examples/mc/mathlib.mc examples/mc/app.mc
+  auto slurp = [](const std::string &Path) {
+    std::ifstream In(Path);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    return Text.str();
+  };
+  const std::string Dir = SCMO_EXAMPLES_DIR "/mc/";
+  std::string Golden = slurp(Dir + "expected-il.txt");
+  ASSERT_FALSE(Golden.empty());
+  CompileOptions Opts;
+  Opts.Level = OptLevel::O4;
+  Opts.KeepIl = true;
+  CompilerSession Session(Opts);
+  ASSERT_TRUE(Session.addSource("mathlib", slurp(Dir + "mathlib.mc")));
+  ASSERT_TRUE(Session.addSource("app", slurp(Dir + "app.mc")));
+  BuildResult Build = Session.build();
+  ASSERT_TRUE(Build.Ok) << Build.Error;
+  Program &P = Session.program();
+  std::string Il;
+  for (const char *Name : {"clamp", "blend", "initLut", "main"}) {
+    RoutineId R = P.findRoutine(Name);
+    ASSERT_NE(R, InvalidId) << Name;
+    Il += printRoutine(P, R, Session.loader().acquireRead(R));
+    Session.loader().release(R);
+  }
+  EXPECT_EQ(Il, Golden);
+  EXPECT_TRUE(Session.loader().firstError().ok());
 }
 
 //===----------------------------------------------------------------------===//

@@ -884,7 +884,10 @@ TEST(Wpa, PlanningExpandsNoParkedCallee) {
     *Refs = Stats.get("wpa.snapshot_refs");
     EXPECT_GT(Plan.Snapshots.size(), 10u) << "too few inlines to test";
     std::sort(Set.begin(), Set.end());
-    EXPECT_EQ(runLtrans(Ctx, Set, &Plan, /*Verify=*/true), "");
+    LtransOptions LOpts;
+    LOpts.Plan = &Plan;
+    LOpts.Verify = true;
+    EXPECT_EQ(runLtrans(Ctx, Set, LOpts), "");
     EXPECT_TRUE(L.firstError().ok()) << L.firstError().toString();
     std::string Il;
     for (RoutineId R : Set) {
@@ -935,7 +938,10 @@ TEST(Ltrans, EveryTransformedBodyIsRepackedToItsLiveSize) {
   Opts.Pbo = false;
   HloPlan Plan = planHlo(Ctx, Set, Opts);
   std::sort(Set.begin(), Set.end());
-  ASSERT_EQ(runLtrans(Ctx, Set, &Plan, /*Verify=*/true), "");
+  LtransOptions LOpts;
+  LOpts.Plan = &Plan;
+  LOpts.Verify = true;
+  ASSERT_EQ(runLtrans(Ctx, Set, LOpts), "");
   EXPECT_GT(Stats.get("hlo.reclaimed_bytes"), 0u);
   unsigned Checked = 0;
   for (RoutineId R = 0; R != P.numRoutines(); ++R) {

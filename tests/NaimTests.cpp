@@ -768,6 +768,77 @@ TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
   EXPECT_TRUE(SawPoison);
 }
 
+TEST(Loader, RetireFreesTheBodyAndKeepsItsSummary) {
+  // Retirement is not the spill path: under a budget that would compact
+  // every release, retiring encodes, stores and counts nothing, returns
+  // the body's bytes to the tracker and leaves a summary for later
+  // whole-set readers, which then never touch the pool.
+  LoaderFixture F(4);
+  NaimConfig C;
+  C.Mode = NaimMode::Offload;
+  C.ExpandedCacheBytes = 0;
+  C.CompactResidentBytes = 0;
+  Loader L(F.P, C);
+  const uint64_t Before = F.Tracker.liveBytes(MemCategory::HloIr);
+  const uint64_t Body0 = F.P.routine(F.Routines[0]).Slot.Body->irBytes();
+  L.acquireRead(F.Routines[0]);
+  L.retire(F.Routines[0]);
+  const RoutineSlot &S = F.P.routine(F.Routines[0]).Slot;
+  EXPECT_EQ(S.State, PoolState::Retired);
+  EXPECT_EQ(S.Body, nullptr);
+  EXPECT_EQ(F.Tracker.liveBytes(MemCategory::HloIr), Before - Body0);
+  LoaderStats St = L.stats();
+  EXPECT_EQ(St.Compactions, 0u);
+  EXPECT_EQ(St.Offloads, 0u);
+  EXPECT_EQ(L.repository().storeCount(), 0u);
+  const RoutineIlSummary *Sum = L.routineSummary(F.Routines[0]);
+  ASSERT_NE(Sum, nullptr);
+  EXPECT_EQ(Sum->InstrCount, 21u);
+  EXPECT_EQ(L.stats().Acquires, St.Acquires);
+  EXPECT_TRUE(L.firstError().ok());
+  // A mutable acquire drops the summary; retire recomputes it from the
+  // body the caller still holds.
+  RoutineBody &B1 = L.acquire(F.Routines[1]);
+  B1.Blocks[0].Instrs.erase(B1.Blocks[0].Instrs.begin());
+  L.retire(F.Routines[1]);
+  ASSERT_NE(L.routineSummary(F.Routines[1]), nullptr);
+  EXPECT_EQ(L.routineSummary(F.Routines[1])->InstrCount, 21u);
+  // While another holder pins the routine, retire drops one pin only.
+  L.acquireRead(F.Routines[2]);
+  L.acquireRead(F.Routines[2]);
+  L.retire(F.Routines[2]);
+  EXPECT_EQ(F.P.routine(F.Routines[2]).Slot.State, PoolState::Expanded);
+  L.retire(F.Routines[2]);
+  EXPECT_EQ(F.P.routine(F.Routines[2]).Slot.State, PoolState::Retired);
+}
+
+TEST(Loader, AcquiringARetiredRoutineIsAStructuredError) {
+  // Nothing may read IL after it was lowered; a phase that does anyway
+  // gets the poisoned pool's stub body (it runs to completion) and the
+  // latched error names the routine, so the driver fails the build.
+  LoaderFixture F(2);
+  NaimConfig C;
+  C.Mode = NaimMode::Off;
+  Loader L(F.P, C);
+  L.acquireRead(F.Routines[1]);
+  L.retire(F.Routines[1]);
+  const RoutineBody &Stub = L.acquireRead(F.Routines[1]);
+  ASSERT_EQ(Stub.Blocks.size(), 1u);
+  EXPECT_EQ(Stub.Blocks[0].Instrs.back()->Op, Opcode::Ret);
+  L.release(F.Routines[1]);
+  Status Err = L.firstError();
+  ASSERT_FALSE(Err.ok());
+  EXPECT_EQ(Err.code(), StatusCode::Unavailable);
+  EXPECT_NE(Err.message().find("r1"), std::string::npos) << Err.message();
+  EXPECT_NE(Err.message().find("retired"), std::string::npos);
+  std::vector<LoaderEvent> Events = L.takeEvents();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events[0].K, LoaderEvent::Kind::PoolPoisoned);
+  EXPECT_EQ(Events[0].Routine, F.Routines[1]);
+  // The other routine is untouched.
+  EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[0])), 0);
+}
+
 TEST(Loader, ConcurrentTrafficKeepsTheBudget) {
   // The race oracle for the budget check (run under TSan in CI): eight
   // threads acquire and release random routines on one offloading loader
