@@ -9,8 +9,6 @@
 
 #include "support/VarInt.h"
 
-#include <array>
-
 using namespace scmo;
 
 namespace {
@@ -102,224 +100,6 @@ OpShape shapeOf(Opcode Op) {
 
 constexpr uint32_t FormatVersion = 1;
 
-/// Advances \p Cur past one varint; false when the bytes run out first.
-bool skipVarInt(const uint8_t *&Cur, const uint8_t *End) {
-  while (Cur != End)
-    if (!(*Cur++ & 0x80))
-      return true;
-  return false;
-}
-
-/// Advances \p Cur past one encoded operand; false on an unknown tag.
-bool skipOperand(const uint8_t *&Cur, const uint8_t *End) {
-  if (Cur == End || *Cur > TagImm)
-    return false;
-  return *Cur++ == TagNone || skipVarInt(Cur, End);
-}
-
-/// What the pre-pass skips for one opcode, in encoding order: Dst (0 or
-/// 1 varints), the A and B operands, then Sym, T1 and T2 (varints), the
-/// call arguments, then the probe id and the line delta (varints).
-struct SkipShape {
-  uint8_t Lead, Operands, Mid, Tail;
-  bool Args;
-};
-
-const std::array<SkipShape, NumOpcodes> &skipShapes() {
-  static const std::array<SkipShape, NumOpcodes> Table = [] {
-    std::array<SkipShape, NumOpcodes> T{};
-    for (unsigned Op = 0; Op != NumOpcodes; ++Op) {
-      const Opcode O = static_cast<Opcode>(Op);
-      const OpShape S = shapeOf(O);
-      T[Op] = {uint8_t(S.HasDst), uint8_t(S.HasA + S.HasB),
-               uint8_t(S.HasSym + S.HasT1 + S.HasT2),
-               uint8_t(1 + (O == Opcode::Probe || O == Opcode::Br ||
-                            O == Opcode::Call)),
-               S.HasArgs};
-    }
-    return T;
-  }();
-  return Table;
-}
-
-/// The exact decode's pre-pass: walks the \p NumBlocks encoded blocks in
-/// [Cur, End), skipping every field without decoding it, and totals the
-/// instructions and call arguments they hold. It bounds the counts the way
-/// the decoder does; the decoder still checks every field, and a body it
-/// accepts is canonical, so the totals it sizes the slab from are exact.
-bool countBody(const uint8_t *Cur, const uint8_t *End, uint64_t NumBlocks,
-               bool HasProfile, uint64_t &NumInstrs, uint64_t &NumArgs) {
-  const std::array<SkipShape, NumOpcodes> &Shapes = skipShapes();
-  auto skipVarInts = [&](unsigned N) {
-    for (; N; --N)
-      if (!skipVarInt(Cur, End))
-        return false;
-    return true;
-  };
-  auto readCount = [&](uint64_t &N) {
-    ByteReader Reader(Cur, End - Cur);
-    N = Reader.readVarUInt();
-    Cur = End - Reader.remaining();
-    return !Reader.hadError();
-  };
-  NumInstrs = NumArgs = 0;
-  for (uint64_t B = 0; B != NumBlocks; ++B) {
-    uint64_t N;
-    if (!skipVarInts(HasProfile ? 2 : 0) || !readCount(N) ||
-        N > size_t(End - Cur) / 2)
-      return false;
-    NumInstrs += N;
-    for (; N; --N) {
-      if (Cur == End || *Cur >= NumOpcodes)
-        return false;
-      const SkipShape &S = Shapes[*Cur++];
-      if (!skipVarInts(S.Lead))
-        return false;
-      for (unsigned I = 0; I != S.Operands; ++I)
-        if (!skipOperand(Cur, End))
-          return false;
-      if (!skipVarInts(S.Mid))
-        return false;
-      if (S.Args) {
-        uint64_t A;
-        if (!readCount(A) || A > 0xffff || A > size_t(End - Cur))
-          return false;
-        NumArgs += A;
-        for (; A; --A)
-          if (!skipOperand(Cur, End))
-            return false;
-      }
-      if (!skipVarInts(S.Tail))
-        return false;
-    }
-  }
-  return true;
-}
-
-/// Decodes a compact body. \p Exact lays it out as RoutineBody::repack()
-/// would — every instruction in block order, then every argument array in
-/// the same order, in one exact-size slab sized by countBody — instead of
-/// growing the arena as instructions arrive.
-std::unique_ptr<RoutineBody> decodeBody(const uint8_t *Data, size_t Size,
-                                        MemoryTracker *Tracker,
-                                        const SymRemap &Remap, bool Exact) {
-  // Decoding is strict: every field must be in range for its type and the
-  // encoding must end exactly at \p Size, so a body that decodes re-encodes
-  // to the same bytes. Counts are bounded by the bytes left to hold them
-  // before anything is sized from them.
-  ByteReader Reader(Data, Size);
-  if (Reader.readVarUInt() != FormatVersion)
-    return nullptr;
-  auto Body = std::make_unique<RoutineBody>(Tracker);
-  Body->NumParams = Reader.readVarU32();
-  Body->NextReg = Reader.readVarU32();
-  Body->SourceLines = Reader.readVarU32();
-  uint8_t HasProfile = 0;
-  Reader.readBytes(&HasProfile, 1);
-  Body->HasProfile = HasProfile != 0;
-  uint64_t NumBlocks = Reader.readVarUInt();
-  // A block costs at least its instruction count, plus two frequencies
-  // under a profile.
-  if (Reader.hadError() || HasProfile > 1 ||
-      NumBlocks > Reader.remaining() / (HasProfile ? 3 : 1))
-    return nullptr;
-  // The exact slab: [NextInstr, EndInstr) then [NextArg, EndArg).
-  Instr *NextInstr = nullptr, *EndInstr = nullptr;
-  Operand *NextArg = nullptr, *EndArg = nullptr;
-  if (Exact) {
-    static_assert(alignof(Operand) == 1 &&
-                      sizeof(Instr) % alignof(Instr) == 0,
-                  "an exact-size slab needs padding-free packing");
-    uint64_t NumInstrs, NumArgs;
-    if (!countBody(Data + (Size - Reader.remaining()), Data + Size, NumBlocks,
-                   Body->HasProfile, NumInstrs, NumArgs))
-      return nullptr;
-    Arena &A = Body->arena();
-    A.reserveExact(NumInstrs * sizeof(Instr) + NumArgs * sizeof(Operand));
-    NextInstr = A.allocateArray<Instr>(NumInstrs);
-    EndInstr = NextInstr + NumInstrs;
-    NextArg = A.allocateArray<Operand>(NumArgs);
-    EndArg = NextArg + NumArgs;
-  }
-  Body->Blocks.resize(NumBlocks);
-  for (uint64_t B = 0; B != NumBlocks; ++B) {
-    BasicBlock &BB = Body->Blocks[B];
-    if (Body->HasProfile) {
-      BB.Freq = Reader.readVarUInt();
-      BB.TakenFreq = Reader.readVarUInt();
-    }
-    // An instruction costs at least its opcode and line delta.
-    uint64_t NumInstrs = Reader.readVarUInt();
-    if (Reader.hadError() || NumInstrs > Reader.remaining() / 2)
-      return nullptr;
-    BB.Instrs.reserve(NumInstrs);
-    uint32_t PrevLine = 0;
-    for (uint64_t Idx = 0; Idx != NumInstrs; ++Idx) {
-      uint8_t OpByte = 0;
-      if (!Reader.readBytes(&OpByte, 1) || OpByte >= NumOpcodes)
-        return nullptr;
-      Opcode Op = static_cast<Opcode>(OpByte);
-      Instr *I;
-      if (!Exact) {
-        I = Body->newInstr(Op);
-      } else if (NextInstr != EndInstr) {
-        I = new (NextInstr++) Instr();
-        I->Op = Op;
-      } else {
-        return nullptr;
-      }
-      OpShape S = shapeOf(Op);
-      if (S.HasDst) {
-        uint32_t D = Reader.readVarU32();
-        I->Dst = D == 0 ? NoReg : D - 1;
-      }
-      if (S.HasA && !decodeOperand(Reader, I->A))
-        return nullptr;
-      if (S.HasB && !decodeOperand(Reader, I->B))
-        return nullptr;
-      if (S.HasSym) {
-        uint32_t Sym = Reader.readVarU32();
-        I->Sym = Op == Opcode::Call ? Remap.mapRoutine(Sym)
-                                    : Remap.mapGlobal(Sym);
-      }
-      if (S.HasT1)
-        I->T1 = Reader.readVarU32();
-      if (S.HasT2)
-        I->T2 = Reader.readVarU32();
-      if (S.HasArgs) {
-        uint64_t N = Reader.readVarUInt();
-        if (Reader.hadError() || N > 0xffff || N > Reader.remaining() ||
-            (Exact && N > uint64_t(EndArg - NextArg)))
-          return nullptr;
-        I->NumArgs = static_cast<uint16_t>(N);
-        if (!Exact) {
-          I->Args = Body->newArgArray(I->NumArgs);
-        } else if (N) {
-          I->Args = NextArg;
-          NextArg += N;
-        }
-        for (unsigned A = 0; A != I->NumArgs; ++A)
-          if (!decodeOperand(Reader, I->Args[A]))
-            return nullptr;
-      }
-      if (Op == Opcode::Probe || Op == Opcode::Br || Op == Opcode::Call) {
-        uint32_t Pr = Reader.readVarU32();
-        I->ProbeId = Pr == 0 ? InvalidId : Pr - 1;
-      }
-      int64_t Delta = Reader.readVarInt();
-      if (Delta < -int64_t(PrevLine) || Delta > int64_t(UINT32_MAX - PrevLine))
-        return nullptr;
-      I->Line = static_cast<uint32_t>(int64_t(PrevLine) + Delta);
-      PrevLine = I->Line;
-      BB.Instrs.push_back(I);
-    }
-  }
-  if (Reader.hadError() || !Reader.atEnd() || NextInstr != EndInstr ||
-      NextArg != EndArg)
-    return nullptr;
-  return Body;
-}
-
 } // namespace
 
 std::vector<uint8_t> scmo::compactRoutine(const RoutineBody &Body,
@@ -382,14 +162,88 @@ std::unique_ptr<RoutineBody> scmo::expandRoutine(const uint8_t *Data,
                                                  size_t Size,
                                                  MemoryTracker *Tracker,
                                                  const SymRemap &Remap) {
-  return decodeBody(Data, Size, Tracker, Remap, /*Exact=*/false);
-}
-
-std::unique_ptr<RoutineBody> scmo::expandRoutineExact(const uint8_t *Data,
-                                                      size_t Size,
-                                                      MemoryTracker *Tracker,
-                                                      const SymRemap &Remap) {
-  return decodeBody(Data, Size, Tracker, Remap, /*Exact=*/true);
+  // Decoding is strict: every field must be in range for its type and the
+  // encoding must end exactly at \p Size, so a body that decodes re-encodes
+  // to the same bytes. Counts are bounded by the bytes left to hold them
+  // before anything is sized from them.
+  ByteReader Reader(Data, Size);
+  if (Reader.readVarUInt() != FormatVersion)
+    return nullptr;
+  auto Body = std::make_unique<RoutineBody>(Tracker);
+  Body->NumParams = Reader.readVarU32();
+  Body->NextReg = Reader.readVarU32();
+  Body->SourceLines = Reader.readVarU32();
+  uint8_t HasProfile = 0;
+  Reader.readBytes(&HasProfile, 1);
+  Body->HasProfile = HasProfile != 0;
+  uint64_t NumBlocks = Reader.readVarUInt();
+  // A block costs at least its instruction count, plus two frequencies
+  // under a profile.
+  if (Reader.hadError() || HasProfile > 1 ||
+      NumBlocks > Reader.remaining() / (HasProfile ? 3 : 1))
+    return nullptr;
+  Body->Blocks.resize(NumBlocks);
+  for (uint64_t B = 0; B != NumBlocks; ++B) {
+    BasicBlock &BB = Body->Blocks[B];
+    if (Body->HasProfile) {
+      BB.Freq = Reader.readVarUInt();
+      BB.TakenFreq = Reader.readVarUInt();
+    }
+    // An instruction costs at least its opcode and line delta.
+    uint64_t NumInstrs = Reader.readVarUInt();
+    if (Reader.hadError() || NumInstrs > Reader.remaining() / 2)
+      return nullptr;
+    BB.Instrs.reserve(NumInstrs);
+    uint32_t PrevLine = 0;
+    for (uint64_t Idx = 0; Idx != NumInstrs; ++Idx) {
+      uint8_t OpByte = 0;
+      if (!Reader.readBytes(&OpByte, 1) || OpByte >= NumOpcodes)
+        return nullptr;
+      Opcode Op = static_cast<Opcode>(OpByte);
+      Instr *I = Body->newInstr(Op);
+      OpShape S = shapeOf(Op);
+      if (S.HasDst) {
+        uint32_t D = Reader.readVarU32();
+        I->Dst = D == 0 ? NoReg : D - 1;
+      }
+      if (S.HasA && !decodeOperand(Reader, I->A))
+        return nullptr;
+      if (S.HasB && !decodeOperand(Reader, I->B))
+        return nullptr;
+      if (S.HasSym) {
+        uint32_t Sym = Reader.readVarU32();
+        I->Sym = Op == Opcode::Call ? Remap.mapRoutine(Sym)
+                                    : Remap.mapGlobal(Sym);
+      }
+      if (S.HasT1)
+        I->T1 = Reader.readVarU32();
+      if (S.HasT2)
+        I->T2 = Reader.readVarU32();
+      if (S.HasArgs) {
+        uint64_t N = Reader.readVarUInt();
+        if (Reader.hadError() || N > 0xffff || N > Reader.remaining())
+          return nullptr;
+        I->NumArgs = static_cast<uint16_t>(N);
+        I->Args = Body->newArgArray(I->NumArgs);
+        for (unsigned A = 0; A != I->NumArgs; ++A)
+          if (!decodeOperand(Reader, I->Args[A]))
+            return nullptr;
+      }
+      if (Op == Opcode::Probe || Op == Opcode::Br || Op == Opcode::Call) {
+        uint32_t Pr = Reader.readVarU32();
+        I->ProbeId = Pr == 0 ? InvalidId : Pr - 1;
+      }
+      int64_t Delta = Reader.readVarInt();
+      if (Delta < -int64_t(PrevLine) || Delta > int64_t(UINT32_MAX - PrevLine))
+        return nullptr;
+      I->Line = static_cast<uint32_t>(int64_t(PrevLine) + Delta);
+      PrevLine = I->Line;
+      BB.Instrs.push_back(I);
+    }
+  }
+  if (Reader.hadError() || !Reader.atEnd())
+    return nullptr;
+  return Body;
 }
 
 std::unique_ptr<RoutineBody> scmo::expandRoutine(

@@ -61,15 +61,6 @@ std::unique_ptr<RoutineBody> expandRoutine(const uint8_t *Data, size_t Size,
                                            MemoryTracker *Tracker,
                                            const SymRemap &Remap = {});
 
-/// As expandRoutine, for a body that stays resident: it is born in
-/// RoutineBody::repack()'s layout, one exact-size slab sized by a pre-pass
-/// over the encoding, instead of in a growth arena that a repack would
-/// then copy. Accepts exactly the bytes expandRoutine accepts.
-std::unique_ptr<RoutineBody> expandRoutineExact(const uint8_t *Data,
-                                                size_t Size,
-                                                MemoryTracker *Tracker,
-                                                const SymRemap &Remap = {});
-
 } // namespace scmo
 
 #endif // SCMO_BYTECODE_COMPACT_H

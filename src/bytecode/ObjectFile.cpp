@@ -370,11 +370,11 @@ bool scmo::parseObject(const Program &P, const uint8_t *Data, size_t Size,
     if (Reader.hadError() || Len > Reader.remaining())
       return Fail("truncated object body");
     size_t Offset = Size - Reader.remaining();
-    // Resident from commit on: born without a slab tail.
-    auto Body = expandRoutineExact(Data + Offset, Len, P.tracker(), Remap);
+    auto Body = expandRoutine(Data + Offset, Len, P.tracker(), Remap);
     const ObjectImage::Symbol &Decl = Img.Symbols[Img.Symbols[DefIdx].Arg];
     if (!Body || BadRef || Body->NumParams != Decl.Arg)
       return Fail("corrupt routine body in object");
+    Body->repack(); // Resident from commit on: keep no slab tail.
     Reader.skip(Len);
     Img.BodyRanges.push_back({Offset, size_t(Len)});
     Img.Bodies.push_back(std::move(Body));
@@ -462,8 +462,11 @@ std::unique_ptr<RoutineBody> scmo::expandBodyFromObject(
   };
   Remap.Global = Bind;
   Remap.Routine = Bind;
-  return expandRoutineExact(Bytes.data() + Range.Offset, Range.Len, Tracker,
-                            Remap);
+  auto Body =
+      expandRoutine(Bytes.data() + Range.Offset, Range.Len, Tracker, Remap);
+  if (Body)
+    Body->repack();
+  return Body;
 }
 
 bool scmo::writeFile(const std::string &Path,

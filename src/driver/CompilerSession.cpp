@@ -716,8 +716,8 @@ struct CompilerSession::BuildState {
         uint64_t Bytes = Lowered[I].Code.size();
         LoweredBytes.fetch_add(Bytes, std::memory_order_relaxed);
         S.Tracker->allocate(MemCategory::Other, Bytes);
-        return !S.Opts.KeepIl;
       };
+      TOpts.Retire = !S.Opts.KeepIl;
       HloContext Ctx(*S.Prog, *S.Ldr, S.Stats);
       std::string Err = runLtrans(Ctx, Ids, TOpts, &B.Pool);
       B.Plan.reset(); // Snapshots are dead weight past this point.

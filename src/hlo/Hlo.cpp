@@ -115,9 +115,15 @@ void ltransRoutine(HloContext &Ctx, size_t I, RoutineId R,
   } else {
     Done = &Ctx.L.acquireRead(R);
   }
-  if (Verify)
-    verifyRoutine(P, R, *Done, Diags);
-  if (Finish && Opts.Finish(I, R, *Done))
+  // A body that fails the verify is never lowered: the backend assumes
+  // well-formed IL, and the build ends with the verify error.
+  if (Verify && !verifyRoutine(P, R, *Done, Diags)) {
+    Ctx.L.release(R);
+    return;
+  }
+  if (Finish)
+    Opts.Finish(I, R, *Done);
+  if (Finish && Opts.Retire)
     Ctx.L.retire(R);
   else
     Ctx.L.release(R);

@@ -68,11 +68,10 @@ HloPlan planHlo(HloContext &Ctx, std::vector<RoutineId> &Set,
 /// The last step of an LTRANS task for an emitted routine: called on the
 /// task's worker with the finished body (rewritten, repacked, verified),
 /// still under the task's one acquire. \p I indexes the list passed to
-/// runLtrans; calls for distinct routines run concurrently. Returns true
-/// when nothing reads the routine's IL again, and the task then retires the
-/// body (Loader::retire) instead of releasing it.
+/// runLtrans; calls for distinct routines run concurrently. Not called for
+/// a routine that fails the verify.
 using LtransFinish =
-    std::function<bool(size_t I, RoutineId R, const RoutineBody &Body)>;
+    std::function<void(size_t I, RoutineId R, const RoutineBody &Body)>;
 
 /// What runLtrans does to each routine.
 struct LtransOptions {
@@ -85,18 +84,22 @@ struct LtransOptions {
   bool Verify = false;
   /// Called once per emitted routine; unset: bodies are only released.
   LtransFinish Finish;
+  /// Nothing reads a finished routine's IL again: after Finish the task
+  /// retires the body (Loader::retire) instead of releasing it.
+  bool Retire = false;
 };
 
 /// LTRANS: one task per routine of \p Routines (ascending RoutineId), fanned
 /// out over \p Pool (serial when null). A routine of a CMO-set module gets
 /// the plan's rewrites, plus full cleanup when Selected; dead ones are
 /// skipped. Any other routine gets the cleanup its Tier names. Then, under
-/// the same acquire, each emitted routine is verified (Verify) and handed
-/// to Finish; an emitted routine nothing transforms is acquired read-only
-/// for that. Per-task counters merge in ascending id order, so totals match
-/// the serial run. Once the heap cap trips, remaining tasks are skipped;
-/// the caller checks the tracker after the join. Returns the lowest-id
-/// verify failure, rendered as its scmo-verify diagnostic ("" when none).
+/// the same acquire, each emitted routine is verified (Verify) and, if it
+/// passes, handed to Finish; an emitted routine nothing transforms is
+/// acquired read-only for that. Per-task counters merge in ascending id
+/// order, so totals match the serial run. Once the heap cap trips,
+/// remaining tasks are skipped; the caller checks the tracker after the
+/// join. Returns the lowest-id verify failure, rendered as its scmo-verify
+/// diagnostic ("" when none).
 std::string runLtrans(HloContext &Ctx, std::vector<RoutineId> &Routines,
                       const LtransOptions &Opts, ThreadPool *Pool = nullptr);
 

@@ -232,7 +232,7 @@ void Loader::retire(RoutineId R) {
   RoutineSlot &S = P.routine(R).Slot;
   bool NeedSummary;
   {
-    std::lock_guard<std::mutex> Lock(M);
+    std::unique_lock<std::mutex> L = lockM();
     if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
       return;
     NeedSummary = !S.Summary || S.ResummarizeOnRelease;
@@ -244,7 +244,7 @@ void Loader::retire(RoutineId R) {
     Sum = summarizeBody(*S.Body);
   std::unique_ptr<RoutineBody> Dead;
   {
-    std::lock_guard<std::mutex> Lock(M);
+    std::unique_lock<std::mutex> L = lockM();
     if (S.Pins > 1) {
       --S.Pins;
       return;
@@ -530,10 +530,12 @@ Status Loader::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
   std::unique_ptr<RoutineBody> Body;
   if (Err.ok()) {
     // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form,
-    // straight into an exact-size slab; the body stays resident until the
-    // budget evicts it.
-    Body = expandRoutineExact(Bytes.data(), Bytes.size(), P.tracker());
-    if (!Body)
+    // then drop the decode arena's slab tails; the body stays resident
+    // until the budget evicts it.
+    Body = expandRoutine(Bytes, P.tracker());
+    if (Body)
+      Body->repack();
+    else
       Err = Status::error(StatusCode::Corruption,
                           "corrupt compact pool for " + P.displayName(R));
   }

@@ -555,9 +555,6 @@ struct FuzzCorpus {
 } // namespace
 
 TEST(DecoderFuzz, CompactBodyMutantsFailOrReencodeExactly) {
-  // Both decoders: the exact one (a counting pre-pass, then one slab)
-  // accepts exactly the mutants the growing one accepts, and what it
-  // builds re-encodes to the same bytes from a slab with no spare byte.
   Prng Rng(0x5eed1);
   unsigned Decoded = 0;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
@@ -569,21 +566,11 @@ TEST(DecoderFuzz, CompactBodyMutantsFailOrReencodeExactly) {
     for (int I = 0; I != 2500; ++I) {
       std::vector<uint8_t> M = mutate(Rng, A, B);
       auto Body = expandRoutine(M, nullptr);
-      auto Exact = expandRoutineExact(M.data(), M.size(), nullptr);
-      ASSERT_EQ(Body != nullptr, Exact != nullptr)
-          << "seed " << Seed << " mutant " << I;
       if (!Body)
         continue;
       ++Decoded;
       ASSERT_EQ(compactRoutine(*Body), M) << "seed " << Seed << " mutant "
                                           << I;
-      ASSERT_EQ(compactRoutine(*Exact), M) << "seed " << Seed << " mutant "
-                                           << I;
-      uint64_t Live = 0;
-      for (const BasicBlock &BB : Exact->Blocks)
-        for (const Instr *In : BB.Instrs)
-          Live += sizeof(Instr) + In->NumArgs * sizeof(Operand);
-      ASSERT_EQ(Exact->irBytes(), Live) << "seed " << Seed << " mutant " << I;
     }
   }
   EXPECT_GT(Decoded, 0u); // Some flips land in immediates and survive.

@@ -959,3 +959,40 @@ TEST(Ltrans, EveryTransformedBodyIsRepackedToItsLiveSize) {
   }
   EXPECT_GT(Checked, 50u);
 }
+
+TEST(Ltrans, ABodyThatFailsTheVerifyIsNeverFinished) {
+  // The finish callback lowers the body, and the backend assumes
+  // well-formed IL: a body the verify rejects must come back as the verify
+  // error, released, and never reach Finish.
+  HloFixture F({{"m", R"(
+func bad(x) { return x + 1; }
+func good(x) { return x * 2; }
+func main() { print bad(1) + good(2); return 0; }
+)"}});
+  RoutineId Bad = F.P.findRoutine("bad");
+  F.body("bad").Blocks[0].Instrs.pop_back(); // Drop the terminator.
+  std::vector<RoutineId> Set = F.allDefined();
+  std::vector<int> Finished(Set.size(), 0);
+  LtransOptions LOpts;
+  LOpts.Cleanup = false; // Nothing repairs the body before the verify.
+  LOpts.Verify = true;
+  LOpts.Retire = true;
+  LOpts.Finish = [&](size_t I, RoutineId, const RoutineBody &Body) {
+    for (const BasicBlock &BB : Body.Blocks)
+      ASSERT_NE(BB.terminator(), nullptr); // What lowering dereferences.
+    ++Finished[I];
+  };
+  std::string Err = runLtrans(*F.Ctx, Set, LOpts);
+  EXPECT_NE(Err.find("scmo-verify"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("bad"), std::string::npos) << Err;
+  for (size_t I = 0; I != Set.size(); ++I) {
+    const PoolState State = F.P.routine(Set[I]).Slot.State;
+    if (Set[I] == Bad) {
+      EXPECT_EQ(Finished[I], 0);
+      EXPECT_EQ(State, PoolState::Expanded);
+    } else {
+      EXPECT_EQ(Finished[I], 1) << F.P.displayName(Set[I]);
+      EXPECT_EQ(State, PoolState::Retired) << F.P.displayName(Set[I]);
+    }
+  }
+}
